@@ -132,69 +132,61 @@ class WeightedSet:
     """Distinct members with membership weight in [0, 1]; crisp facts use
     weight 1.0.  Member order is whatever the producer chose."""
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_weights",)
 
     def __init__(self, pairs: Iterable[tuple[int, float]] = ()):
-        seen: dict[int, float] = {}
-        order: list[int] = []
+        weights: dict[int, float] = {}
         for member, weight in pairs:
             if not 0.0 <= weight <= 1.0:
                 raise GraphError(f"weight {weight} outside [0, 1]")
-            if member in seen:
-                seen[member] = max(seen[member], weight)
-            else:
-                seen[member] = weight
-                order.append(member)
-        self._pairs = [(m, seen[m]) for m in order]
+            weights[member] = max(weights.get(member, weight), weight)
+        self._weights = weights
 
     @classmethod
     def crisp(cls, members: Iterable[int]) -> "WeightedSet":
         return cls((m, 1.0) for m in members)
 
     def pairs(self) -> list[tuple[int, float]]:
-        return list(self._pairs)
+        return list(self._weights.items())
 
     def ids(self) -> list[int]:
-        return [m for m, _ in self._pairs]
+        return list(self._weights)
 
     def weight(self, member: int) -> float | None:
-        for m, w in self._pairs:
-            if m == member:
-                return w
-        return None
+        return self._weights.get(member)
 
     def union(self, other: "WeightedSet") -> "WeightedSet":
-        merged: dict[int, float] = dict(self._pairs)
-        for m, w in other._pairs:
+        merged = dict(self._weights)
+        for m, w in other._weights.items():
             merged[m] = max(merged.get(m, 0.0), w)
         return WeightedSet(sorted(merged.items()))
 
     def intersect(self, other: "WeightedSet") -> "WeightedSet":
-        weights = dict(other._pairs)
+        theirs = other._weights
         return WeightedSet(
-            sorted((m, min(w, weights[m])) for m, w in self._pairs if m in weights)
+            sorted((m, min(w, theirs[m])) for m, w in self._weights.items() if m in theirs)
         )
 
     def __contains__(self, member: int) -> bool:
-        return any(m == member for m, _ in self._pairs)
+        return member in self._weights
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._weights)
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
-        return iter(self._pairs)
+        return iter(self._weights.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeightedSet) and sorted(self._pairs) == sorted(
-            other._pairs
+        return isinstance(other, WeightedSet) and sorted(self.pairs()) == sorted(
+            other.pairs()
         )
 
     def __repr__(self) -> str:
-        return f"WeightedSet({self._pairs!r})"
+        return f"WeightedSet({self.pairs()!r})"
 
     def to_json(self, store: "GraphStore") -> list[dict]:
         out = []
-        for member, weight in self._pairs:
+        for member, weight in self._weights.items():
             node = store.thing(member)
             out.append(
                 {"id": node.id, "name": node.name, "kind": node.kind, "weight": weight}
@@ -210,6 +202,7 @@ class GraphStore:
 
     def __init__(self):
         self._things: dict[int, ThingNode] = {}
+        self._by_kind: dict[str, list[ThingNode]] = {}  # each list sorted by id
         self._times: dict[int, TimeSpec] = {}
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
@@ -236,7 +229,9 @@ class GraphStore:
                     raise GraphError(f"property {key!r} is not a scalar")
         thing_id = self._next_id
         self._next_id += 1
-        self._things[thing_id] = ThingNode(thing_id, kind, name, dict(properties or {}))
+        node = ThingNode(thing_id, kind, name, dict(properties or {}))
+        self._things[thing_id] = node
+        self._by_kind.setdefault(kind, []).append(node)
         self._out[thing_id] = []
         self._in[thing_id] = []
         if name is not None:
@@ -314,11 +309,10 @@ class GraphStore:
         return thing_id in self._things
 
     def things(self, kind: str | None = None) -> list[ThingNode]:
-        return [
-            t
-            for t in sorted(self._things.values(), key=lambda t: t.id)
-            if kind is None or t.kind == kind
-        ]
+        """Things of one kind, or all things, in id order."""
+        if kind is None:
+            return sorted(self._things.values(), key=lambda t: t.id)
+        return list(self._by_kind.get(kind, ()))
 
     def edges(self) -> list[Edge]:
         return [e for edges in self._out.values() for e in edges]
@@ -428,6 +422,7 @@ class GraphStore:
                 raise SnapshotError(f"unknown thing kind {kind!r}")
             node = ThingNode(thing_id, kind, item["name"], dict(item["properties"]))
             store._things[thing_id] = node
+            store._by_kind.setdefault(kind, []).append(node)
             store._out[thing_id] = []
             store._in[thing_id] = []
             if node.name is not None:
@@ -481,6 +476,11 @@ class GraphStore:
         for src, orders in seq_orders.items():
             if sorted(orders) != list(range(len(orders))):
                 raise SnapshotError(f"seq orders of {src} are not contiguous from 0")
+        for nodes in store._by_kind.values():
+            nodes.sort(key=lambda t: t.id)
+        for event in store._by_kind.get("event", ()):
+            if not store.times_of(event.id):
+                raise SnapshotError(f"event {event.id} has no time span")
         used = list(store._things) + list(store._times)
         store._next_id = max(used, default=0) + 1
         return store

@@ -11,6 +11,7 @@ report it produces is identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -294,7 +295,12 @@ def differentiate_actors(
 def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, int]]:
     """Anti-unify event texts of equal token length that share anchor
     tokens; materialize each generalization covering enough events as an
-    abstract appearance with per-slot actor domains."""
+    abstract appearance with per-slot actor domains.
+
+    Two texts of one length are linked when some column holds the same
+    token in both.  Instead of comparing every pair, each event is joined
+    with the first event seen in each of its (column, token) buckets,
+    which yields the same components in time linear in the tokens."""
     texted: list[tuple[int, tuple[str, ...]]] = []
     for event in store.things("event"):
         text = event.properties.get("text")
@@ -308,14 +314,12 @@ def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, in
     made: list[tuple[str, int]] = []
     for length in sorted(by_len):
         group = by_len[length]
-        uf = _UnionFind([event_id for event_id, _ in group])
         seqs = dict(group)
-        ids = [event_id for event_id, _ in group]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                a, b = seqs[ids[i]], seqs[ids[j]]
-                if any(x == y for x, y in zip(a, b)):
-                    uf.join(ids[i], ids[j])
+        uf = _UnionFind(seqs)
+        first_in_bucket: dict[tuple[int, str], int] = {}
+        for event_id, toks in group:
+            for bucket in enumerate(toks):
+                uf.join(first_in_bucket.setdefault(bucket, event_id), event_id)
         for component in uf.groups():
             if len(component) < min_support:
                 continue
@@ -361,27 +365,35 @@ def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, in
 # -- stage 4: event clustering -------------------------------------------------
 
 
-def _coincide(a: TimeSpec, b: TimeSpec, window: int) -> bool:
-    gap = a.gap_to(b)
-    return gap is not None and (gap == 0 or gap < window)
-
-
 def cluster_events(store: GraphStore, window: int) -> dict[str, int]:
     """Group events whose time spans overlap (after widening by the
     window) into coincidences; isolated events become singleton
-    coincidences."""
+    coincidences.
+
+    Two spans coincide when they share a tick or their gap is below the
+    window.  Every interval of every span is widened at its end by
+    ``max(window, 1) - 1`` ticks, the intervals are sorted by start, and
+    one sweep joins each interval to the run it starts inside; the
+    groups are the same as from comparing all pairs of events."""
     events = [(t.id, store.times_of(t.id)) for t in store.things("event")]
     uf = _UnionFind([e for e, _ in events])
-    for i in range(len(events)):
-        for j in range(i + 1, len(events)):
-            if _coincide(events[i][1], events[j][1], window):
-                uf.join(events[i][0], events[j][0])
+    reach = max(window, 1) - 1
+    intervals = sorted(
+        (start, end + reach, event_id)
+        for event_id, span in events
+        for start, end in span.intervals
+    )
+    run_event, run_end = None, None
+    for start, end, event_id in intervals:
+        if run_end is not None and start <= run_end:
+            uf.join(run_event, event_id)
+            run_end = max(run_end, end)
+        else:
+            run_event, run_end = event_id, end
     times = dict(events)
     for component in uf.groups():
         key = ",".join(str(e) for e in component)
-        span = TimeSpec()
-        for event_id in component:
-            span = span.union(times[event_id])
+        span = TimeSpec(tuple(p for e in component for p in times[e].intervals))
         cid, created = store.find_or_create(
             "coincidence",
             f"c[{key}]",
@@ -478,7 +490,12 @@ def _coincidence_actors(store: GraphStore, cid: int) -> set[int]:
 def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int]:
     """Chain coincidences into processes: strictly increasing start times,
     bounded gaps, and (optionally) a shared actor between neighbours.
-    Every maximal chain of length two or more becomes a process."""
+    Every maximal chain of length two or more becomes a process.
+
+    Successors of a coincidence ``a`` can only start in
+    ``(a.start, a.end + chain_max_gap]``, so the candidates are found by
+    bisecting the coincidences sorted by start, and only those are
+    tested; the links are the same as from testing all pairs."""
     coins = []
     for t in store.things("coincidence"):
         span = store.times_of(t.id)
@@ -498,9 +515,14 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
 
     succ: dict[int, list[int]] = {cid: [] for cid, _ in coins}
     has_pred: set[int] = set()
+    by_start = sorted(coins, key=lambda c: c[1].start)
+    starts = [span.start for _, span in by_start]
     for a in coins:
-        for b in coins:
-            if a[0] != b[0] and linked(a, b):
+        _, span = a
+        lo = bisect_right(starts, span.start)
+        hi = bisect_right(starts, span.end + config.chain_max_gap)
+        for b in by_start[lo:hi]:
+            if linked(a, b):
                 succ[a[0]].append(b[0])
                 has_pred.add(b[0])
     memo: dict[int, list[tuple[int, ...]]] = {}

@@ -131,6 +131,17 @@ def test_mine_corrupt_snapshot_exits_one(tmp_path, capsys):
     assert main(["mine", "--snapshot", snapshot]) == 1
 
 
+def test_mine_untimed_event_exits_one_naming_it(tmp_path, capsys):
+    snapshot = _write(
+        tmp_path / "snap.json",
+        '{"things":[{"id":1,"kind":"appearance","name":"a","properties":{}},'
+        '{"id":7,"kind":"event","name":null,"properties":{}}],'
+        '"edges":[{"kind":"is","from":7,"to":1}],"times":[]}',
+    )
+    assert main(["mine", "--snapshot", snapshot]) == 1
+    assert "event 7 has no time span" in capsys.readouterr().err
+
+
 def _stoplight_snapshot(tmp_path):
     corpus = "\n".join(
         json.dumps({"time": t, "source": "cam", "text": f"light turned {c}"})

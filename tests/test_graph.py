@@ -294,6 +294,31 @@ def test_load_rejects_dangling_edges():
         )
 
 
+def test_load_rejects_untimed_event():
+    body = (
+        '{"things":[{"id":1,"kind":"appearance","name":"a","properties":{}},'
+        '{"id":2,"kind":"event","name":null,"properties":{}}],'
+        '"edges":[{"kind":"is","from":2,"to":1}],"times":[]}'
+    )
+    with pytest.raises(SnapshotError, match="event 2 has no time span"):
+        GraphStore.loads(body)
+
+
+def test_things_of_kind_in_id_order_after_shuffled_load():
+    body = (
+        '{"things":[{"id":5,"kind":"actor","name":"e","properties":{}},'
+        '{"id":2,"kind":"role","name":"r","properties":{}},'
+        '{"id":3,"kind":"actor","name":"c","properties":{}},'
+        '{"id":1,"kind":"actor","name":"a","properties":{}}],'
+        '"edges":[],"times":[]}'
+    )
+    store = GraphStore.loads(body)
+    added = store.add_thing("actor", "f")
+    assert [t.id for t in store.things("actor")] == [1, 3, 5, added]
+    assert [t.id for t in store.things()] == [1, 2, 3, 5, added]
+    assert store.things("process") == []
+
+
 def test_save_to_stream():
     store = GraphStore()
     store.add_thing("actor", "x")

@@ -217,6 +217,72 @@ def test_unify_appearances_below_support():
     assert unify_appearances(store, 3) == []
 
 
+def _pairwise_generalizations(texts, min_support):
+    """Naive reference: join every pair of equal-length texts sharing a
+    column token, then keep anchored components with enough support."""
+    by_len: dict = {}
+    for event_id, toks in texts:
+        by_len.setdefault(len(toks), []).append((event_id, toks))
+    made = []
+    for length in sorted(by_len):
+        group = by_len[length]
+        parent = {event_id: event_id for event_id, _ in group}
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, (a, ta) in enumerate(group):
+            for b, tb in group[i + 1:]:
+                if any(x == y for x, y in zip(ta, tb)):
+                    ra, rb = root(a), root(b)
+                    parent[max(ra, rb)] = min(ra, rb)
+        components: dict = {}
+        for event_id, toks in group:
+            components.setdefault(root(event_id), []).append(toks)
+        for _, rows in sorted(components.items()):
+            columns = [sorted({toks[k] for toks in rows}) for k in range(length)]
+            if len(rows) < min_support or not any(len(c) == 1 for c in columns):
+                continue
+            parts, domains = [], {}
+            for col in columns:
+                if len(col) == 1:
+                    parts.append(col[0])
+                else:
+                    var = f"x{len(domains) + 1}"
+                    parts.append(f"${var}")
+                    domains[var] = col
+            made.append((" ".join(parts), len(rows), domains))
+    return made
+
+
+def test_unify_appearances_matches_pairwise_union_find():
+    rng = random.Random(606)
+    vocab = ["aa", "bb", "cc", "dd", "ee", "ff"]
+    for case in range(60):
+        store = GraphStore()
+        app = store.add_thing("appearance", "misc")
+        texts = []
+        for tick in range(rng.randint(1, 25)):
+            toks = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+            texts.append((add_event(store, app, tick, text=" ".join(toks)), toks))
+        min_support = rng.randint(1, 4)
+        made = unify_appearances(store, min_support)
+        expected = _pairwise_generalizations(texts, min_support)
+        assert made == [(name, n) for name, n, _ in expected]
+        generalized = [
+            t.name
+            for t in store.things("appearance")
+            if t.properties.get("origin") == "unify_appearances"
+        ]
+        assert sorted(generalized) == sorted(name for name, _, _ in expected)
+        for name, _, domains in expected:
+            (gen,) = store.find_by_name("appearance", name)
+            for var, values in domains.items():
+                assert _domain_members(store, gen, var) == values
+
+
 # -- event clustering ------------------------------------------------------------
 
 
@@ -268,19 +334,24 @@ def test_wider_window_merges_neighbours():
 
 def test_cluster_matches_components_oracle():
     rng = random.Random(123)
-    for case in range(40):
+    for case in range(60):
         store = GraphStore()
         app = store.add_thing("appearance", "a")
-        window = rng.randint(1, 3)
+        window = rng.randint(0, 3)
         spans = []
         for _ in range(rng.randint(1, 20)):
-            start = rng.randrange(0, 30)
-            spans.append((start, start + rng.randrange(0, 3)))
-        events = [add_event(store, app, span) for span in spans]
+            intervals = []
+            for _ in range(rng.randint(1, 3)):
+                start = rng.randrange(0, 40)
+                intervals.append((start, start + rng.randrange(0, 3)))
+            spans.append(tuple(intervals))
+        events = []
+        for intervals in spans:
+            event = store.add_thing("event", times=TimeSpec(intervals))
+            store.add_edge(Edge("is", event, app))
+            events.append(event)
         cluster_events(store, window)
-        expected = tickset_components(
-            [(e, (span,)) for e, span in zip(events, spans)], window
-        )
+        expected = tickset_components(list(zip(events, spans)), window)
         assert _partition(store) == expected
 
 
@@ -413,21 +484,22 @@ def test_process_steps_strictly_increase_in_time():
 
 def test_chains_match_brute_force_oracle():
     rng = random.Random(404)
-    for case in range(40):
+    for case in range(60):
         store = GraphStore()
         app = store.add_thing("appearance", "x")
         actor_pool = [store.add_thing("actor", f"a{i}") for i in range(4)]
         max_gap = rng.randint(1, 3)
         shared = rng.random() < 0.5
         coins = []
-        for _ in range(rng.randint(2, 8)):
-            start = rng.randrange(0, 12)
+        for _ in range(rng.randint(2, 9)):
+            start = rng.randrange(0, 10)
+            end = start + rng.choice([0, 0, 1, 2, 3])
             chosen = rng.sample(actor_pool, rng.randint(1, 2))
             event = add_event(
-                store, app, start, actors={f"r{i}": a for i, a in enumerate(chosen)}
+                store, app, (start, end), actors={f"r{i}": a for i, a in enumerate(chosen)}
             )
             cid = add_coincidence(store, [event])
-            coins.append((cid, start, start, frozenset(chosen)))
+            coins.append((cid, start, end, frozenset(chosen)))
         cfg = MiningConfig(chain_max_gap=max_gap, chain_requires_shared_actor=shared)
         chain_coincidences(store, cfg)
         assert _processes(store) == brute_maximal_chains(coins, max_gap, shared)
