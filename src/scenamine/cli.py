@@ -17,7 +17,7 @@ import tempfile
 
 from . import queries
 from .definitions import DefinitionError, parse_definitions
-from .graph import GraphError, GraphStore, SnapshotError
+from .graph import KINDS, GraphError, GraphStore, SnapshotError
 from .matching import CorpusError, extract_events, read_corpus
 from .mining import MiningConfig, MiningStageError, run_pipeline
 from .patterns import PatternSyntaxError
@@ -204,22 +204,29 @@ def cmd_run(args) -> int:
 
 
 def _parse_time_flag(text: str):
-    if ":" in text:
-        start, _, end = text.partition(":")
-        return (int(start), int(end))
-    return int(text)
+    try:
+        if ":" in text:
+            start, _, end = text.partition(":")
+            return (int(start), int(end))
+        return int(text)
+    except ValueError:
+        _fail(f"bad --time value {text!r}", EXIT_DOMAIN)
 
 
-def _resolve_thing(store: GraphStore, kind: str, value: str) -> int:
-    if value.isdigit():
+def _resolve_thing(store: GraphStore, kind: str | None, value: str) -> int:
+    """A thing id, or the one thing of the kind (any kind for None) with
+    that name."""
+    if value.isdecimal():
         thing_id = int(value)
         node = store.thing(thing_id)  # raises GraphError when unknown
         return node.id
-    matches = store.find_by_name(kind, value)
+    kinds = sorted(KINDS) if kind is None else [kind]
+    matches = sorted(i for k in kinds for i in store.find_by_name(k, value))
+    what = kind or "thing"
     if not matches:
-        _fail(f"no {kind} named {value!r}", EXIT_DOMAIN)
+        _fail(f"no {what} named {value!r}", EXIT_DOMAIN)
     if len(matches) > 1:
-        _fail(f"ambiguous {kind} name {value!r}: ids {matches}", EXIT_DOMAIN)
+        _fail(f"ambiguous {what} name {value!r}: ids {matches}", EXIT_DOMAIN)
     return matches[0]
 
 
@@ -236,16 +243,8 @@ def cmd_query(args) -> int:
     if name == "timespan_of":
         if not args.argument:
             _fail("timespan_of requires a thing argument", EXIT_DOMAIN)
-        thing_id = int(args.argument) if args.argument.isdigit() else None
-        if thing_id is None:
-            hits = [
-                t.id for t in store.things() if t.name == args.argument
-            ]
-            if len(hits) != 1:
-                _fail(f"need a unique thing named {args.argument!r}", EXIT_DOMAIN)
-            thing_id = hits[0]
         try:
-            span = queries.timespan_of(store, thing_id)
+            span = queries.timespan_of(store, _resolve_thing(store, None, args.argument))
         except GraphError as exc:
             _fail(str(exc), EXIT_DOMAIN)
         print(json.dumps({"intervals": [list(p) for p in span.intervals]}))

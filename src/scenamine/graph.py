@@ -5,7 +5,11 @@ inheritance (``is``), possession (``has`` with a role name), association
 with time (``times``) and set membership (``member`` with a set kind of
 ``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
 Time spans are normalized interval sets over an integer tick axis.  The
-whole store round-trips through a JSON snapshot.
+whole store round-trips through a JSON snapshot.  Loading one replays its
+things and edges through the same checks as live construction, so a
+snapshot must list each node's seq members in order (as ``dumps`` writes
+them), a repeated edge is a no-op, and any fault raises ``SnapshotError``
+naming it.
 """
 
 from __future__ import annotations
@@ -219,26 +223,33 @@ class GraphStore:
         properties: dict | None = None,
         times: TimeSpec | None = None,
     ) -> int:
-        if kind not in KINDS:
-            raise GraphError(f"unknown thing kind {kind!r}")
         if kind == "event" and (times is None or not times):
             raise GraphError("events require a non-empty time span")
-        if properties:
-            for key, value in properties.items():
-                if not isinstance(value, _SCALARS):
-                    raise GraphError(f"property {key!r} is not a scalar")
         thing_id = self._next_id
+        self._put_thing(thing_id, kind, name, {} if properties is None else properties)
         self._next_id += 1
-        node = ThingNode(thing_id, kind, name, dict(properties or {}))
+        if times is not None:
+            self._attach_times(thing_id, times)
+        return thing_id
+
+    def _put_thing(self, thing_id: int, kind: str, name: str | None, properties: dict) -> None:
+        """Validate one node and add it to every index."""
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise GraphError(f"thing {thing_id} has unknown kind {kind!r}")
+        if name is not None and not isinstance(name, str):
+            raise GraphError(f"thing {thing_id} name {name!r} is not a string")
+        if not isinstance(properties, dict):
+            raise GraphError(f"thing {thing_id} properties are not an object")
+        for key, value in properties.items():
+            if not isinstance(value, _SCALARS):
+                raise GraphError(f"thing {thing_id} property {key!r} is not a scalar")
+        node = ThingNode(thing_id, kind, name, dict(properties))
         self._things[thing_id] = node
         self._by_kind.setdefault(kind, []).append(node)
         self._out[thing_id] = []
         self._in[thing_id] = []
         if name is not None:
             self._by_name.setdefault((kind, name), []).append(thing_id)
-        if times is not None:
-            self._attach_times(thing_id, times)
-        return thing_id
 
     def _attach_times(self, thing_id: int, times: TimeSpec) -> None:
         spec_id = self._next_id
@@ -256,27 +267,27 @@ class GraphStore:
                 raise GraphError(f"dangling time span {edge.dst}")
         elif edge.dst not in self._things:
             raise GraphError(f"dangling edge target {edge.dst}")
-        if edge.kind == "has" and not edge.role:
-            raise GraphError("has edges require a role name")
+        if edge.kind == "has" and not (isinstance(edge.role, str) and edge.role):
+            raise GraphError(f"has edge {edge.src} -> {edge.dst} needs a role name")
+        seq_count = None
         if edge.kind == "member":
             if edge.set_kind not in SET_KINDS:
                 raise GraphError(f"bad set kind {edge.set_kind!r}")
             if edge.set_kind == "seq":
-                count = sum(
+                seq_count = sum(
                     1
                     for e in self._out[edge.src]
                     if e.kind == "member" and e.set_kind == "seq"
                 )
                 if edge.order is None:
-                    edge = Edge("member", edge.src, edge.dst, set_kind="seq", order=count)
-                elif edge in self._edge_set:
-                    return
-                elif edge.order != count:
-                    raise GraphError(
-                        f"seq order {edge.order} breaks contiguity (expected {count})"
-                    )
+                    edge = Edge("member", edge.src, edge.dst, set_kind="seq", order=seq_count)
         if edge in self._edge_set:
             return
+        if seq_count is not None and edge.order != seq_count:
+            raise GraphError(
+                f"seq order {edge.order} breaks contiguity: orders of {edge.src} "
+                f"are not contiguous from 0 (expected {seq_count})"
+            )
         self._edge_set.add(edge)
         self._out[edge.src].append(edge)
         if edge.kind != "times":
@@ -341,8 +352,8 @@ class GraphStore:
         role: str | None = None,
         set_kind: str | None = None,
     ) -> WeightedSet:
-        """Endpoints over matching edges, each with weight 1.0; results of
-        seq membership come back in order, others sorted by id."""
+        """Endpoints over matching edges, each with weight 1.0, sorted by id.
+        Ordered seq members are read with ``member_children``."""
         self.thing(thing_id)
         if direction not in ("out", "in"):
             raise GraphError(f"bad direction {direction!r}")
@@ -355,9 +366,6 @@ class GraphStore:
             and (role is None or e.role == role)
             and (set_kind is None or e.set_kind == set_kind)
         ]
-        if kind == "member" and set_kind == "seq" and direction == "out":
-            picked.sort(key=lambda e: e.order)
-            return WeightedSet.crisp(e.dst for e in picked)
         other = lambda e: e.dst if direction == "out" else e.src
         return WeightedSet.crisp(sorted({other(e) for e in picked}))
 
@@ -412,70 +420,56 @@ class GraphStore:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         if not isinstance(raw, dict) or set(raw) != {"things", "edges", "times"}:
             raise SnapshotError("snapshot must have exactly things/edges/times")
+        for section, items in raw.items():
+            if not isinstance(items, list):
+                raise SnapshotError(f"snapshot {section} must be a list")
         store = cls()
-        for item in raw["things"]:
-            _expect_fields(item, {"id", "kind", "name", "properties"}, "thing")
-            thing_id, kind = item["id"], item["kind"]
-            if not isinstance(thing_id, int) or thing_id in store._things:
-                raise SnapshotError(f"bad or duplicate thing id {thing_id!r}")
-            if kind not in KINDS:
-                raise SnapshotError(f"unknown thing kind {kind!r}")
-            node = ThingNode(thing_id, kind, item["name"], dict(item["properties"]))
-            store._things[thing_id] = node
-            store._by_kind.setdefault(kind, []).append(node)
-            store._out[thing_id] = []
-            store._in[thing_id] = []
-            if node.name is not None:
-                store._by_name.setdefault((kind, node.name), []).append(thing_id)
-        for item in raw["times"]:
-            _expect_fields(item, {"id", "intervals"}, "time span")
-            spec_id = item["id"]
-            if not isinstance(spec_id, int) or spec_id in store._times or spec_id in store._things:
-                raise SnapshotError(f"bad or duplicate time span id {spec_id!r}")
-            try:
-                store._times[spec_id] = TimeSpec(tuple(tuple(p) for p in item["intervals"]))
-            except (GraphError, TypeError, ValueError) as exc:
-                raise SnapshotError(f"bad intervals for {spec_id}: {exc}") from exc
-        seq_orders: dict[int, list[int]] = {}
-        for item in raw["edges"]:
-            if not isinstance(item, dict):
-                raise SnapshotError("edge entries must be objects")
-            kind = item.get("kind")
-            allowed = {"kind", "from", "to"}
-            if kind == "has":
-                allowed |= {"role"}
-            elif kind == "member":
-                allowed |= {"set_kind"}
-                if item.get("set_kind") == "seq":
-                    allowed |= {"order"}
-            _expect_fields(item, allowed, "edge")
-            edge = Edge(
-                kind,
-                item["from"],
-                item["to"],
-                role=item.get("role"),
-                set_kind=item.get("set_kind"),
-                order=item.get("order"),
-            )
-            if edge.kind == "member" and edge.set_kind == "seq":
-                if not isinstance(edge.order, int):
-                    raise SnapshotError("seq member without integer order")
-                seq_orders.setdefault(edge.src, []).append(edge.order)
+        try:
+            for item in raw["things"]:
+                _expect_fields(item, {"id", "kind", "name", "properties"}, "thing")
+                thing_id = item["id"]
+                if type(thing_id) is not int or thing_id in store._things:
+                    raise SnapshotError(f"bad or duplicate thing id {thing_id!r}")
+                store._put_thing(thing_id, item["kind"], item["name"], item["properties"])
+            for item in raw["times"]:
+                _expect_fields(item, {"id", "intervals"}, "time span")
+                spec_id = item["id"]
+                if type(spec_id) is not int or spec_id in store._times or spec_id in store._things:
+                    raise SnapshotError(f"bad or duplicate time span id {spec_id!r}")
                 try:
-                    store._check_loaded_edge(edge)
-                except GraphError as exc:
-                    raise SnapshotError(str(exc)) from exc
-                store._edge_set.add(edge)
-                store._out[edge.src].append(edge)
-                store._in[edge.dst].append(edge)
-            else:
-                try:
-                    store.add_edge(edge)
-                except GraphError as exc:
-                    raise SnapshotError(str(exc)) from exc
-        for src, orders in seq_orders.items():
-            if sorted(orders) != list(range(len(orders))):
-                raise SnapshotError(f"seq orders of {src} are not contiguous from 0")
+                    store._times[spec_id] = TimeSpec(tuple(tuple(p) for p in item["intervals"]))
+                except (GraphError, TypeError, ValueError) as exc:
+                    raise SnapshotError(f"bad intervals for {spec_id}: {exc}") from exc
+            for item in raw["edges"]:
+                if not isinstance(item, dict):
+                    raise SnapshotError("edge entries must be objects")
+                kind = item.get("kind")
+                allowed = {"kind", "from", "to"}
+                if kind == "has":
+                    allowed |= {"role"}
+                elif kind == "member":
+                    allowed |= {"set_kind"}
+                    if item.get("set_kind") == "seq":
+                        allowed |= {"order"}
+                _expect_fields(item, allowed, "edge")
+                for key, value in item.items():
+                    if type(value) is not _EDGE_FIELD_TYPES[key]:
+                        want = "an integer" if _EDGE_FIELD_TYPES[key] is int else "a string"
+                        raise SnapshotError(f"edge {key} {value!r} is not {want}")
+                store.add_edge(
+                    Edge(
+                        kind,
+                        item["from"],
+                        item["to"],
+                        role=item.get("role"),
+                        set_kind=item.get("set_kind"),
+                        order=item.get("order"),
+                    )
+                )
+        except SnapshotError:
+            raise
+        except GraphError as exc:
+            raise SnapshotError(str(exc)) from exc
         for nodes in store._by_kind.values():
             nodes.sort(key=lambda t: t.id)
         for event in store._by_kind.get("event", ()):
@@ -489,21 +483,19 @@ class GraphStore:
     def load(cls, fp: IO[str]) -> "GraphStore":
         return cls.loads(fp.read())
 
-    def _check_loaded_edge(self, edge: Edge) -> None:
-        if edge.src not in self._things:
-            raise GraphError(f"dangling edge source {edge.src}")
-        if edge.dst not in self._things:
-            raise GraphError(f"dangling edge target {edge.dst}")
-        if edge in self._edge_set:
-            raise GraphError("duplicate seq member edge")
+
+# JSON types of snapshot edge fields; ``type(...) is`` keeps bools and
+# floats such as 1.0 out of the integer fields.
+_EDGE_FIELD_TYPES = {
+    "kind": str, "from": int, "to": int, "role": str, "set_kind": str, "order": int
+}
 
 
 def _expect_fields(item, allowed: set[str], what: str) -> None:
     if not isinstance(item, dict):
         raise SnapshotError(f"{what} entries must be objects")
-    unknown = set(item) - allowed
-    if unknown:
-        raise SnapshotError(f"unknown {what} fields {sorted(unknown)}")
-    missing = allowed - set(item)
-    if missing:
-        raise SnapshotError(f"missing {what} fields {sorted(missing)}")
+    if item.keys() != allowed:
+        unknown = item.keys() - allowed
+        if unknown:
+            raise SnapshotError(f"unknown {what} fields {sorted(unknown)}")
+        raise SnapshotError(f"missing {what} fields {sorted(allowed - item.keys())}")

@@ -86,10 +86,12 @@ class LiftedProcess:
 
 @dataclass
 class ScenarioModel:
-    """Prefix tree over the situation sequences of all processes."""
+    """Prefix tree over the situation sequences of all processes, with
+    the (path, support) of each frequent prefix in pre-order."""
 
     root: TreeNode
     lifted: dict[int, LiftedProcess]
+    scenarios: list[tuple[list[int], int]]
 
 
 @dataclass
@@ -126,22 +128,12 @@ class MiningReport:
 
     def to_json_dict(self, store: GraphStore) -> dict:
         name = lambda thing_id: store.thing(thing_id).name
-        scenarios = []
-
-        def walk(node: TreeNode, path: list[int]) -> None:
-            for sid in sorted(node.children):
-                child = node.children[sid]
-                if child.count < self.config.min_support:
-                    continue
-                scenarios.append(
-                    {"situations": [name(s) for s in path + [sid]], "support": child.count}
-                )
-                walk(child, path + [sid])
-
-        walk(self.model.root, [])
         return {
             "stages": self.stages,
-            "scenarios": scenarios,
+            "scenarios": [
+                {"situations": [name(s) for s in path], "support": support}
+                for path, support in self.model.scenarios
+            ],
             "forks": [
                 {
                     "prefix": [name(s) for s in fork.prefix],
@@ -597,12 +589,15 @@ def unify_scenarios(
             node.count += 1
             node.processes.append(proc.id)
 
+    scenarios: list[tuple[list[int], int]] = []
+
     def materialize(node: TreeNode, path: list[int]) -> None:
         for sid in sorted(node.children):
             child = node.children[sid]
             if child.count < min_support:
                 continue
             full = path + [sid]
+            scenarios.append((full, child.count))
             key = ",".join(str(s) for s in full)
             scenario_id = _find_mined(store, "scenario", key)
             if scenario_id is None:
@@ -617,7 +612,7 @@ def unify_scenarios(
             materialize(child, full)
 
     materialize(root, [])
-    model = ScenarioModel(root, lifted_all)
+    model = ScenarioModel(root, lifted_all, scenarios)
     return model, {"scenarios": len(store.things("scenario"))}
 
 

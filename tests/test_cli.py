@@ -1,15 +1,25 @@
 """Command-line behavior: exit codes, JSON output, library parity."""
 
+import contextlib
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import crosswalk_corpus_text, CROSSWALK_DEFINITIONS
 from scenamine import queries
 from scenamine.cli import main
-from scenamine.graph import Edge, GraphStore
+from scenamine.definitions import parse_definitions
+from scenamine.graph import Edge, GraphStore, SnapshotError
+from scenamine.matching import Document, extract_events
+from scenamine.mining import MiningConfig, run_pipeline
 
 SANCTIONS_DEFS = (
     'There name sanctions patterns "{obama trump} {forced suggested} '
@@ -142,6 +152,91 @@ def test_mine_untimed_event_exits_one_naming_it(tmp_path, capsys):
     assert "event 7 has no time span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, fault",
+    [
+        ('{"things":[{"id":1,"kind":"actor","name":null,"properties":[1]}],'
+         '"edges":[],"times":[]}', "thing 1 properties are not an object"),
+        ('{"things":[{"id":1,"kind":"actor","name":["a"],"properties":{}}],'
+         '"edges":[],"times":[]}', "thing 1 name ['a'] is not a string"),
+        ('{"things":5,"edges":[],"times":[]}', "snapshot things must be a list"),
+    ],
+)
+def test_mine_malformed_snapshot_exits_one_naming_fault(tmp_path, capsys, body, fault):
+    snapshot = _write(tmp_path / "snap.json", body)
+    assert main(["mine", "--snapshot", snapshot]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenamine:") and fault in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def _mined_stoplight_text() -> str:
+    store = GraphStore()
+    defs = parse_definitions(STOPLIGHT_DEFS)
+    # the repeated colours chain into processes, so scenarios and seq edges appear
+    for t, c in enumerate(["red", "red", "green", "red", "red", "green"], start=1):
+        extract_events(store, defs, Document(f"light turned {c}", "cam", t))
+    run_pipeline(store, MiningConfig())
+    return store.dumps()
+
+
+def _value_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _value_paths(child, path + (key,))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_snapshot_loads_or_fails_cleanly(data):
+    """One JSON value anywhere in a mined snapshot is replaced: loading
+    returns or raises SnapshotError, and mine exits 0 or 1 with a
+    scenamine: line, never a traceback."""
+    body = json.loads(_mined_stoplight_text())
+    path = data.draw(st.sampled_from(list(_value_paths(body))))
+    replacement = data.draw(_JSON_VALUES)
+    if path:
+        parent = body
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = replacement
+    else:
+        body = replacement
+    text = json.dumps(body)
+    try:
+        GraphStore.loads(text)
+    except SnapshotError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = os.path.join(tmp, "snap.json")
+        with open(snapshot, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["mine", "--snapshot", snapshot])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("scenamine:")
+
+
 def _stoplight_snapshot(tmp_path):
     corpus = "\n".join(
         json.dumps({"time": t, "source": "cam", "text": f"light turned {c}"})
@@ -242,6 +337,27 @@ def test_query_timespan_of(tmp_path, capsys):
     assert code == 0
     body = json.loads(capsys.readouterr().out)
     assert body["intervals"] == [list(p) for p in store.times_of(event.id).intervals]
+
+
+def test_query_timespan_of_by_name(tmp_path, capsys):
+    snapshot = _stoplight_snapshot(tmp_path)
+    capsys.readouterr()
+    store = GraphStore.loads(open(snapshot).read())
+    (yellow,) = store.find_by_name("actor", "yellow")
+    assert main(["query", "--snapshot", snapshot, "timespan_of", "yellow"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    span = queries.timespan_of(store, yellow)
+    assert body["intervals"] == [list(p) for p in span.intervals]
+    assert main(["query", "--snapshot", snapshot, "timespan_of", "purple"]) == 1
+    assert "no thing named 'purple'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["a:b", "5:", "x", "1:2:3"])
+def test_query_bad_time_exits_one(tmp_path, capsys, value):
+    snapshot = _stoplight_snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["query", "--snapshot", snapshot, "events_at", "--time", value]) == 1
+    assert capsys.readouterr().err == f"scenamine: bad --time value {value!r}\n"
 
 
 def test_run_subcommand_and_config_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Graph store: nodes, edges, time spans, persistence."""
 
 import io
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,73 @@ def test_save_to_stream():
     buf = io.StringIO()
     store.save(buf)
     assert GraphStore.loads(buf.getvalue()).things()[0].name == "x"
+
+
+def _snapshot(things, edges=(), times=()) -> str:
+    return json.dumps({"things": things, "edges": list(edges), "times": list(times)})
+
+
+def _node(thing_id, kind, **fields):
+    return {"id": thing_id, "kind": kind, "name": None, "properties": {}, **fields}
+
+
+def _seq(src, dst, order):
+    return {"kind": "member", "set_kind": "seq", "from": src, "to": dst, "order": order}
+
+
+_ACTOR_AND_PROCESS = [_node(1, "actor"), _node(2, "process")]
+
+
+@pytest.mark.parametrize(
+    "body, fault",
+    [
+        (_snapshot([_node(1, "actor", properties=[1])]), "thing 1 properties are not an object"),
+        (_snapshot([_node(1, "actor", properties={"x": [1]})]), "thing 1 property 'x' is not a scalar"),
+        (_snapshot([_node(1, "actor", name=["a"])]), "thing 1 name ['a'] is not a string"),
+        (_snapshot([_node(1, "actor", name=5)]), "thing 1 name 5 is not a string"),
+        (_snapshot([_node(1, ["actor"])]), "thing 1 has unknown kind"),
+        (_snapshot([_node(True, "actor")]), "bad or duplicate thing id True"),
+        ('{"things":5,"edges":[],"times":[]}', "snapshot things must be a list"),
+        ('{"things":[],"edges":{},"times":[]}', "snapshot edges must be a list"),
+        (_snapshot(_ACTOR_AND_PROCESS, [{"kind": "is", "from": [1], "to": 2}]), "edge from [1] is not an integer"),
+        (_snapshot(_ACTOR_AND_PROCESS, [_seq([2], 1, 0)]), "edge from [2] is not an integer"),
+        (_snapshot(_ACTOR_AND_PROCESS, [{"kind": "is", "from": 1.0, "to": 2}]), "edge from 1.0 is not an integer"),
+        (_snapshot(_ACTOR_AND_PROCESS, [_seq(2, 1, True)]), "edge order True is not an integer"),
+        (_snapshot(_ACTOR_AND_PROCESS, [{"kind": ["is"], "from": 1, "to": 2}]), "edge kind ['is'] is not a string"),
+        (_snapshot(_ACTOR_AND_PROCESS, [{"kind": "has", "from": 2, "to": 1, "role": 5}]), "edge role 5 is not a string"),
+        (_snapshot(_ACTOR_AND_PROCESS, [{"kind": "has", "from": 2, "to": 1, "role": ""}]), "has edge 2 -> 1 needs a role name"),
+    ],
+)
+def test_load_rejects_malformed_values_naming_them(body, fault):
+    with pytest.raises(SnapshotError, match=re.escape(fault)):
+        GraphStore.loads(body)
+
+
+def test_load_rejects_seq_members_out_of_order():
+    body = _snapshot(
+        [_node(2, "process"), _node(3, "coincidence"), _node(4, "coincidence")],
+        [_seq(2, 4, 1), _seq(2, 3, 0)],
+    )
+    with pytest.raises(SnapshotError, match="contiguity"):
+        GraphStore.loads(body)
+
+
+def test_load_duplicate_seq_edge_is_noop():
+    body = _snapshot([_node(2, "process"), _node(3, "coincidence")], [_seq(2, 3, 0)] * 2)
+    store = GraphStore.loads(body)
+    assert store.member_children(2, "seq") == [3]
+    assert len(store.edges()) == 1
+
+
+def test_add_thing_rejects_non_string_name():
+    with pytest.raises(GraphError, match="name 5 is not a string"):
+        GraphStore().add_thing("actor", 5)
+
+
+@pytest.mark.parametrize("role", [5, "", ["r"]])
+def test_has_edge_role_must_be_nonempty_string(role):
+    store = GraphStore()
+    a = store.add_thing("generic")
+    b = store.add_thing("generic")
+    with pytest.raises(GraphError, match="needs a role name"):
+        store.add_edge(Edge("has", a, b, role=role))
