@@ -41,7 +41,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return fp.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte, bad encoding
         _fail(f"cannot read {path}: {exc}", EXIT_IO)
 
 
@@ -57,8 +57,11 @@ def _write_atomic(path: str, data: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _fail(f"cannot write {path}: {exc}", EXIT_IO)
+
+
+_PATH_KEYS = ("definitions", "corpus", "snapshot", "out")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -71,6 +74,10 @@ def _load_config_file(path: str | None) -> dict:
         _fail(f"bad config file {path}: {exc}", EXIT_DOMAIN)
     if not isinstance(data, dict):
         _fail(f"bad config file {path}: expected an object", EXIT_DOMAIN)
+    for key in _PATH_KEYS:
+        value = data.get(key)
+        if value is not None and not isinstance(value, str):
+            _fail(f"config key {key!r} must be a path string, got {value!r}", EXIT_DOMAIN)
     return data
 
 
@@ -117,6 +124,13 @@ def _setting(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
     return file_cfg.get(key, default)
 
 
+def _granularity(args: argparse.Namespace, file_cfg: dict) -> int:
+    value = _setting(args, file_cfg, "granularity", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        _fail(f"granularity must be an integer >= 1, got {value!r}", EXIT_DOMAIN)
+    return value
+
+
 def _report_json(report, store) -> str:
     return json.dumps(report.to_json_dict(store), sort_keys=True, indent=2) + "\n"
 
@@ -126,7 +140,7 @@ def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
     corpus_path = _setting(args, file_cfg, "corpus")
     if not definitions_path or not corpus_path:
         _fail("extract requires --definitions and --corpus", EXIT_DOMAIN)
-    granularity = int(_setting(args, file_cfg, "granularity", 1) or 1)
+    granularity = _granularity(args, file_cfg)
     try:
         definitions = parse_definitions(_read_text(definitions_path))
     except DefinitionError as exc:
@@ -167,8 +181,7 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _do_mine(args, file_cfg, store: GraphStore) -> None:
-    cfg = _mining_config(args, file_cfg)
+def _do_mine(args, file_cfg, store: GraphStore, cfg: MiningConfig) -> None:
     try:
         report = run_pipeline(store, cfg)
     except MiningStageError as exc:
@@ -185,6 +198,7 @@ def _do_mine(args, file_cfg, store: GraphStore) -> None:
 
 def cmd_mine(args) -> int:
     file_cfg = _load_config_file(args.config)
+    cfg = _mining_config(args, file_cfg)
     snapshot_path = _setting(args, file_cfg, "snapshot")
     if not snapshot_path:
         _fail("mine requires --snapshot", EXIT_DOMAIN)
@@ -192,14 +206,15 @@ def cmd_mine(args) -> int:
         store = GraphStore.loads(_read_text(snapshot_path))
     except SnapshotError as exc:
         _fail(f"{snapshot_path}: {exc}", EXIT_DOMAIN)
-    _do_mine(args, file_cfg, store)
+    _do_mine(args, file_cfg, store, cfg)
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config)
+    cfg = _mining_config(args, file_cfg)
     store = _do_extract(args, file_cfg, quiet=True)
-    _do_mine(args, file_cfg, store)
+    _do_mine(args, file_cfg, store, cfg)
     return EXIT_OK
 
 

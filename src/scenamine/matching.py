@@ -7,12 +7,20 @@ its own match; a conjunctive set matches the smallest token window
 covering one match of every child, in any order.  A variable consumes
 the shortest non-empty span that lets the rest of the pattern match,
 with every feasible span enumerated.
+
+Inside a sequence a variable looks ahead: its spans are tried only at
+ends where the next sibling can start, and when that sibling is a
+literal the candidate ends come straight from the positions of the
+literal's token.  So from each start a variable before a literal tries
+one span per later occurrence of that literal, not one per remaining
+token.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
@@ -109,7 +117,9 @@ class _Engine:
         self.env = env
         self.n = len(tokens)
         self._memo: dict[tuple[int, int], list] = {}
+        self._var_memo: dict[tuple[int, int, int], list] = {}
         self._and_memo: dict[int, dict[int, list]] = {}
+        self._positions: dict[str, list[int]] | None = None
 
     # Results are lists of (end_exclusive, bindings-dict); bindings map
     # variable name -> Binding and must agree on norm for repeated names.
@@ -128,26 +138,19 @@ class _Engine:
                 return [(i + 1, {})]
             return []
         if isinstance(node, pat.Variable):
-            type_ref = self.env.get(node.name.lower(), node.type_ref)
-            out = []
-            for end in range(i + 1, self.n + 1):
-                first, last = strip_articles(self.tokens, i, end - 1)
-                if not check_type(self.tokens[first : last + 1], type_ref, self.env):
-                    continue
-                binding = Binding(
-                    _joined_surface(self.tokens, first, last),
-                    " ".join(t.norm for t in self.tokens[first : last + 1]),
-                    first,
-                    last,
-                )
-                out.append((end, {node.name: binding}))
-            return out
+            return self._variable_at(node, i, None)
         if isinstance(node, pat.SeqSet):
             states = [(i, {})]
-            for child in node.children:
+            kids = node.children
+            for k, child in enumerate(kids):
+                follow = kids[k + 1] if k + 1 < len(kids) else None
                 nxt = []
                 for at, bound in states:
-                    for end, more in self.matches_at(child, at):
+                    if isinstance(child, pat.Variable):
+                        found = self._variable_at(child, at, follow)
+                    else:
+                        found = self.matches_at(child, at)
+                    for end, more in found:
                         merged = _merge(bound, more)
                         if merged is not None:
                             nxt.append((end, merged))
@@ -163,6 +166,48 @@ class _Engine:
         if isinstance(node, pat.AndSet):
             return self._and_matches(node).get(i, [])
         raise TypeError(f"not a pattern node: {node!r}")
+
+    def _variable_at(
+        self, node: pat.Variable, i: int, follow: pat.PatternNode | None
+    ) -> list:
+        """The variable's spans from ``i``, keeping only the ends where
+        ``follow`` (the next sibling in a sequence, if any) can start."""
+        key = (id(node), i, id(follow))
+        hit = self._var_memo.get(key)
+        if hit is not None:
+            return hit
+        type_ref = self.env.get(node.name.lower(), node.type_ref)
+        if isinstance(follow, pat.Literal):
+            # a literal can start exactly where its token occurs
+            positions = self._token_positions().get(follow.token.lower(), [])
+            ends = positions[bisect_right(positions, i) :]
+            follow = None
+        else:
+            ends = range(i + 1, self.n + 1)
+        out = []
+        for end in ends:
+            first, last = strip_articles(self.tokens, i, end - 1)
+            if not check_type(self.tokens[first : last + 1], type_ref, self.env):
+                continue
+            if follow is not None and not self.matches_at(follow, end):
+                continue
+            binding = Binding(
+                _joined_surface(self.tokens, first, last),
+                " ".join(t.norm for t in self.tokens[first : last + 1]),
+                first,
+                last,
+            )
+            out.append((end, {node.name: binding}))
+        self._var_memo[key] = out
+        return out
+
+    def _token_positions(self) -> dict[str, list[int]]:
+        """Ascending token positions keyed by norm, built on first use."""
+        if self._positions is None:
+            self._positions = {}
+            for k, token in enumerate(self.tokens):
+                self._positions.setdefault(token.norm, []).append(k)
+        return self._positions
 
     def _and_matches(self, node: pat.AndSet) -> dict[int, list]:
         cached = self._and_memo.get(id(node))

@@ -38,6 +38,19 @@ class MiningConfig:
     trigger_min_shift: float = 0.2
 
     def validate(self) -> None:
+        for name in ("coincidence_window", "chain_max_gap", "min_support"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("fork_epsilon", "trigger_min_shift"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.chain_requires_shared_actor, bool):
+            raise ValueError(
+                "chain_requires_shared_actor must be true or false, "
+                f"got {self.chain_requires_shared_actor!r}"
+            )
         if self.coincidence_window < 0:
             raise ValueError("coincidence_window must be >= 0")
         if self.chain_max_gap < 1:

@@ -404,3 +404,145 @@ def test_stdout_is_json_stderr_gets_diagnostics(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "scenamine" in captured.err
+
+
+def _stoplight_run_config(directory) -> dict:
+    """A valid run config whose paths are relative to ``directory``."""
+    corpus = "".join(
+        json.dumps({"time": t, "source": "cam", "text": f"light turned {c}"}) + "\n"
+        for t, c in enumerate(["red", "red", "green", "red", "red", "green"], start=1)
+    )
+    with open(os.path.join(directory, "defs.txt"), "w", encoding="utf-8") as fp:
+        fp.write(STOPLIGHT_DEFS)
+    with open(os.path.join(directory, "corpus.jsonl"), "w", encoding="utf-8") as fp:
+        fp.write(corpus)
+    return {
+        "definitions": "defs.txt",
+        "corpus": "corpus.jsonl",
+        "snapshot": "snap.json",
+        "out": "report.json",
+        "granularity": 1,
+        "mining": {
+            "coincidence_window": 1,
+            "chain_max_gap": 1,
+            "chain_requires_shared_actor": True,
+            "min_support": 2,
+            "fork_epsilon": 0.2,
+            "trigger_min_shift": 0.2,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("min_support", "a"),
+        ("min_support", True),
+        ("coincidence_window", True),
+        ("chain_max_gap", 1.5),
+        ("fork_epsilon", "x"),
+        ("trigger_min_shift", None),
+        ("trigger_min_shift", False),
+        ("chain_requires_shared_actor", "no"),
+        ("chain_requires_shared_actor", 0),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "mine"])
+def test_bad_mining_config_value_exits_one_naming_key(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    config = _stoplight_run_config(tmp_path)
+    if command == "mine":
+        ok_path = _write(tmp_path / "ok.json", json.dumps(config))
+        assert main(["extract", "--config", ok_path]) == 0
+        capsys.readouterr()
+    config["mining"][key] = value
+    config_path = _write(tmp_path / "config.json", json.dumps(config))
+    assert main([command, "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenamine: bad mining configuration:") and key in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("granularity", "abc"),
+        ("granularity", 0),
+        ("granularity", -5),
+        ("granularity", 2.5),
+        ("granularity", True),
+        ("snapshot", 5),
+        ("out", 3),
+        ("definitions", ["defs.txt"]),
+        ("corpus", {"path": "corpus.jsonl"}),
+    ],
+)
+def test_bad_run_config_value_exits_one_naming_key(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    config = _stoplight_run_config(tmp_path)
+    config[key] = value
+    config_path = _write(tmp_path / "config.json", json.dumps(config))
+    assert main(["run", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenamine:") and key in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "snap.json").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_granularity_flag_below_one_exits_one(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    config = _stoplight_run_config(tmp_path)
+    config_path = _write(tmp_path / "config.json", json.dumps(config))
+    assert main(["run", "--config", config_path, "--granularity", value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scenamine: granularity must be an integer >= 1, got {value}\n"
+
+
+# strings without "/" keep every path the fuzzed config names inside its directory
+_CONFIG_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_run_config_exits_cleanly(data):
+    """One JSON value of a valid run config is replaced: run exits 0, 1
+    or 2, and a failure is one scenamine: line, never a traceback."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            config = _stoplight_run_config(tmp)
+            path = data.draw(st.sampled_from(list(_value_paths(config))))
+            replacement = data.draw(_CONFIG_VALUES)
+            if path:
+                parent = config
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = replacement
+            else:
+                config = replacement
+            with open("config.json", "w", encoding="utf-8") as fp:
+                json.dump(config, fp)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().startswith("scenamine:")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import scenamine.matching as matching
 from helpers import add_event
 from oracles import brute_matches, library_match_set
 from scenamine.definitions import parse_definitions
@@ -248,6 +249,78 @@ def test_randomized_matches_equal_brute_force():
         assert got == expected
         agreements += 1
     assert agreements == 250
+
+
+_LOOKAHEAD_ALPHABET = ["a", "b", "c", "the", "an"]
+_SIBLING_KINDS = ["literal", "variable", "any", "seq", "and"]
+
+
+def _lookahead_sibling(rng: random.Random, kind: str, names: list[str]):
+    def literal():
+        return Literal(rng.choice(_LOOKAHEAD_ALPHABET))
+
+    def literal_or_variable():
+        return rng.choice([literal(), Variable(rng.choice(names))])
+
+    if kind == "literal":
+        return literal()
+    if kind == "variable":
+        return Variable(rng.choice(names))
+    if kind == "any":
+        return AnySet((literal(), literal_or_variable()))
+    if kind == "seq":
+        return SeqSet((literal_or_variable(), literal()))
+    return AndSet((literal(), literal()))
+
+
+def test_variable_followed_by_each_sibling_kind_equals_brute_force():
+    """A variable directly before every kind of sibling, at the start,
+    middle and end of sequences, sometimes nested: the lookahead must not
+    drop or add a match."""
+    rng = random.Random(4321)
+    for trial in range(300):
+        names = ["x", "y"][: rng.randint(1, 2)]
+        kind = _SIBLING_KINDS[trial % len(_SIBLING_KINDS)]
+        head = [Literal(rng.choice(_LOOKAHEAD_ALPHABET))] if rng.random() < 0.4 else []
+        tail = [Literal(rng.choice(_LOOKAHEAD_ALPHABET))] if rng.random() < 0.4 else []
+        variable = Variable(rng.choice(names))
+        seq = SeqSet((*head, variable, _lookahead_sibling(rng, kind, names), *tail))
+        pattern = rng.choice(
+            [
+                seq,
+                AnySet((seq, Literal("b"))),
+                SeqSet((Variable("z"), seq)),
+                # the same node object again, now with nothing after it
+                AnySet((seq, variable)),
+            ]
+        )
+        words = rng.choices(_LOOKAHEAD_ALPHABET + ["The", "B"], k=rng.randint(0, 10))
+        toks = tokenize(" ".join(words))
+        got = library_match_set(match_pattern(pattern, toks))
+        assert got == brute_matches(pattern, toks), (pattern, words)
+
+
+def test_leading_variable_checks_only_ends_before_its_literal(monkeypatch):
+    calls = []
+
+    def counted(*args, real=matching.check_type):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matching, "check_type", counted)
+    filler = ["the", "court", "said", "news", "today", "judge"]
+    words = [filler[k % len(filler)] for k in range(300)]
+    words[290:292] = ["ruled", "that"]
+    pattern = parse_pattern("$court ruled that")
+    matches = match_pattern(pattern, tokenize(" ".join(words)))
+    assert len(calls) <= 300
+    assert [m.first for m in matches] == list(range(290))
+    assert all(m.last == 291 for m in matches)
+    assert all(m.bindings["court"].last == 289 for m in matches)
+
+    calls.clear()
+    assert match_pattern(pattern, tokenize(" ".join(filler * 50))) == []
+    assert calls == []
 
 
 def test_match_ordering_is_stable():
