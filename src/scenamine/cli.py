@@ -155,11 +155,10 @@ def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
     try:
         for doc in docs:
             for event_id in extract_events(store, definitions, doc):
-                for edge in store.out_edges(event_id):
-                    if edge.kind == "is":
-                        name = store.thing(edge.dst).name
-                        if name in per_definition:
-                            per_definition[name] += 1
+                for app_id, _ in store.neighbors(event_id, "is", node_kind="appearance"):
+                    name = store.thing(app_id).name
+                    if name in per_definition:
+                        per_definition[name] += 1
     except PatternSyntaxError as exc:
         _fail(f"bad pattern: {exc}", EXIT_DOMAIN)
     snapshot_path = _setting(args, file_cfg, "snapshot")
@@ -293,18 +292,21 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, extracts: bool, mines: bool) -> None:
+    """The flags a subcommand reads: extraction inputs, mining settings or both."""
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--definitions", help="definitions file path")
-    parser.add_argument("--corpus", help="JSON-lines corpus path")
     parser.add_argument("--snapshot", help="graph snapshot path")
-    parser.add_argument("--out", help="report output path")
-    parser.add_argument("--min-support", dest="min_support", type=int)
-    parser.add_argument("--fork-epsilon", dest="fork_epsilon", type=float)
-    parser.add_argument("--trigger-min-shift", dest="trigger_min_shift", type=float)
-    parser.add_argument("--window", dest="window", type=int)
-    parser.add_argument("--max-gap", dest="max_gap", type=int)
-    parser.add_argument("--granularity", dest="granularity", type=int)
+    if extracts:
+        parser.add_argument("--definitions", help="definitions file path")
+        parser.add_argument("--corpus", help="JSON-lines corpus path")
+        parser.add_argument("--granularity", dest="granularity", type=int)
+    if mines:
+        parser.add_argument("--out", help="report output path")
+        parser.add_argument("--min-support", dest="min_support", type=int)
+        parser.add_argument("--fork-epsilon", dest="fork_epsilon", type=float)
+        parser.add_argument("--trigger-min-shift", dest="trigger_min_shift", type=float)
+        parser.add_argument("--window", dest="window", type=int)
+        parser.add_argument("--max-gap", dest="max_gap", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,16 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extract events from text with patterns and mine scenarios, forks and triggers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in (
-        ("extract", cmd_extract),
-        ("mine", cmd_mine),
-        ("run", cmd_run),
+    for command, handler, extracts, mines in (
+        ("extract", cmd_extract, True, False),
+        ("mine", cmd_mine, False, True),
+        ("run", cmd_run, True, True),
     ):
         p = sub.add_parser(command)
-        _add_common(p)
+        _add_flags(p, extracts, mines)
         p.set_defaults(handler=handler)
     q = sub.add_parser("query")
-    _add_common(q)
+    _add_flags(q, False, False)
     q.add_argument("function", help="query function name")
     q.add_argument("argument", nargs="?", help="thing id or name")
     q.add_argument("--role", help="role filter")

@@ -4,7 +4,11 @@ Nodes carry a kind, an optional name and scalar properties.  Edges are
 inheritance (``is``), possession (``has`` with a role name), association
 with time (``times``) and set membership (``member`` with a set kind of
 ``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
-Time spans are normalized interval sets over an integer tick axis.  The
+Time spans are normalized interval sets over an integer tick axis.
+``neighbors`` answers "which things of kind K does this thing link to
+over edges of kind E": it selects edges by kind, role and set kind and
+keeps the endpoints whose node kind is ``node_kind``.  Only callers that
+need an edge's role or seq order read ``out_edges``/``in_edges``.  The
 whole store round-trips through a JSON snapshot.  Loading one replays its
 things and edges through the same checks as live construction, so a
 snapshot must list each node's seq members in order (as ``dumps`` writes
@@ -98,21 +102,6 @@ class TimeSpec:
             for s2, e2 in other.intervals
         )
 
-    def gap_to(self, other: "TimeSpec") -> int | None:
-        """Smallest tick distance between the two spans; 0 when they share
-        a tick, None when either is empty."""
-        if not self.intervals or not other.intervals:
-            return None
-        best: int | None = None
-        for s1, e1 in self.intervals:
-            for s2, e2 in other.intervals:
-                if s1 <= e2 and s2 <= e1:
-                    return 0
-                d = s2 - e1 if s2 > e1 else s1 - e2
-                if best is None or d < best:
-                    best = d
-        return best
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -148,7 +137,9 @@ class WeightedSet:
 
     @classmethod
     def crisp(cls, members: Iterable[int]) -> "WeightedSet":
-        return cls((m, 1.0) for m in members)
+        result = cls.__new__(cls)
+        result._weights = dict.fromkeys(members, 1.0)
+        return result
 
     def pairs(self) -> list[tuple[int, float]]:
         return list(self._weights.items())
@@ -199,6 +190,9 @@ class WeightedSet:
 
 
 _SCALARS = (str, int, float, bool)
+
+# the empty answer of ``neighbors``, shared: no WeightedSet changes in place
+_NOTHING = WeightedSet()
 
 
 class GraphStore:
@@ -351,23 +345,34 @@ class GraphStore:
         direction: str = "out",
         role: str | None = None,
         set_kind: str | None = None,
+        node_kind: str | None = None,
     ) -> WeightedSet:
         """Endpoints over matching edges, each with weight 1.0, sorted by id.
-        Ordered seq members are read with ``member_children``."""
+
+        ``kind``, ``role`` and ``set_kind`` select edges; ``node_kind``
+        keeps only endpoints of that node kind.  Time-span edges are never
+        followed.  Ordered seq members are read with ``member_children``."""
         self.thing(thing_id)
         if direction not in ("out", "in"):
             raise GraphError(f"bad direction {direction!r}")
-        edges = self._out[thing_id] if direction == "out" else self._in[thing_id]
-        picked = [
-            e
-            for e in edges
-            if (kind is None or e.kind == kind)
-            and e.kind != "times"
-            and (role is None or e.role == role)
-            and (set_kind is None or e.set_kind == set_kind)
-        ]
-        other = lambda e: e.dst if direction == "out" else e.src
-        return WeightedSet.crisp(sorted({other(e) for e in picked}))
+        out = direction == "out"
+        edges = self._out[thing_id] if out else self._in[thing_id]
+        things = self._things
+        ends = []
+        for e in edges:
+            if (
+                (kind is None or e.kind == kind)
+                and e.kind != "times"
+                and (role is None or e.role == role)
+                and (set_kind is None or e.set_kind == set_kind)
+            ):
+                other = e.dst if out else e.src
+                if node_kind is None or things[other].kind == node_kind:
+                    ends.append(other)
+        if not ends:
+            return _NOTHING
+        ends.sort()
+        return WeightedSet.crisp(ends)  # drops repeats, keeps the order
 
     def member_children(self, thing_id: int, set_kind: str) -> list[int]:
         """Members of a set node; seq members ordered, possibly repeating."""

@@ -173,11 +173,7 @@ class MiningReport:
 
 
 def _direct_appearances(store: GraphStore, event_id: int) -> list[int]:
-    return sorted(
-        e.dst
-        for e in store.out_edges(event_id)
-        if e.kind == "is" and store.thing(e.dst).kind == "appearance"
-    )
+    return store.neighbors(event_id, "is", node_kind="appearance").ids()
 
 
 def _event_bindings(store: GraphStore, event_id: int) -> list[tuple[str, int]]:
@@ -492,10 +488,18 @@ def _coincidence_actors(store: GraphStore, cid: int) -> set[int]:
     return actors
 
 
+# The number of maximal chains can grow like the Fibonacci numbers in the
+# number of coincidences (one actor at every tick with chain_max_gap=2), so
+# chain_coincidences counts them first and refuses more than this many.
+MAX_PROCESSES = 100_000
+
+
 def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int]:
     """Chain coincidences into processes: strictly increasing start times,
     bounded gaps, and (optionally) a shared actor between neighbours.
-    Every maximal chain of length two or more becomes a process.
+    Every maximal chain of length two or more becomes a process; more
+    than ``MAX_PROCESSES`` of them raise ``ValueError`` naming the count
+    before any is built.
 
     Successors of a coincidence ``a`` can only start in
     ``(a.start, a.end + chain_max_gap]``, so the candidates are found by
@@ -530,6 +534,16 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
             if linked(a, b):
                 succ[a[0]].append(b[0])
                 has_pred.add(b[0])
+    # successors start strictly later, so counting from the latest start
+    # back finds every successor's count done
+    count: dict[int, int] = {}
+    for cid, _ in reversed(by_start):
+        count[cid] = sum(count[n] for n in succ[cid]) or 1
+    total = sum(count[cid] for cid, _ in coins if cid not in has_pred and succ[cid])
+    if total > MAX_PROCESSES:
+        raise ValueError(
+            f"{total} maximal chains exceed the limit of {MAX_PROCESSES} processes"
+        )
     memo: dict[int, list[tuple[int, ...]]] = {}
 
     def paths_from(cid: int) -> list[tuple[int, ...]]:
@@ -563,11 +577,7 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
 
 def _situation_rank(store: GraphStore, sid: int) -> tuple[int, int, int]:
     size = len(store.member_children(sid, "and"))
-    support = sum(
-        1
-        for e in store.in_edges(sid)
-        if e.kind == "is" and store.thing(e.src).kind == "coincidence"
-    )
+    support = len(store.neighbors(sid, "is", "in", node_kind="coincidence"))
     return (-size, -support, sid)
 
 
@@ -586,11 +596,7 @@ def unify_scenarios(
         coins = store.member_children(proc.id, "seq")
         steps: list[tuple[int, int]] = []
         for cid in coins:
-            sits = [
-                e.dst
-                for e in store.out_edges(cid)
-                if e.kind == "is" and store.thing(e.dst).kind == "situation"
-            ]
+            sits = store.neighbors(cid, "is", node_kind="situation").ids()
             if sits:
                 steps.append((cid, min(sits, key=lambda s: rank[s])))
         lifted_all[proc.id] = LiftedProcess(proc.id, coins, steps)
@@ -691,13 +697,9 @@ def differentiate_triggers(
                     for app in _direct_appearances(store, event_id):
                         if app not in covered:
                             presence.setdefault(app, set()).add(pid)
-                for e in store.out_edges(cid):
-                    if (
-                        e.kind == "is"
-                        and e.dst != lifted_sid
-                        and store.thing(e.dst).kind == "situation"
-                    ):
-                        presence.setdefault(e.dst, set()).add(pid)
+                for sid, _ in store.neighbors(cid, "is", node_kind="situation"):
+                    if sid != lifted_sid:
+                        presence.setdefault(sid, set()).add(pid)
         found = []
         for thing_id, pids in presence.items():
             support = len(pids)

@@ -26,17 +26,12 @@ class QueryScope:
 def _reach(store: GraphStore, start: int, direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
     """Things of a kind reachable over ``is`` edges from ``start``; weight
     decays by hop_weight per hop (1.0 keeps everything crisp)."""
-    store.thing(start)
     best: dict[int, float] = {start: 1.0}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         weight = best[node]
-        edges = store.out_edges(node) if direction == "out" else store.in_edges(node)
-        for edge in edges:
-            if edge.kind != "is":
-                continue
-            other = edge.dst if direction == "out" else edge.src
+        for other in store.neighbors(node, "is", direction).ids():
             w = weight * hop_weight
             if other not in best or best[other] < w:
                 best[other] = w
@@ -72,20 +67,12 @@ def roles_of_actor(store: GraphStore, actor_id: int, hop_weight: float = 1.0) ->
 
 def roles_of_appearance(store: GraphStore, appearance_id: int) -> WeightedSet:
     """The role slots of an appearance, read off its possession edges."""
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(appearance_id, "has", "out")
-        if store.thing(m).kind == "role"
-    )
+    return store.neighbors(appearance_id, "has", "out", node_kind="role")
 
 
 def appearances_of_role(store: GraphStore, role_id: int) -> WeightedSet:
     """All appearances that include the given role slot."""
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(role_id, "has", "in")
-        if store.thing(m).kind == "appearance"
-    )
+    return store.neighbors(role_id, "has", "in", node_kind="appearance")
 
 
 # -- events and appearances ------------------------------------------------
@@ -121,11 +108,7 @@ def actors_of_event(store: GraphStore, event_id: int, scope: QueryScope | None =
     scope = scope or QueryScope()
     if not _time_matches(store, event_id, scope.time):
         return WeightedSet()
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(event_id, "has", "out", role=scope.role)
-        if store.thing(m).kind == "actor"
-    )
+    return store.neighbors(event_id, "has", "out", role=scope.role, node_kind="actor")
 
 
 def events_of_actor(store: GraphStore, actor_id: int, scope: QueryScope | None = None) -> WeightedSet:
@@ -133,8 +116,8 @@ def events_of_actor(store: GraphStore, actor_id: int, scope: QueryScope | None =
     scope = scope or QueryScope()
     return WeightedSet.crisp(
         m
-        for m, _ in store.neighbors(actor_id, "has", "in", role=scope.role)
-        if store.thing(m).kind == "event" and _time_matches(store, m, scope.time)
+        for m, _ in store.neighbors(actor_id, "has", "in", role=scope.role, node_kind="event")
+        if _time_matches(store, m, scope.time)
     )
 
 
@@ -143,20 +126,12 @@ def events_of_actor(store: GraphStore, actor_id: int, scope: QueryScope | None =
 
 def situations_of_appearance(store: GraphStore, appearance_id: int) -> WeightedSet:
     """Situations whose combination includes the appearance."""
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(appearance_id, "member", "in", set_kind="and")
-        if store.thing(m).kind == "situation"
-    )
+    return store.neighbors(appearance_id, "member", "in", set_kind="and", node_kind="situation")
 
 
 def appearances_of_situation(store: GraphStore, situation_id: int) -> WeightedSet:
     """The appearances combined by a situation."""
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(situation_id, "member", "out", set_kind="and")
-        if store.thing(m).kind == "appearance"
-    )
+    return store.neighbors(situation_id, "member", "out", set_kind="and", node_kind="appearance")
 
 
 def situations_of_coincidence(store: GraphStore, coincidence_id: int, hop_weight: float = 1.0) -> WeightedSet:
@@ -171,20 +146,12 @@ def coincidences_of_situation(store: GraphStore, situation_id: int, hop_weight: 
 
 def coincidences_of_event(store: GraphStore, event_id: int) -> WeightedSet:
     """Coincidences that include the event."""
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(event_id, "member", "in", set_kind="and")
-        if store.thing(m).kind == "coincidence"
-    )
+    return store.neighbors(event_id, "member", "in", set_kind="and", node_kind="coincidence")
 
 
 def events_of_coincidence(store: GraphStore, coincidence_id: int) -> WeightedSet:
     """The events a coincidence is made of."""
-    return WeightedSet.crisp(
-        m
-        for m, _ in store.neighbors(coincidence_id, "member", "out", set_kind="and")
-        if store.thing(m).kind == "event"
-    )
+    return store.neighbors(coincidence_id, "member", "out", set_kind="and", node_kind="event")
 
 
 def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> WeightedSet:
@@ -254,12 +221,7 @@ def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) 
     lies outside the time filter."""
     if not _time_matches(store, coincidence_id, time):
         return WeightedSet()
-    picked = [
-        e
-        for e in store.in_edges(coincidence_id)
-        if e.kind == "member" and e.set_kind == "seq" and store.thing(e.src).kind == "process"
-    ]
-    return WeightedSet.crisp(sorted({e.src for e in picked}))
+    return store.neighbors(coincidence_id, "member", "in", set_kind="seq", node_kind="process")
 
 
 def coincidences_of_process(store: GraphStore, process_id: int, time=None) -> WeightedSet:

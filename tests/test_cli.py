@@ -17,7 +17,7 @@ from helpers import crosswalk_corpus_text, CROSSWALK_DEFINITIONS
 from scenamine import queries
 from scenamine.cli import main
 from scenamine.definitions import parse_definitions
-from scenamine.graph import Edge, GraphStore, SnapshotError
+from scenamine.graph import Edge, GraphStore, SnapshotError, TimeSpec
 from scenamine.matching import Document, extract_events
 from scenamine.mining import MiningConfig, run_pipeline
 
@@ -546,3 +546,38 @@ def test_fuzzed_run_config_exits_cleanly(data):
     assert code in (0, 1, 2)
     if code != 0:
         assert err.getvalue().startswith("scenamine:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--definitions", "d", "--corpus", "c", "--min-support", "3"],
+        ["query", "--snapshot", "s", "actors_of_role", "r", "--window", "2"],
+        ["mine", "--snapshot", "s", "--definitions", "d"],
+        ["mine", "--snapshot", "s", "--granularity", "2"],
+    ],
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_mine_too_many_chains_exits_one_writing_nothing(tmp_path, capsys):
+    store = GraphStore()
+    actor = store.add_thing("actor", "a")
+    app = store.add_thing("appearance", "x")
+    for tick in range(30):
+        event = store.add_thing("event", times=TimeSpec.point(tick))
+        store.add_edge(Edge("is", event, app))
+        store.add_edge(Edge("has", event, actor, role="r"))
+    text = store.dumps()
+    snapshot = _write(tmp_path / "snap.json", text)
+    report = tmp_path / "report.json"
+    code = main(["mine", "--snapshot", snapshot, "--out", str(report), "--max-gap", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenamine: stage 'chain_coincidences' failed: 832040 maximal chains")
+    assert not report.exists()
+    assert (tmp_path / "snap.json").read_text(encoding="utf-8") == text

@@ -119,12 +119,18 @@ def test_neighbors_inverse_on_random_graphs():
     rng = random.Random(99)
     for _ in range(5):
         store = GraphStore()
-        nodes = [store.add_thing("generic", f"n{i}") for i in range(100)]
+        kinds = ["generic", "actor", "role", "event"]
+        nodes = []
+        for i in range(100):
+            kind = rng.choice(kinds)
+            times = TimeSpec.point(i) if kind == "event" else None
+            nodes.append(store.add_thing(kind, f"n{i}", times=times))
         expected_out = {n: set() for n in nodes}
         expected_in = {n: set() for n in nodes}
         for _ in range(500):
             a, b = rng.sample(nodes, 2)
             store.add_edge(Edge("is", a, b))
+            store.add_edge(Edge("has", a, b, role=rng.choice("xy")))
             expected_out[a].add(b)
             expected_in[b].add(a)
         for n in nodes:
@@ -133,6 +139,26 @@ def test_neighbors_inverse_on_random_graphs():
         for x in nodes:
             for y in store.neighbors(x, "is", "out").ids():
                 assert x in store.neighbors(y, "is", "in")
+        edges = store.edges()
+        for edge_kind, role in (("is", None), ("has", "x"), (None, None)):
+            picked = [
+                e
+                for e in edges
+                if e.kind != "times"
+                and (edge_kind is None or e.kind == edge_kind)
+                and (role is None or e.role == role)
+            ]
+            for n in nodes:
+                ends = {
+                    "out": {e.dst for e in picked if e.src == n},
+                    "in": {e.src for e in picked if e.dst == n},
+                }
+                for direction, found in ends.items():
+                    for kind in kinds + [None]:
+                        got = store.neighbors(n, edge_kind, direction, role=role, node_kind=kind)
+                        assert got.ids() == sorted(
+                            m for m in found if kind is None or store.thing(m).kind == kind
+                        )
 
 
 # -- time spans ---------------------------------------------------------------
@@ -153,13 +179,6 @@ def test_timespec_keeps_gaps():
 def test_timespec_rejects_reversed_interval():
     with pytest.raises(GraphError):
         TimeSpec(((5, 1),))
-
-
-def test_timespec_gap():
-    assert TimeSpec.point(1).gap_to(TimeSpec.point(3)) == 2
-    assert TimeSpec.point(3).gap_to(TimeSpec.point(1)) == 2
-    assert TimeSpec(((1, 4),)).gap_to(TimeSpec(((2, 9),))) == 0
-    assert TimeSpec().gap_to(TimeSpec.point(1)) is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

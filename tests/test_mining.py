@@ -1,6 +1,7 @@
 """Mining stages against worked examples and brute-force oracles."""
 
 import random
+import time
 
 import pytest
 
@@ -503,6 +504,21 @@ def test_chains_match_brute_force_oracle():
         cfg = MiningConfig(chain_max_gap=max_gap, chain_requires_shared_actor=shared)
         chain_coincidences(store, cfg)
         assert _processes(store) == brute_maximal_chains(coins, max_gap, shared)
+
+
+def test_chain_count_over_limit_fails_before_building():
+    # one actor at 30 consecutive ticks with gap 2: Fibonacci(30) = 832,040 chains
+    store = GraphStore()
+    actor = store.add_thing("actor", "a")
+    app = store.add_thing("appearance", "x")
+    for tick in range(30):
+        add_event(store, app, tick, actors={"r": actor})
+    began = time.perf_counter()
+    with pytest.raises(MiningStageError, match="832040 maximal chains") as err:
+        run_pipeline(store, MiningConfig(chain_max_gap=2))
+    assert time.perf_counter() - began < 1.0
+    assert err.value.stage == "chain_coincidences"
+    assert store.things("process") == []
 
 
 # -- scenario unification -----------------------------------------------------------
