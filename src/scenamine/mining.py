@@ -184,13 +184,6 @@ def _event_bindings(store: GraphStore, event_id: int) -> list[tuple[str, int]]:
     )
 
 
-def _find_mined(store: GraphStore, kind: str, key: str) -> int | None:
-    for t in store.things(kind):
-        if t.properties.get("key") == key:
-            return t.id
-    return None
-
-
 def _count_origin(store: GraphStore, kind: str, origin: str) -> int:
     return sum(1 for t in store.things(kind) if t.properties.get("origin") == origin)
 
@@ -419,52 +412,55 @@ def _coincidence_itemsets(store: GraphStore) -> list[tuple[int, frozenset[int]]]
     return out
 
 
-def _frequent_itemsets(
+# Closed itemsets can still be exponentially many (the 17-of-18 subsets
+# of 18 classes give 2**18 - 2), so unify_situations stops above this.
+MAX_SITUATIONS = 100_000
+
+
+def _closed_itemsets(
     rows: list[frozenset[int]], min_support: int
-) -> dict[frozenset[int], int]:
-    universe = sorted({i for row in rows for i in row})
-    frequent: dict[frozenset[int], int] = {}
-    level = [(i,) for i in universe]
-    while level:
-        counts = {cand: 0 for cand in level}
-        for row in rows:
-            for cand in level:
-                if row.issuperset(cand):
-                    counts[cand] += 1
-        kept = {cand: n for cand, n in counts.items() if n >= min_support}
-        frequent.update({frozenset(cand): n for cand, n in kept.items()})
-        kept_set = set(kept)
-        ordered = sorted(kept)
-        nxt = set()
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                a, b = ordered[i], ordered[j]
-                if a[:-1] != b[:-1]:
-                    continue
-                cand = a + (b[-1],)
-                if all(
-                    tuple(x for x in cand if x != drop) in kept_set for drop in cand
-                ):
-                    nxt.add(cand)
-        level = sorted(nxt)
-    return frequent
+) -> dict[frozenset[int], list[int]]:
+    """Each nonempty closed itemset held by ``min_support`` or more rows,
+    mapped to the indices of those rows, by prefix-preserving closure
+    extension (Close-by-One, LCM): from the closure of all rows, extend a
+    closed set by each larger item ``i``, close the rows holding both by
+    intersecting them, and go on only if that adds no item below ``i``.
+    Each closed set is reached once, at polynomial cost per set."""
+    closed: dict[frozenset[int], list[int]] = {}
+    if len(rows) < min_support:
+        return closed
+    stack = [(frozenset.intersection(*rows), list(range(len(rows))), float("-inf"))]
+    while stack:
+        items, held_by, last = stack.pop()
+        if items:
+            closed[items] = held_by
+            if len(closed) > MAX_SITUATIONS:
+                raise ValueError(f"more than {MAX_SITUATIONS} closed situations")
+        extensions: dict[int, list[int]] = {}
+        for r in held_by:
+            for i in rows[r]:
+                if i > last and i not in items:
+                    extensions.setdefault(i, []).append(r)
+        for i, sub in sorted(extensions.items()):
+            if len(sub) >= min_support:
+                grown = frozenset.intersection(*(rows[r] for r in sub))
+                if min(grown - items) == i:
+                    stack.append((grown, sub, i))
+    return closed
 
 
 def unify_situations(store: GraphStore, min_support: int) -> dict[str, int]:
-    """Mine closed frequent combinations of appearance classes across
-    coincidences and materialize each as a situation."""
+    """Materialize each closed frequent combination of appearance classes
+    across coincidences (``_closed_itemsets``) as a situation, with an
+    ``is`` edge from each coincidence holding it.  More than
+    ``MAX_SITUATIONS`` raise ``ValueError`` before any is built."""
     itemsets = _coincidence_itemsets(store)
-    frequent = _frequent_itemsets([items for _, items in itemsets], min_support)
-    universe = sorted({i for _, items in itemsets for i in items})
-    closed = [
-        s
-        for s, n in frequent.items()
-        if not any(frequent.get(s | {i}) == n for i in universe if i not in s)
-    ]
+    closed = _closed_itemsets([items for _, items in itemsets], min_support)
+    known = {t.properties.get("key"): t.id for t in reversed(store.things("situation"))}
     for s in sorted(closed, key=lambda s: (len(s), sorted(s))):
         ids = sorted(s)
         key = ",".join(str(i) for i in ids)
-        sid = _find_mined(store, "situation", key)
+        sid = known.get(key)
         if sid is None:
             label = "{" + ", ".join(sorted(store.thing(i).name or str(i) for i in ids)) + "}"
             sid = store.add_thing(
@@ -472,9 +468,8 @@ def unify_situations(store: GraphStore, min_support: int) -> dict[str, int]:
             )
         for i in ids:
             store.add_edge(Edge("member", sid, i, set_kind="and"))
-        for cid, items in itemsets:
-            if items.issuperset(s):
-                store.add_edge(Edge("is", cid, sid))
+        for r in closed[s]:
+            store.add_edge(Edge("is", itemsets[r][0], sid))
     return {"situations": len(store.things("situation"))}
 
 
@@ -590,6 +585,7 @@ def unify_scenarios(
     rank: dict[int, tuple[int, int, int]] = {
         t.id: _situation_rank(store, t.id) for t in store.things("situation")
     }
+    known = {t.properties.get("key"): t.id for t in reversed(store.things("scenario"))}
     root = TreeNode(None)
     lifted_all: dict[int, LiftedProcess] = {}
     for proc in store.things("process"):
@@ -618,7 +614,7 @@ def unify_scenarios(
             full = path + [sid]
             scenarios.append((full, child.count))
             key = ",".join(str(s) for s in full)
-            scenario_id = _find_mined(store, "scenario", key)
+            scenario_id = known.get(key)
             if scenario_id is None:
                 label = " -> ".join(store.thing(s).name or str(s) for s in full)
                 scenario_id = store.add_thing(

@@ -97,10 +97,10 @@ def events_at(store: GraphStore, time) -> WeightedSet:
 
 def appearances_at(store: GraphStore, time) -> WeightedSet:
     """Appearances of the events alive at the given time."""
-    out = WeightedSet()
+    ids: set[int] = set()
     for event_id, _ in events_at(store, time):
-        out = out.union(appearances_of_event(store, event_id))
-    return out
+        ids.update(appearances_of_event(store, event_id).ids())
+    return WeightedSet.crisp(sorted(ids))
 
 
 def actors_of_event(store: GraphStore, event_id: int, scope: QueryScope | None = None) -> WeightedSet:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import crosswalk_corpus_text, CROSSWALK_DEFINITIONS
-from scenamine import queries
+from scenamine import mining, queries
 from scenamine.cli import main
 from scenamine.definitions import parse_definitions
 from scenamine.graph import Edge, GraphStore, SnapshotError, TimeSpec
@@ -581,3 +581,23 @@ def test_mine_too_many_chains_exits_one_writing_nothing(tmp_path, capsys):
     assert err.startswith("scenamine: stage 'chain_coincidences' failed: 832040 maximal chains")
     assert not report.exists()
     assert (tmp_path / "snap.json").read_text(encoding="utf-8") == text
+
+
+def test_mine_too_many_situations_exits_one_writing_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mining, "MAX_SITUATIONS", 100)
+    store = GraphStore()
+    apps = [store.add_thing("appearance", f"k{i}") for i in range(8)]
+    for tick, left_out in enumerate(apps):  # the 7-of-8 subsets: 254 closed sets
+        for app in apps:
+            if app != left_out:
+                event = store.add_thing("event", times=TimeSpec.point(10 * tick))
+                store.add_edge(Edge("is", event, app))
+    snapshot = _write(tmp_path / "snap.json", store.dumps())
+    report = tmp_path / "report.json"
+    code = main(["mine", "--snapshot", snapshot, "--out", str(report), "--min-support", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "scenamine: stage 'unify_situations' failed: more than 100 closed situations"
+    )
+    assert not report.exists()

@@ -14,6 +14,7 @@ from oracles import (
     tickset_components,
 )
 from scenamine.definitions import parse_definitions
+from scenamine import mining
 from scenamine.graph import Edge, GraphStore, TimeSpec
 from scenamine.matching import Document, extract_events
 from scenamine.mining import (
@@ -409,17 +410,54 @@ def test_situations_match_powerset_oracle():
     rng = random.Random(55)
     for case in range(40):
         store = GraphStore()
-        classes = [f"k{i}" for i in range(rng.randint(2, 8))]
+        classes = [f"k{i}" for i in range(rng.randint(2, 10))]
         rows = [
             rng.sample(classes, rng.randint(1, len(classes)))
             for _ in range(rng.randint(1, 20))
         ]
-        min_support = rng.randint(1, 3)
+        min_support = rng.randint(1, 4)
         apps = _build_coincidences(store, rows)
         unify_situations(store, min_support)
         itemsets = [frozenset(apps[n] for n in row) for row in rows]
         expected = powerset_closed_itemsets(itemsets, min_support)
         assert _situations(store) == expected
+        coincidences = [c.id for c in store.things("coincidence")]
+        for s in store.things("situation"):
+            items = frozenset(store.member_children(s.id, "and"))
+            holders = [c for c, row in zip(coincidences, itemsets) if row >= items]
+            assert store.neighbors(s.id, "is", "in").ids() == holders
+
+
+def test_wide_identical_coincidences_make_one_situation_fast():
+    store = GraphStore()
+    row = [f"k{i}" for i in range(16)]
+    apps = _build_coincidences(store, [row, row])
+    started = time.perf_counter()
+    unify_situations(store, 2)
+    assert time.perf_counter() - started < 1.0
+    assert _situations(store) == {frozenset(apps.values()): 2}
+
+
+def _seven_of_eight_rows():
+    """Every nonempty proper subset of 8 classes is closed: 254 situations."""
+    classes = [f"k{i}" for i in range(8)]
+    return [[c for c in classes if c != left_out] for left_out in classes]
+
+
+def test_situations_up_to_the_limit_are_built(monkeypatch):
+    monkeypatch.setattr(mining, "MAX_SITUATIONS", 254)
+    store = GraphStore()
+    _build_coincidences(store, _seven_of_eight_rows())
+    assert unify_situations(store, 1) == {"situations": 254}
+
+
+def test_too_many_situations_fail_before_any_is_built(monkeypatch):
+    monkeypatch.setattr(mining, "MAX_SITUATIONS", 253)
+    store = GraphStore()
+    _build_coincidences(store, _seven_of_eight_rows())
+    with pytest.raises(ValueError, match="more than 253 closed situations"):
+        unify_situations(store, 1)
+    assert store.things("situation") == []
 
 
 # -- coincidence chaining -------------------------------------------------------
