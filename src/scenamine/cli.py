@@ -155,7 +155,7 @@ def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
     try:
         for doc in docs:
             for event_id in extract_events(store, definitions, doc):
-                for app_id, _ in store.neighbors(event_id, "is", node_kind="appearance"):
+                for app_id in store.neighbor_ids(event_id, "is", node_kind="appearance"):
                     name = store.thing(app_id).name
                     if name in per_definition:
                         per_definition[name] += 1
@@ -218,13 +218,14 @@ def cmd_run(args) -> int:
 
 
 def _parse_time_flag(text: str):
+    start, colon, end = text.partition(":")
     try:
-        if ":" in text:
-            start, _, end = text.partition(":")
-            return (int(start), int(end))
-        return int(text)
+        window = (int(start), int(end)) if colon else int(text)
     except ValueError:
+        window = None
+    if window is None or colon and window[0] > window[1]:
         _fail(f"bad --time value {text!r}", EXIT_DOMAIN)
+    return window
 
 
 def _resolve_thing(store: GraphStore, kind: str | None, value: str) -> int:

@@ -5,21 +5,27 @@ inheritance (``is``), possession (``has`` with a role name), association
 with time (``times``) and set membership (``member`` with a set kind of
 ``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
 Time spans are normalized interval sets over an integer tick axis.
-``neighbors`` answers "which things of kind K does this thing link to
+``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role and set kind and
-keeps the endpoints whose node kind is ``node_kind``.  Only callers that
-need an edge's role or seq order read ``out_edges``/``in_edges``.  The
-whole store round-trips through a JSON snapshot.  Loading one replays its
-things and edges through the same checks as live construction, so a
-snapshot must list each node's seq members in order (as ``dumps`` writes
-them), a repeated edge is a no-op, and any fault raises ``SnapshotError``
-naming it.
+keeps the endpoints whose node kind is ``node_kind``; ``neighbors`` wraps
+those ids in a ``WeightedSet``.  Only callers that need an edge's role or
+seq order read ``out_edges``/``in_edges``.  ``alive(lo, hi)`` reads one
+index of every ``times`` interval, (start, end, thing) sorted by start with
+a running maximum of the ends: two bisections bound the candidates, so a
+time-window query costs log n plus those, not a scan of every thing.  The
+index is built on the first call and any write drops it.  The whole store
+round-trips through a JSON snapshot.  Loading one replays its things and
+edges through the same checks as live construction, so a snapshot must
+list each node's seq members in order (as ``dumps`` writes them), a
+repeated edge is a no-op, and any fault raises ``SnapshotError`` naming it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO, Iterable, Iterator
 
 KINDS = frozenset(
@@ -207,6 +213,7 @@ class GraphStore:
         self._edge_set: set[Edge] = set()
         self._by_name: dict[tuple[str, str], list[int]] = {}
         self._next_id = 1
+        self._intervals: tuple | None = None  # starts, running max of ends, entries
 
     # -- construction -------------------------------------------------
 
@@ -252,6 +259,7 @@ class GraphStore:
         self.add_edge(Edge("times", thing_id, spec_id))
 
     def add_edge(self, edge: Edge) -> None:
+        self._intervals = None
         if edge.kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {edge.kind!r}")
         if edge.src not in self._things:
@@ -338,7 +346,7 @@ class GraphStore:
                 spec = ts if spec is None else spec.union(ts)
         return spec
 
-    def neighbors(
+    def neighbor_ids(
         self,
         thing_id: int,
         kind: str | None = None,
@@ -346,12 +354,8 @@ class GraphStore:
         role: str | None = None,
         set_kind: str | None = None,
         node_kind: str | None = None,
-    ) -> WeightedSet:
-        """Endpoints over matching edges, each with weight 1.0, sorted by id.
-
-        ``kind``, ``role`` and ``set_kind`` select edges; ``node_kind``
-        keeps only endpoints of that node kind.  Time-span edges are never
-        followed.  Ordered seq members are read with ``member_children``."""
+    ) -> list[int]:
+        """Distinct endpoints over matching edges (never time spans), in id order."""
         self.thing(thing_id)
         if direction not in ("out", "in"):
             raise GraphError(f"bad direction {direction!r}")
@@ -369,22 +373,37 @@ class GraphStore:
                 other = e.dst if out else e.src
                 if node_kind is None or things[other].kind == node_kind:
                     ends.append(other)
-        if not ends:
-            return _NOTHING
-        ends.sort()
-        return WeightedSet.crisp(ends)  # drops repeats, keeps the order
+        return sorted(set(ends)) if len(ends) > 1 else ends
+
+    def neighbors(self, thing_id: int, kind: str | None = None, direction: str = "out", role: str | None = None,
+                  set_kind: str | None = None, node_kind: str | None = None) -> WeightedSet:
+        """``neighbor_ids`` as a crisp ``WeightedSet``, each weight 1.0."""
+        ids = self.neighbor_ids(thing_id, kind, direction, role, set_kind, node_kind)
+        return WeightedSet.crisp(ids) if ids else _NOTHING
+
+    def alive(self, lo: int, hi: int) -> list[int]:
+        """Ids of the things alive in [lo, hi], in id order, from the index."""
+        if lo > hi:
+            raise GraphError(f"bad interval [{lo}, {hi}]")
+        if self._intervals is None:
+            entries = sorted(
+                (start, end, e.src)
+                for e in self.edges()
+                if e.kind == "times"
+                for start, end in self._times[e.dst].intervals
+            )
+            reach = accumulate((end for _, end, _ in entries), max)
+            self._intervals = ([s for s, _, _ in entries], list(reach), entries)
+        starts, reach, entries = self._intervals
+        hits = entries[bisect_left(reach, lo) : bisect_right(starts, hi)]
+        return sorted({thing for _, end, thing in hits if end >= lo})
 
     def member_children(self, thing_id: int, set_kind: str) -> list[int]:
         """Members of a set node; seq members ordered, possibly repeating."""
-        picked = [
-            e
-            for e in self._out[self.thing(thing_id).id]
-            if e.kind == "member" and e.set_kind == set_kind
-        ]
-        if set_kind == "seq":
-            picked.sort(key=lambda e: e.order)
-            return [e.dst for e in picked]
-        return sorted({e.dst for e in picked})
+        if set_kind != "seq":
+            return self.neighbor_ids(thing_id, "member", set_kind=set_kind)
+        picked = [e for e in self._out[self.thing(thing_id).id] if e.kind == "member" and e.set_kind == "seq"]
+        return [e.dst for e in sorted(picked, key=lambda e: e.order)]
 
     # -- persistence ----------------------------------------------------
 

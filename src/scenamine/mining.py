@@ -173,7 +173,7 @@ class MiningReport:
 
 
 def _direct_appearances(store: GraphStore, event_id: int) -> list[int]:
-    return store.neighbors(event_id, "is", node_kind="appearance").ids()
+    return store.neighbor_ids(event_id, "is", node_kind="appearance")
 
 
 def _event_bindings(store: GraphStore, event_id: int) -> list[tuple[str, int]]:
@@ -572,7 +572,7 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
 
 def _situation_rank(store: GraphStore, sid: int) -> tuple[int, int, int]:
     size = len(store.member_children(sid, "and"))
-    support = len(store.neighbors(sid, "is", "in", node_kind="coincidence"))
+    support = len(store.neighbor_ids(sid, "is", "in", node_kind="coincidence"))
     return (-size, -support, sid)
 
 
@@ -592,7 +592,7 @@ def unify_scenarios(
         coins = store.member_children(proc.id, "seq")
         steps: list[tuple[int, int]] = []
         for cid in coins:
-            sits = store.neighbors(cid, "is", node_kind="situation").ids()
+            sits = store.neighbor_ids(cid, "is", node_kind="situation")
             if sits:
                 steps.append((cid, min(sits, key=lambda s: rank[s])))
         lifted_all[proc.id] = LiftedProcess(proc.id, coins, steps)
@@ -693,7 +693,7 @@ def differentiate_triggers(
                     for app in _direct_appearances(store, event_id):
                         if app not in covered:
                             presence.setdefault(app, set()).add(pid)
-                for sid, _ in store.neighbors(cid, "is", node_kind="situation"):
+                for sid in store.neighbor_ids(cid, "is", node_kind="situation"):
                     if sid != lifted_sid:
                         presence.setdefault(sid, set()).add(pid)
         found = []

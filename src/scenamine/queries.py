@@ -31,7 +31,7 @@ def _reach(store: GraphStore, start: int, direction: str, kind: str, hop_weight:
     while queue:
         node = queue.popleft()
         weight = best[node]
-        for other in store.neighbors(node, "is", direction).ids():
+        for other in store.neighbor_ids(node, "is", direction):
             w = weight * hop_weight
             if other not in best or best[other] < w:
                 best[other] = w
@@ -50,6 +50,14 @@ def _time_matches(store: GraphStore, thing_id: int, time) -> bool:
         return True
     spec = store.times_of(thing_id)
     return spec is not None and spec.intersects(time)
+
+
+def _alive(store: GraphStore, time, kind: str | None = None) -> list[int]:
+    """Ids of the things of a kind (None: any) alive at a tick or window."""
+    if time is None:
+        return [t.id for t in store.things(kind)]
+    lo, hi = (time, time) if isinstance(time, int) else time
+    return [i for i in store.alive(lo, hi) if kind is None or store.thing(i).kind == kind]
 
 
 # -- actors and roles -----------------------------------------------------
@@ -90,17 +98,13 @@ def events_of_appearance(store: GraphStore, appearance_id: int, hop_weight: floa
 
 def events_at(store: GraphStore, time) -> WeightedSet:
     """Events whose time span intersects the tick or interval."""
-    return WeightedSet.crisp(
-        t.id for t in store.things("event") if _time_matches(store, t.id, time)
-    )
+    return WeightedSet.crisp(_alive(store, time, "event"))
 
 
 def appearances_at(store: GraphStore, time) -> WeightedSet:
     """Appearances of the events alive at the given time."""
-    ids: set[int] = set()
-    for event_id, _ in events_at(store, time):
-        ids.update(appearances_of_event(store, event_id).ids())
-    return WeightedSet.crisp(sorted(ids))
+    live = _alive(store, time, "event")
+    return WeightedSet.crisp(sorted({a for e in live for a in appearances_of_event(store, e).ids()}))
 
 
 def actors_of_event(store: GraphStore, event_id: int, scope: QueryScope | None = None) -> WeightedSet:
@@ -116,7 +120,7 @@ def events_of_actor(store: GraphStore, actor_id: int, scope: QueryScope | None =
     scope = scope or QueryScope()
     return WeightedSet.crisp(
         m
-        for m, _ in store.neighbors(actor_id, "has", "in", role=scope.role, node_kind="event")
+        for m in store.neighbor_ids(actor_id, "has", "in", role=scope.role, node_kind="event")
         if _time_matches(store, m, scope.time)
     )
 
@@ -156,14 +160,11 @@ def events_of_coincidence(store: GraphStore, coincidence_id: int) -> WeightedSet
 
 def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> WeightedSet:
     """Coincidences alive at the given time, optionally containing an event."""
-    out = []
-    for t in store.things("coincidence"):
-        if not _time_matches(store, t.id, time):
-            continue
-        if event_id is not None and event_id not in events_of_coincidence(store, t.id):
-            continue
-        out.append(t.id)
-    return WeightedSet.crisp(out)
+    return WeightedSet.crisp(
+        c
+        for c in _alive(store, time, "coincidence")
+        if event_id is None or event_id in events_of_coincidence(store, c)
+    )
 
 
 # -- scenarios and processes -------------------------------------------------
@@ -207,13 +208,15 @@ def scenarios_of_process(store: GraphStore, process_id: int, hop_weight: float =
 
 
 def processes_at(store: GraphStore, time) -> WeightedSet:
-    """Processes whose overall time span intersects the tick or interval."""
-    out = []
-    for t in store.things("process"):
-        span = timespan_of(store, t.id)
-        if time is None or span.intersects(time):
-            out.append(t.id)
-    return WeightedSet.crisp(out)
+    """Processes whose overall time span intersects the tick or interval: those
+    holding a live seq member, as that span only joins intervals that touch."""
+    if time is None:
+        return WeightedSet.crisp(_alive(store, None, "process"))
+    return WeightedSet.crisp(sorted({
+        p
+        for m in _alive(store, time)
+        for p in store.neighbor_ids(m, "member", "in", set_kind="seq", node_kind="process")
+    }))
 
 
 def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) -> WeightedSet:
@@ -242,16 +245,13 @@ def timespan_of(store: GraphStore, thing_id: int) -> TimeSpec:
     if kind in ("event", "coincidence"):
         return store.times_of(thing_id) or TimeSpec()
     if kind == "actor":
-        span = TimeSpec()
-        for event_id, _ in events_of_actor(store, thing_id):
-            span = span.union(store.times_of(event_id) or TimeSpec())
-        return span
-    if kind == "process":
-        span = TimeSpec()
-        for c in store.member_children(thing_id, "seq"):
-            span = span.union(store.times_of(c) or TimeSpec())
-        return span
-    raise GraphError(f"things of kind {kind!r} have no temporal extent")
+        parts = store.neighbor_ids(thing_id, "has", "in", node_kind="event")
+    elif kind == "process":
+        parts = store.member_children(thing_id, "seq")
+    else:
+        raise GraphError(f"things of kind {kind!r} have no temporal extent")
+    spans = [store.times_of(p) for p in parts]
+    return TimeSpec(tuple(pair for span in spans if span for pair in span.intervals))
 
 
 # -- registry for the command line ------------------------------------------

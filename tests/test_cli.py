@@ -601,3 +601,63 @@ def test_mine_too_many_situations_exits_one_writing_nothing(tmp_path, capsys, mo
         "scenamine: stage 'unify_situations' failed: more than 100 closed situations"
     )
     assert not report.exists()
+
+
+_TIME_SCOPED = sorted(
+    name for name, (_, _, extras) in queries.REGISTRY.items() if {"time", "scope"} & set(extras)
+)
+
+
+@pytest.mark.parametrize("name", _TIME_SCOPED)
+def test_query_reversed_window_exits_one(tmp_path, capsys, name):
+    snapshot = _write(tmp_path / "snap.json", _mined_stoplight_text())
+    store = GraphStore.loads(_mined_stoplight_text())
+    arg_kind = queries.REGISTRY[name][1]
+    argv = ["query", "--snapshot", snapshot, name, "--time", "5:3"]
+    if arg_kind is not None:
+        argv.insert(4, str(store.things(arg_kind)[0].id))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scenamine: bad --time value '5:3'\n"
+
+
+def _stoplight_corpus_lines() -> list[dict]:
+    return [
+        {"time": t, "source": "cam", "text": f"light turned {c}"}
+        for t, c in enumerate(["red", "red", "green", "red"], start=1)
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_corpus_line_extracts_or_fails_cleanly(data):
+    """One JSON value of one valid corpus line is replaced: extract exits
+    0, 1 or 2, and a failure is a scenamine: line, never a traceback."""
+    lines = _stoplight_corpus_lines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    path = data.draw(st.sampled_from(list(_value_paths(lines[index]))))
+    replacement = data.draw(_JSON_VALUES)
+    if path:
+        parent = lines[index]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = replacement
+    else:
+        lines[index] = replacement
+    with tempfile.TemporaryDirectory() as tmp:
+        defs = os.path.join(tmp, "defs.txt")
+        corpus = os.path.join(tmp, "corpus.jsonl")
+        with open(defs, "w", encoding="utf-8") as fp:
+            fp.write(STOPLIGHT_DEFS)
+        with open(corpus, "w", encoding="utf-8") as fp:
+            fp.write("".join(json.dumps(line) + "\n" for line in lines))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([
+                "extract", "--definitions", defs, "--corpus", corpus,
+                "--snapshot", os.path.join(tmp, "snap.json"),
+            ])
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().startswith("scenamine:")

@@ -297,3 +297,132 @@ def test_appearances_at_follows_events():
     for event_id in queries.events_at(store, (0, 100)).ids():
         expected.update(queries.appearances_of_event(store, event_id).ids())
     assert got == expected
+
+
+# -- the interval index behind the time-window queries ------------------------
+
+
+def _window_store(rng: random.Random) -> GraphStore:
+    """Events with one to three intervals (some touching or overlapping), one
+    long early event, coincidences over them, and processes whose seq members
+    include events, untimed actors and coincidences."""
+    store = GraphStore()
+    apps = [store.add_thing("appearance", f"a{n}") for n in range(5)]
+
+    def add(kind: str, span: TimeSpec) -> int:
+        thing = store.add_thing(kind, times=span)
+        if kind == "event":
+            for app in rng.sample(apps, rng.randint(1, 2)):
+                store.add_edge(Edge("is", thing, app))
+        return thing
+
+    events = [add("event", TimeSpec(((0, rng.randrange(30, 60)),)))]
+    for _ in range(rng.randint(5, 40)):
+        intervals = []
+        for _ in range(rng.randint(1, 3)):
+            start = rng.randrange(0, 80)
+            intervals.append((start, start + rng.choice([0, 0, 1, 2, 6])))
+        events.append(add("event", TimeSpec(tuple(intervals))))
+    coincidences = []
+    for _ in range(rng.randint(0, 12)):
+        members = rng.sample(events, rng.randint(1, 3))
+        cid = add("coincidence", TimeSpec(tuple(p for e in members for p in store.times_of(e).intervals)))
+        for e in members:
+            store.add_edge(Edge("member", cid, e, set_kind="and"))
+        coincidences.append(cid)
+    actors = [store.add_thing("actor", f"x{n}") for n in range(3)]
+    for _ in range(rng.randint(0, 8)):
+        process = store.add_thing("process")
+        for _ in range(rng.randint(0, 4)):
+            member = rng.choice(coincidences + events[1:] + actors)
+            store.add_edge(Edge("member", process, member, set_kind="seq"))
+    return store
+
+
+def _meets(spec, time) -> bool:
+    lo, hi = (time, time) if isinstance(time, int) else time
+    return spec is not None and any(s <= hi and lo <= e for s, e in spec.intervals)
+
+
+def _brute_window(store: GraphStore, name: str, time) -> list[int]:
+    """A window query answered by scanning every thing of the kind."""
+    if name == "appearances_at":
+        found = set()
+        for e in _brute_window(store, "events_at", time):
+            found.update(queries.appearances_of_event(store, e).ids())
+        return sorted(found)
+    if name == "processes_at":
+        spans = {p.id: queries.timespan_of(store, p.id) for p in store.things("process")}
+        return [p for p, span in spans.items() if time is None or _meets(span, time)]
+    kind = {"events_at": "event", "coincidences_at": "coincidence"}[name]
+    return [
+        t.id for t in store.things(kind) if time is None or _meets(store.times_of(t.id), time)
+    ]
+
+
+WINDOW_QUERIES = ("events_at", "coincidences_at", "processes_at", "appearances_at")
+
+
+def test_window_queries_match_a_scan_on_random_graphs():
+    rng = random.Random(23)
+    for _ in range(40):
+        store = _window_store(rng)
+        times = [None, -5, (-9, -1), (90, 120), (-3, 200)]
+        times += list(range(-1, 92, 3))
+        for _ in range(30):
+            start = rng.randrange(-5, 95)
+            times.append((start, start + rng.choice([0, 1, 3, 25])))
+        for time in times:
+            for name in WINDOW_QUERIES:
+                got = getattr(queries, name)(store, time).ids()
+                assert got == _brute_window(store, name, time), (name, time)
+            for event in rng.sample(store.things("event"), 2):
+                got = queries.coincidences_at(store, time, event_id=event.id).ids()
+                expected = [
+                    c for c in _brute_window(store, "coincidences_at", time)
+                    if event.id in queries.events_of_coincidence(store, c)
+                ]
+                assert got == expected
+
+
+def test_window_queries_see_things_added_after_a_query():
+    store = GraphStore()
+    app = store.add_thing("appearance", "a")
+    early = add_event(store, app, 1)
+    assert queries.events_at(store, 5).ids() == []
+    assert queries.processes_at(store, 5).ids() == []
+    late = add_event(store, app, 5)
+    process = store.add_thing("process")
+    store.add_edge(Edge("member", process, late, set_kind="seq"))
+    assert queries.events_at(store, 5).ids() == [late]
+    assert queries.events_at(store, (0, 9)).ids() == [early, late]
+    assert queries.appearances_at(store, 5).ids() == [app]
+    assert queries.processes_at(store, 5).ids() == [process]
+    coincidence = add_coincidence(store, [late])
+    assert queries.coincidences_at(store, 5).ids() == [coincidence]
+
+
+def test_reversed_window_raises_on_every_store():
+    for store in (GraphStore(), _stoplight_store()):
+        for name in WINDOW_QUERIES:
+            with pytest.raises(GraphError, match=r"bad interval \[5, 3\]"):
+                getattr(queries, name)(store, (5, 3))
+
+
+def test_window_query_reads_no_time_span_after_the_first(monkeypatch):
+    store = GraphStore()
+    events = [
+        store.add_thing("event", times=TimeSpec.point(n // 5)) for n in range(5000)
+    ]
+    assert queries.events_at(store, 0).ids() == events[:5]
+    calls = []
+    times_of = GraphStore.times_of
+
+    def counted(self, thing_id):
+        calls.append(thing_id)
+        return times_of(self, thing_id)
+
+    monkeypatch.setattr(GraphStore, "times_of", counted)
+    assert queries.events_at(store, 500).ids() == events[2500:2505]
+    assert queries.events_at(store, (998, 2000)).ids() == events[4990:]
+    assert calls == []
