@@ -6,14 +6,17 @@ with time (``times``) and set membership (``member`` with a set kind of
 ``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
 Time spans are normalized interval sets over an integer tick axis.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
-over edges of kind E": it selects edges by kind, role and set kind and
-keeps the endpoints whose node kind is ``node_kind``; ``neighbors`` wraps
-those ids in a ``WeightedSet``.  Only callers that need an edge's role or
-seq order read ``out_edges``/``in_edges``.  ``alive(lo, hi)`` reads one
-index of every ``times`` interval, (start, end, thing) sorted by start with
-a running maximum of the ends: two bisections bound the candidates, so a
-time-window query costs log n plus those, not a scan of every thing.  The
-index is built on the first call and any write drops it.  The whole store
+over edges of kind E": it selects edges by kind, role, set kind and seq
+order and keeps the endpoints whose node kind is ``node_kind``;
+``neighbors`` wraps those ids in a ``WeightedSet``.  Only a caller that
+needs each edge's role reads ``out_edges``/``in_edges``.  Two read indexes
+are built lazily, each on its first call, and any write drops both.
+``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
+end, thing) sorted by start with a running maximum of the ends: two
+bisections bound the candidates, so a time-window query costs log n plus
+those, not a scan of every thing.  ``is_links`` reads one index of each
+thing's ``is`` endpoints in each direction, so an inheritance walk costs
+the things it reaches, not their other edges.  The whole store
 round-trips through a JSON snapshot.  Loading one replays its things and
 edges through the same checks as live construction, so a snapshot must
 list each node's seq members in order (as ``dumps`` writes them), a
@@ -214,6 +217,7 @@ class GraphStore:
         self._by_name: dict[tuple[str, str], list[int]] = {}
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
+        self._is: dict | None = None  # direction -> {thing: its is endpoints}
 
     # -- construction -------------------------------------------------
 
@@ -259,7 +263,7 @@ class GraphStore:
         self.add_edge(Edge("times", thing_id, spec_id))
 
     def add_edge(self, edge: Edge) -> None:
-        self._intervals = None
+        self._intervals = self._is = None
         if edge.kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {edge.kind!r}")
         if edge.src not in self._things:
@@ -354,6 +358,7 @@ class GraphStore:
         role: str | None = None,
         set_kind: str | None = None,
         node_kind: str | None = None,
+        order: int | None = None,
     ) -> list[int]:
         """Distinct endpoints over matching edges (never time spans), in id order."""
         self.thing(thing_id)
@@ -369,6 +374,7 @@ class GraphStore:
                 and e.kind != "times"
                 and (role is None or e.role == role)
                 and (set_kind is None or e.set_kind == set_kind)
+                and (order is None or e.order == order)
             ):
                 other = e.dst if out else e.src
                 if node_kind is None or things[other].kind == node_kind:
@@ -397,6 +403,19 @@ class GraphStore:
         starts, reach, entries = self._intervals
         hits = entries[bisect_left(reach, lo) : bisect_right(starts, hi)]
         return sorted({thing for _, end, thing in hits if end >= lo})
+
+    def is_links(self, direction: str) -> dict[int, list[int]]:
+        """The ``is`` index: "out" maps a thing to what it is, "in" to the
+        things that are it; things without any are absent.  Read only."""
+        if direction not in ("out", "in"):
+            raise GraphError(f"bad direction {direction!r}")
+        if self._is is None:
+            self._is = {"out": {}, "in": {}}
+            for e in self.edges():
+                if e.kind == "is":
+                    self._is["out"].setdefault(e.src, []).append(e.dst)
+                    self._is["in"].setdefault(e.dst, []).append(e.src)
+        return self._is[direction]
 
     def member_children(self, thing_id: int, set_kind: str) -> list[int]:
         """Members of a set node; seq members ordered, possibly repeating."""

@@ -8,7 +8,6 @@ inverse: x is in f(y) exactly when y is in g(x).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import GraphError, GraphStore, TimeSpec, WeightedSet
@@ -24,25 +23,31 @@ class QueryScope:
 
 
 def _reach(store: GraphStore, start: int, direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
-    """Things of a kind reachable over ``is`` edges from ``start``; weight
-    decays by hop_weight per hop (1.0 keeps everything crisp)."""
-    best: dict[int, float] = {start: 1.0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        weight = best[node]
-        for other in store.neighbor_ids(node, "is", direction):
-            w = weight * hop_weight
-            if other not in best or best[other] < w:
-                best[other] = w
-                queue.append(other)
-    return WeightedSet(
-        sorted(
-            (node, w)
-            for node, w in best.items()
-            if node != start and store.thing(node).kind == kind
-        )
-    )
+    """Things of a kind reachable over ``is`` edges from ``start``, in id
+    order, by a level-by-level walk over ``GraphStore.is_links``: it reads
+    only the things it reaches and passes through those of other kinds.  A
+    thing first reached at level d weighs hop_weight ** d, its largest
+    weight since 0 <= hop_weight <= 1 (1.0 keeps everything crisp)."""
+    if not 0.0 <= hop_weight <= 1.0:
+        raise GraphError(f"hop weight {hop_weight} outside [0, 1]")
+    store.thing(start)
+    links = store.is_links(direction)
+    seen, level = {start}, [start]
+    found: dict[int, float] = {}
+    weight = 1.0
+    while level:
+        weight *= hop_weight
+        reached = []
+        for node in level:
+            for other in links.get(node, ()):
+                if other not in seen:
+                    seen.add(other)
+                    reached.append(other)
+        found.update((node, weight) for node in reached if store.thing(node).kind == kind)
+        level = reached
+    if hop_weight == 1.0:
+        return WeightedSet.crisp(sorted(found))
+    return WeightedSet(sorted(found.items()))
 
 
 def _time_matches(store: GraphStore, thing_id: int, time) -> bool:
@@ -172,29 +177,18 @@ def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> Wei
 
 def scenarios_of_situation(store: GraphStore, situation_id: int, order: int | None = None) -> WeightedSet:
     """Scenarios whose sequence includes the situation, optionally at an index."""
-    picked = [
-        e
-        for e in store.in_edges(situation_id)
-        if e.kind == "member"
-        and e.set_kind == "seq"
-        and (order is None or e.order == order)
-        and store.thing(e.src).kind == "scenario"
-    ]
-    return WeightedSet.crisp(sorted({e.src for e in picked}))
+    return WeightedSet.crisp(
+        store.neighbor_ids(situation_id, "member", "in", set_kind="seq", node_kind="scenario", order=order)
+    )
 
 
 def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | None = None) -> WeightedSet:
-    """The situations of a scenario in sequence order, optionally one index."""
-    picked = [
-        e
-        for e in store.out_edges(scenario_id)
-        if e.kind == "member"
-        and e.set_kind == "seq"
-        and (order is None or e.order == order)
-        and store.thing(e.dst).kind == "situation"
-    ]
-    picked.sort(key=lambda e: e.order)
-    return WeightedSet.crisp(e.dst for e in picked)
+    """The situations of a scenario in sequence order, optionally one index
+    (seq orders run from 0 without gaps, so a member's index is its order)."""
+    members = store.member_children(scenario_id, "seq")
+    if order is not None:
+        members = members[order : order + 1] if order >= 0 else []
+    return WeightedSet.crisp(m for m in members if store.thing(m).kind == "situation")
 
 
 def processes_of_scenario(store: GraphStore, scenario_id: int, hop_weight: float = 1.0) -> WeightedSet:

@@ -426,3 +426,154 @@ def test_window_query_reads_no_time_span_after_the_first(monkeypatch):
     assert queries.events_at(store, 500).ids() == events[2500:2505]
     assert queries.events_at(store, (998, 2000)).ids() == events[4990:]
     assert calls == []
+
+
+# -- the is index behind the inheritance walks ---------------------------------
+
+REACH_QUERIES = {
+    queries.actors_of_role: ("in", "actor"),
+    queries.roles_of_actor: ("out", "role"),
+    queries.appearances_of_event: ("out", "appearance"),
+    queries.events_of_appearance: ("in", "event"),
+    queries.situations_of_coincidence: ("out", "situation"),
+    queries.coincidences_of_situation: ("in", "coincidence"),
+    queries.processes_of_scenario: ("in", "process"),
+    queries.scenarios_of_process: ("out", "scenario"),
+}
+
+
+def _is_store(rng: random.Random) -> GraphStore:
+    """Random ``is`` edges over every kind, with cycles, diamonds, chains that
+    pass through generic nodes, and leaves with many ``has`` edges."""
+    store = GraphStore()
+    kinds = ["actor", "role", "appearance", "event", "situation", "coincidence",
+             "scenario", "process", "generic", "generic"]  # more generic, more pass-through
+    nodes = []
+    for _ in range(rng.randint(4, 40)):
+        kind = rng.choice(kinds)
+        nodes.append(store.add_thing(kind, times=TimeSpec.point(1) if kind == "event" else None))
+
+    def link(src: int, dst: int) -> None:
+        store.add_edge(Edge("is", src, dst))
+
+    for _ in range(rng.randint(0, 2 * len(nodes))):
+        link(rng.choice(nodes), rng.choice(nodes))  # cycles and self-loops too
+    for _ in range(rng.randint(0, 3)):
+        top, left, right, bottom = (rng.choice(nodes) for _ in range(4))
+        for src, dst in [(bottom, left), (bottom, right), (left, top), (right, top)]:
+            link(src, dst)
+    for _ in range(rng.randint(0, 3)):
+        chain = [rng.choice(nodes)]
+        chain += [store.add_thing("generic") for _ in range(rng.randint(1, 3))]
+        chain.append(rng.choice(nodes))
+        for src, dst in zip(chain, chain[1:]):
+            link(src, dst)
+    leaves = [n for n in nodes if store.thing(n).kind in ("actor", "role")]
+    for leaf in rng.sample(leaves, min(len(leaves), 3)):
+        for owner in rng.sample(nodes, min(len(nodes), 8)):
+            if owner != leaf:
+                store.add_edge(Edge("has", owner, leaf, role="r"))
+    return store
+
+
+def _closure(store: GraphStore, start: int, direction: str, kind: str, hop_weight: float):
+    """Best weight over all ``is`` paths from ``start``, relaxed over the whole
+    edge list until nothing changes; the reached things of a kind in id order."""
+    arcs = [(e.src, e.dst) if direction == "out" else (e.dst, e.src)
+            for e in store.edges() if e.kind == "is"]
+    best = {start: 1.0}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in arcs:
+            if src in best and (dst not in best or best[dst] < best[src] * hop_weight):
+                best[dst] = best[src] * hop_weight
+                changed = True
+    return sorted((n, w) for n, w in best.items() if n != start and store.thing(n).kind == kind)
+
+
+def test_is_walks_match_a_closure_on_random_graphs():
+    rng = random.Random(29)
+    for _ in range(60):
+        store = _is_store(rng)
+        for query, (direction, kind) in REACH_QUERIES.items():
+            for thing in store.things():
+                for hop_weight in (0.0, 0.3, 0.5, 1.0):
+                    got = query(store, thing.id, hop_weight=hop_weight).pairs()
+                    expected = _closure(store, thing.id, direction, kind, hop_weight)
+                    assert got == expected, (query.__name__, thing.id, hop_weight)
+
+
+def test_is_walks_see_edges_added_after_a_walk():
+    store = GraphStore()
+    role = store.add_thing("role", "r")
+    first = store.add_thing("actor", "a")
+    store.add_edge(Edge("is", first, role))
+    assert queries.actors_of_role(store, role).ids() == [first]
+    assert queries.roles_of_actor(store, first).ids() == [role]
+    middle = store.add_thing("generic")
+    second = store.add_thing("actor", "b")
+    store.add_edge(Edge("is", middle, role))
+    assert queries.actors_of_role(store, role).ids() == [first]
+    store.add_edge(Edge("is", second, middle))
+    assert queries.actors_of_role(store, role).ids() == [first, second]
+    assert queries.roles_of_actor(store, second).ids() == [role]
+
+
+@pytest.mark.parametrize("hop_weight", [2.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_bad_hop_weight_raises_before_walking(hop_weight):
+    store = GraphStore()
+    lone = store.add_thing("role", "lone")
+    chain = [store.add_thing("appearance", f"c{n}") for n in range(3)]
+    store.add_edge(Edge("is", chain[0], chain[1]))
+    store.add_edge(Edge("is", chain[1], chain[2]))
+    cycle = [store.add_thing("situation", f"s{n}") for n in range(3)]
+    for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+        store.add_edge(Edge("is", src, dst))
+    for query, start in [
+        (queries.actors_of_role, lone),
+        (queries.appearances_of_event, chain[0]),
+        (queries.situations_of_coincidence, cycle[0]),
+    ]:
+        with pytest.raises(GraphError, match=r"hop weight .* outside \[0, 1\]"):
+            query(store, start, hop_weight=hop_weight)
+
+
+def test_is_walk_reads_no_edge_list_after_the_first(monkeypatch):
+    store = GraphStore()
+    role = store.add_thing("role", "r")
+    owners = [store.add_thing("event", times=TimeSpec.point(n)) for n in range(5)]
+    actors = []
+    for n in range(5000):
+        actor = store.add_thing("actor")
+        store.add_edge(Edge("is", actor, role))
+        for owner in owners:
+            store.add_edge(Edge("has", owner, actor, role="r"))
+        actors.append(actor)
+    assert queries.actors_of_role(store, role).ids() == actors
+    calls = []
+    neighbor_ids = GraphStore.neighbor_ids
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return neighbor_ids(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphStore, "neighbor_ids", counted)
+    assert queries.actors_of_role(store, role).ids() == actors
+    assert queries.roles_of_actor(store, actors[-1]).ids() == [role]
+    assert calls == []
+
+
+def test_scenario_order_outside_the_sequence_is_empty():
+    store = GraphStore()
+    scenario = store.add_thing("scenario", "o")
+    sits = [store.add_thing("situation", f"s{i}") for i in range(2)]
+    other = store.add_thing("process")
+    for member in (sits[0], other, sits[1], sits[0]):
+        store.add_edge(Edge("member", scenario, member, set_kind="seq"))
+    assert queries.situations_of_scenario(store, scenario).ids() == sits
+    assert queries.situations_of_scenario(store, scenario, order=3).ids() == [sits[0]]
+    for order in (-1, 1, 4):
+        assert queries.situations_of_scenario(store, scenario, order=order).ids() == []
+    assert queries.scenarios_of_situation(store, sits[0], order=3).ids() == [scenario]
+    assert queries.scenarios_of_situation(store, sits[1], order=0).ids() == []
