@@ -10,6 +10,7 @@ domain error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -62,6 +63,7 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 _PATH_KEYS = ("definitions", "corpus", "snapshot", "out")
+_CONFIG_KEYS = _PATH_KEYS + ("granularity", "mining")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -74,6 +76,9 @@ def _load_config_file(path: str | None) -> dict:
         _fail(f"bad config file {path}: {exc}", EXIT_DOMAIN)
     if not isinstance(data, dict):
         _fail(f"bad config file {path}: expected an object", EXIT_DOMAIN)
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            _fail(f"unknown config key {key!r}", EXIT_DOMAIN)
     for key in _PATH_KEYS:
         value = data.get(key)
         if value is not None and not isinstance(value, str):
@@ -81,35 +86,21 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-_MINING_KEYS = (
-    "coincidence_window",
-    "chain_max_gap",
-    "chain_requires_shared_actor",
-    "min_support",
-    "fork_epsilon",
-    "trigger_min_shift",
-)
-
-
 def _mining_config(args: argparse.Namespace, file_cfg: dict) -> MiningConfig:
+    """The config file's "mining" object, then the mining flags, over the
+    defaults; both are spelled as ``MiningConfig``'s field names."""
     cfg = MiningConfig()
     mining = file_cfg.get("mining", {})
     if not isinstance(mining, dict):
         _fail("config key 'mining' must be an object", EXIT_DOMAIN)
+    keys = [f.name for f in dataclasses.fields(MiningConfig)]
     for key in mining:
-        if key not in _MINING_KEYS:
+        if key not in keys:
             _fail(f"unknown mining config key {key!r}", EXIT_DOMAIN)
         setattr(cfg, key, mining[key])
-    overrides = {
-        "coincidence_window": args.window,
-        "chain_max_gap": args.max_gap,
-        "min_support": args.min_support,
-        "fork_epsilon": args.fork_epsilon,
-        "trigger_min_shift": args.trigger_min_shift,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     try:
         cfg.validate()
     except ValueError as exc:
@@ -255,6 +246,15 @@ def cmd_query(args) -> int:
     except SnapshotError as exc:
         _fail(f"{snapshot_path}: {exc}", EXIT_DOMAIN)
     name = args.function
+    if name not in queries.REGISTRY and name != "timespan_of":
+        valid = ", ".join(sorted(queries.REGISTRY) + ["timespan_of"])
+        _fail(f"unknown query function {name!r}; valid names: {valid}", EXIT_DOMAIN)
+    # timespan_of takes any thing and no filter
+    fn, arg_kind, names = queries.REGISTRY.get(name, (queries.timespan_of, None, ()))
+    filters = {"time": args.time, "role": args.role, "order": args.order, "event_id": args.event_id}
+    for key, value in filters.items():
+        if value is not None and key not in names:
+            _fail(f"{name} does not take --{key.removesuffix('_id')}", EXIT_DOMAIN)
     if name == "timespan_of":
         if not args.argument:
             _fail("timespan_of requires a thing argument", EXIT_DOMAIN)
@@ -264,29 +264,15 @@ def cmd_query(args) -> int:
             _fail(str(exc), EXIT_DOMAIN)
         print(json.dumps({"intervals": [list(p) for p in span.intervals]}))
         return EXIT_OK
-    if name not in queries.REGISTRY:
-        valid = ", ".join(sorted(queries.REGISTRY) + ["timespan_of"])
-        _fail(f"unknown query function {name!r}; valid names: {valid}", EXIT_DOMAIN)
-    fn, arg_kind, extras = queries.REGISTRY[name]
-    time_value = _parse_time_flag(args.time) if args.time is not None else None
+    if args.time is not None:
+        filters["time"] = _parse_time_flag(args.time)
+    if arg_kind is not None and not args.argument:
+        _fail(f"{name} requires a {arg_kind} argument", EXIT_DOMAIN)
     try:
-        call_args = []
-        if arg_kind is not None:
-            if not args.argument:
-                _fail(f"{name} requires a {arg_kind} argument", EXIT_DOMAIN)
-            call_args.append(_resolve_thing(store, arg_kind, args.argument))
-        kwargs = {}
-        if "time" in extras and arg_kind is None:
-            call_args.insert(0, time_value)
-        elif "time" in extras:
-            kwargs["time"] = time_value
-        if "event" in extras and args.event is not None:
-            kwargs["event_id"] = _resolve_thing(store, "event", args.event)
-        if "order" in extras and args.order is not None:
-            kwargs["order"] = args.order
-        if "scope" in extras:
-            kwargs["scope"] = queries.QueryScope(role=args.role, time=time_value)
-        result = fn(store, *call_args, **kwargs)
+        call_args = [] if arg_kind is None else [_resolve_thing(store, arg_kind, args.argument)]
+        if args.event_id is not None:
+            filters["event_id"] = _resolve_thing(store, "event", args.event_id)
+        result = fn(store, *call_args, **{key: filters[key] for key in names})
     except GraphError as exc:
         _fail(str(exc), EXIT_DOMAIN)
     print(json.dumps(result.to_json(store), sort_keys=True))
@@ -306,8 +292,8 @@ def _add_flags(parser: argparse.ArgumentParser, extracts: bool, mines: bool) -> 
         parser.add_argument("--min-support", dest="min_support", type=int)
         parser.add_argument("--fork-epsilon", dest="fork_epsilon", type=float)
         parser.add_argument("--trigger-min-shift", dest="trigger_min_shift", type=float)
-        parser.add_argument("--window", dest="window", type=int)
-        parser.add_argument("--max-gap", dest="max_gap", type=int)
+        parser.add_argument("--window", dest="coincidence_window", type=int)
+        parser.add_argument("--max-gap", dest="chain_max_gap", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--role", help="role filter")
     q.add_argument("--time", help="tick or start:end filter")
     q.add_argument("--order", type=int, help="sequence index filter")
-    q.add_argument("--event", help="event filter for coincidences_at")
+    q.add_argument("--event", dest="event_id", help="event filter for coincidences_at")
     q.set_defaults(handler=cmd_query)
     return parser
 

@@ -215,6 +215,7 @@ class GraphStore:
         self._in: dict[int, list[Edge]] = {}
         self._edge_set: set[Edge] = set()
         self._by_name: dict[tuple[str, str], list[int]] = {}
+        self._seq: dict[int, list[int]] = {}  # each node's seq members in order
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
         self._is: dict | None = None  # direction -> {thing: its is endpoints}
@@ -275,29 +276,27 @@ class GraphStore:
             raise GraphError(f"dangling edge target {edge.dst}")
         if edge.kind == "has" and not (isinstance(edge.role, str) and edge.role):
             raise GraphError(f"has edge {edge.src} -> {edge.dst} needs a role name")
-        seq_count = None
+        seq = None
         if edge.kind == "member":
             if edge.set_kind not in SET_KINDS:
                 raise GraphError(f"bad set kind {edge.set_kind!r}")
             if edge.set_kind == "seq":
-                seq_count = sum(
-                    1
-                    for e in self._out[edge.src]
-                    if e.kind == "member" and e.set_kind == "seq"
-                )
+                seq = self._seq.setdefault(edge.src, [])
                 if edge.order is None:
-                    edge = Edge("member", edge.src, edge.dst, set_kind="seq", order=seq_count)
+                    edge = Edge("member", edge.src, edge.dst, set_kind="seq", order=len(seq))
         if edge in self._edge_set:
             return
-        if seq_count is not None and edge.order != seq_count:
+        if seq is not None and edge.order != len(seq):
             raise GraphError(
                 f"seq order {edge.order} breaks contiguity: orders of {edge.src} "
-                f"are not contiguous from 0 (expected {seq_count})"
+                f"are not contiguous from 0 (expected {len(seq)})"
             )
         self._edge_set.add(edge)
         self._out[edge.src].append(edge)
         if edge.kind != "times":
             self._in[edge.dst].append(edge)
+        if seq is not None:
+            seq.append(edge.dst)
 
     def find_by_name(self, kind: str, name: str) -> list[int]:
         return list(self._by_name.get((kind, name), []))
@@ -421,8 +420,7 @@ class GraphStore:
         """Members of a set node; seq members ordered, possibly repeating."""
         if set_kind != "seq":
             return self.neighbor_ids(thing_id, "member", set_kind=set_kind)
-        picked = [e for e in self._out[self.thing(thing_id).id] if e.kind == "member" and e.set_kind == "seq"]
-        return [e.dst for e in sorted(picked, key=lambda e: e.order)]
+        return list(self._seq.get(self.thing(thing_id).id, ()))
 
     # -- persistence ----------------------------------------------------
 

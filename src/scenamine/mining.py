@@ -77,11 +77,10 @@ class ActorFrequency:
 
 @dataclass
 class TreeNode:
-    """Prefix-tree node: a situation step, traversal count and the
-    processes that pass through."""
+    """Prefix-tree node: a situation step and the processes that pass
+    through (their number is the node's traversal count)."""
 
     situation: int | None
-    count: int = 0
     processes: list[int] = field(default_factory=list)
     children: dict[int, "TreeNode"] = field(default_factory=dict)
 
@@ -597,11 +596,9 @@ def unify_scenarios(
                 steps.append((cid, min(sits, key=lambda s: rank[s])))
         lifted_all[proc.id] = LiftedProcess(proc.id, coins, steps)
         node = root
-        node.count += 1
         node.processes.append(proc.id)
         for sid in (s for _, s in steps):
             node = node.children.setdefault(sid, TreeNode(sid))
-            node.count += 1
             node.processes.append(proc.id)
 
     scenarios: list[tuple[list[int], int]] = []
@@ -609,10 +606,10 @@ def unify_scenarios(
     def materialize(node: TreeNode, path: list[int]) -> None:
         for sid in sorted(node.children):
             child = node.children[sid]
-            if child.count < min_support:
+            if len(child.processes) < min_support:
                 continue
             full = path + [sid]
-            scenarios.append((full, child.count))
+            scenarios.append((full, len(child.processes)))
             key = ",".join(str(s) for s in full)
             scenario_id = known.get(key)
             if scenario_id is None:
@@ -641,9 +638,9 @@ def detect_forks(model: ScenarioModel, fork_epsilon: float) -> list[Fork]:
 
     def walk(node: TreeNode, path: list[int]) -> None:
         if len(node.children) >= 2:
-            total = sum(child.count for child in node.children.values())
+            total = sum(len(child.processes) for child in node.children.values())
             branches = [
-                (sid, node.children[sid].count / total) for sid in sorted(node.children)
+                (sid, len(node.children[sid].processes) / total) for sid in sorted(node.children)
             ]
             probs = [p for _, p in branches]
             if max(probs) - min(probs) <= fork_epsilon:

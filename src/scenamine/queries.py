@@ -8,18 +8,7 @@ inverse: x is in f(y) exactly when y is in g(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import GraphError, GraphStore, TimeSpec, WeightedSet
-
-
-@dataclass(frozen=True)
-class QueryScope:
-    """Optional role / time / order filters; an absent filter is universal."""
-
-    role: str | None = None
-    time: object | None = None  # tick or (start, end)
-    order: int | None = None
 
 
 def _reach(store: GraphStore, start: int, direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
@@ -112,21 +101,20 @@ def appearances_at(store: GraphStore, time) -> WeightedSet:
     return WeightedSet.crisp(sorted({a for e in live for a in appearances_of_event(store, e).ids()}))
 
 
-def actors_of_event(store: GraphStore, event_id: int, scope: QueryScope | None = None) -> WeightedSet:
-    """Actors filling the event's roles, optionally narrowed by role and time."""
-    scope = scope or QueryScope()
-    if not _time_matches(store, event_id, scope.time):
+def actors_of_event(store: GraphStore, event_id: int, role: str | None = None, time=None) -> WeightedSet:
+    """Actors filling the event's roles, optionally narrowed by role and time
+    (a tick or a (start, end) window); an absent filter is universal."""
+    if not _time_matches(store, event_id, time):
         return WeightedSet()
-    return store.neighbors(event_id, "has", "out", role=scope.role, node_kind="actor")
+    return store.neighbors(event_id, "has", "out", role=role, node_kind="actor")
 
 
-def events_of_actor(store: GraphStore, actor_id: int, scope: QueryScope | None = None) -> WeightedSet:
+def events_of_actor(store: GraphStore, actor_id: int, role: str | None = None, time=None) -> WeightedSet:
     """Events the actor participates in, optionally narrowed by role and time."""
-    scope = scope or QueryScope()
     return WeightedSet.crisp(
         m
-        for m in store.neighbor_ids(actor_id, "has", "in", role=scope.role, node_kind="event")
-        if _time_matches(store, m, scope.time)
+        for m in store.neighbor_ids(actor_id, "has", "in", role=role, node_kind="event")
+        if _time_matches(store, m, time)
     )
 
 
@@ -251,7 +239,9 @@ def timespan_of(store: GraphStore, thing_id: int) -> TimeSpec:
 # -- registry for the command line ------------------------------------------
 
 # name -> (function, kind of the positional argument or None for a time query,
-#          scope flags it honors)
+#          the filter keywords it takes); the command line passes each listed
+#          keyword from its flag (--time, --role, --order, --event for event_id)
+#          and rejects any other filter flag
 REGISTRY = {
     "actors_of_role": (actors_of_role, "role", ()),
     "roles_of_actor": (roles_of_actor, "actor", ()),
@@ -261,15 +251,15 @@ REGISTRY = {
     "events_of_appearance": (events_of_appearance, "appearance", ()),
     "events_at": (events_at, None, ("time",)),
     "appearances_at": (appearances_at, None, ("time",)),
-    "actors_of_event": (actors_of_event, "event", ("scope",)),
-    "events_of_actor": (events_of_actor, "actor", ("scope",)),
+    "actors_of_event": (actors_of_event, "event", ("role", "time")),
+    "events_of_actor": (events_of_actor, "actor", ("role", "time")),
     "situations_of_appearance": (situations_of_appearance, "appearance", ()),
     "appearances_of_situation": (appearances_of_situation, "situation", ()),
     "situations_of_coincidence": (situations_of_coincidence, "coincidence", ()),
     "coincidences_of_situation": (coincidences_of_situation, "situation", ()),
     "coincidences_of_event": (coincidences_of_event, "event", ()),
     "events_of_coincidence": (events_of_coincidence, "coincidence", ()),
-    "coincidences_at": (coincidences_at, None, ("time", "event")),
+    "coincidences_at": (coincidences_at, None, ("time", "event_id")),
     "scenarios_of_situation": (scenarios_of_situation, "situation", ("order",)),
     "situations_of_scenario": (situations_of_scenario, "scenario", ("order",)),
     "processes_of_scenario": (processes_of_scenario, "scenario", ()),

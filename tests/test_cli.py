@@ -504,6 +504,51 @@ def test_granularity_flag_below_one_exits_one(tmp_path, capsys, monkeypatch, val
     assert err == f"scenamine: granularity must be an integer >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"min_support": 99, "snapshots": "other.json"}, "min_support"),
+        ({"snapshots": "other.json"}, "snapshots"),
+        ({"window": 2}, "window"),
+        ({"coincidence_window": 2}, "coincidence_window"),
+        ({"config": "config.json"}, "config"),
+        ({"": 1}, ""),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_unknown_config_key_exits_one_writing_nothing(
+    tmp_path, capsys, monkeypatch, command, extra, key
+):
+    monkeypatch.chdir(tmp_path)
+    config = _stoplight_run_config(tmp_path)
+    config.update(extra)
+    config_path = _write(tmp_path / "config.json", json.dumps(config))
+    assert main([command, "--config", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenamine: unknown config key {key!r}\n"
+    assert not (tmp_path / "snap.json").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--window", "-1"], "coincidence_window must be >= 0"),
+        (["--max-gap", "0"], "chain_max_gap must be >= 1"),
+        (["--min-support", "0"], "min_support must be >= 1"),
+        (["--fork-epsilon", "2"], "fork_epsilon must lie in [0, 1]"),
+        (["--trigger-min-shift", "0"], "trigger_min_shift must lie in (0, 1]"),
+    ],
+)
+def test_mining_flag_sets_the_field_of_its_name(tmp_path, capsys, monkeypatch, flags, message):
+    """Each mining flag overrides the config file's field of the same name."""
+    monkeypatch.chdir(tmp_path)
+    config_path = _write(tmp_path / "config.json", json.dumps(_stoplight_run_config(tmp_path)))
+    assert main(["run", "--config", config_path, *flags]) == 1
+    assert capsys.readouterr().err == f"scenamine: bad mining configuration: {message}\n"
+
+
 # strings without "/" keep every path the fuzzed config names inside its directory
 _CONFIG_VALUES = st.recursive(
     st.none()
@@ -620,6 +665,55 @@ def test_query_reversed_window_exits_one(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "scenamine: bad --time value '5:3'\n"
+
+
+# keyword -> its flag, a valid flag value on the mined stoplight graph, and
+# that value as the keyword takes it
+_FILTER_FLAGS = {
+    "time": ("--time", "1:4", (1, 4)),
+    "role": ("--role", "color", "color"),
+    "order": ("--order", "0", 0),
+    "event_id": ("--event", "3", 3),
+}
+_FILTERS_OF = {name: entry[2] for name, entry in queries.REGISTRY.items()} | {"timespan_of": ()}
+_UNREAD_FLAGS = [
+    (name, key) for name in sorted(_FILTERS_OF) for key in _FILTER_FLAGS if key not in _FILTERS_OF[name]
+]
+
+
+def _query_argv(snapshot, store, name):
+    arg_kind = queries.REGISTRY[name][1] if name in queries.REGISTRY else "event"
+    argv = ["query", "--snapshot", snapshot, name]
+    if arg_kind is not None:
+        argv.append(str(store.things(arg_kind)[0].id))
+    return argv
+
+
+@pytest.mark.parametrize("name, key", _UNREAD_FLAGS)
+def test_query_rejects_filter_flags_the_function_does_not_take(tmp_path, capsys, name, key):
+    snapshot = _write(tmp_path / "snap.json", _mined_stoplight_text())
+    store = GraphStore.loads(_mined_stoplight_text())
+    flag, text, _ = _FILTER_FLAGS[key]
+    assert main(_query_argv(snapshot, store, name) + [flag, text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenamine: {name} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, names in _FILTERS_OF.items() if names))
+def test_query_filter_flags_pass_as_keywords(tmp_path, capsys, name):
+    """Every filter flag a function lists reaches the keyword of that name."""
+    snapshot = _write(tmp_path / "snap.json", _mined_stoplight_text())
+    store = GraphStore.loads(_mined_stoplight_text())
+    fn, arg_kind, names = queries.REGISTRY[name]
+    argv = _query_argv(snapshot, store, name)
+    for key in names:
+        argv += _FILTER_FLAGS[key][:2]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    call = [store] if arg_kind is None else [store, store.things(arg_kind)[0].id]
+    expected = fn(*call, **{key: _FILTER_FLAGS[key][2] for key in names})
+    assert [r["id"] for r in rows] == expected.ids()
 
 
 def _stoplight_corpus_lines() -> list[dict]:

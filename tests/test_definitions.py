@@ -1,7 +1,16 @@
 """Definition statements: accumulation, roles, types, errors."""
 
-import pytest
+import contextlib
+import io
+import json
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenamine.cli import main
 from scenamine.definitions import DefinitionError, parse_definitions
 from scenamine.patterns import AnySet, Literal, TypeRef, Variable, parse_pattern
 
@@ -150,3 +159,73 @@ def test_unterminated_statement_errors():
 def test_bad_pattern_inside_definition_names_line():
     with pytest.raises(DefinitionError, match="line 2"):
         parse_definitions('There name ok.\nName ok patterns "{unbalanced".')
+
+
+# the example of README's pattern language section, and one document per definition
+README_DEFINITIONS = """\
+There name sanctions patterns
+  "{obama trump} {forced suggested} $organization to {impose implement apply} sanctions against $target",
+  has organization, target.
+There name sale patterns "On sale: $item, quantity $amount, prices $cost",
+  has item, amount, cost.
+Cost is money. Amount is number. Item is word.
+"""
+README_CORPUS = "".join(
+    json.dumps({"time": t, "source": "news", "text": text}) + "\n"
+    for t, text in enumerate([
+        "Obama forced the EU to impose sanctions against Russia",
+        "On sale: apples, quantity 12, prices $3.50",
+    ], start=1)
+)
+
+_EDIT_CHARS = st.sampled_from(list("{}()[]'\"$.,:- \naz09"))
+
+
+@st.composite
+def _edited_definitions(draw):
+    """The README definitions after 1-3 single-character inserts, deletes or
+    replacements, weighted towards the pattern language's delimiters."""
+    text = README_DEFINITIONS
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if edit == "delete" else draw(_EDIT_CHARS)
+        text = text[:at] + char + text[at + (edit != "insert"):]
+    return text
+
+
+def _extract(text: str) -> tuple[int, str, str]:
+    """Run extract on the README corpus with these definitions: exit code,
+    stdout, stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        defs, corpus = os.path.join(tmp, "defs.txt"), os.path.join(tmp, "corpus.jsonl")
+        with open(defs, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        with open(corpus, "w", encoding="utf-8") as fp:
+            fp.write(README_CORPUS)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["extract", "--definitions", defs, "--corpus", corpus])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_readme_definitions_extract_one_event_each():
+    code, out, _ = _extract(README_DEFINITIONS)
+    assert code == 0
+    assert json.loads(out)["per_definition"] == {"sale": 1, "sanctions": 1}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_edited_definitions())
+def test_fuzzed_definitions_parse_or_fail_cleanly(text):
+    """An edited definitions file parses or raises DefinitionError, never
+    another exception, and extract exits 0, or 1 with one scenamine: line."""
+    try:
+        parse_definitions(text)
+        parsed = True
+    except DefinitionError:
+        parsed = False
+    code, _, err = _extract(text)
+    assert code in ((0, 1) if parsed else (1,))
+    if code:
+        assert err.startswith("scenamine:") and err.count("\n") == 1

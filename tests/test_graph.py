@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,26 @@ def test_seq_member_orders_auto_assign():
     )
     assert orders == [0, 1, 2]
     assert store.member_children(parent, "seq") == kids
+
+
+def test_long_sequence_appends_and_round_trips_in_linear_time():
+    """20,000 seq members, added out of id order with a few repeats: each
+    append reads and extends one member list, so building, dumping and
+    loading take well under 2 s (an append that counts the node's earlier
+    members takes minutes), and both stores list the members as added."""
+    started = time.perf_counter()
+    store = GraphStore()
+    process = store.add_thing("process", "p")
+    members = [store.add_thing("coincidence") for _ in range(20_000)]
+    random.Random(3).shuffle(members)
+    members += members[:5]
+    for member in members:
+        store.add_edge(Edge("member", process, member, set_kind="seq"))
+    loaded = GraphStore.loads(store.dumps())
+    elapsed = time.perf_counter() - started
+    assert store.member_children(process, "seq") == members
+    assert loaded.member_children(process, "seq") == members
+    assert elapsed < 2.0
 
 
 def test_seq_member_rejects_gap_in_orders():

@@ -11,7 +11,6 @@ from scenamine import queries
 from scenamine.definitions import parse_definitions
 from scenamine.graph import Edge, GraphError, GraphStore, TimeSpec
 from scenamine.matching import Document, extract_events
-from scenamine.queries import QueryScope
 
 
 def _stoplight_store():
@@ -84,11 +83,11 @@ def test_actor_role_scope_filters():
     )
     (event,) = extract_events(store, defs, Document("EU hit Russia", "u", 50))
     (russia,) = store.find_by_name("actor", "russia")
-    targets = queries.actors_of_event(store, event, QueryScope(role="target"))
+    targets = queries.actors_of_event(store, event, role="target")
     assert targets.ids() == [russia]
-    nothing = queries.actors_of_event(store, event, QueryScope(time=(1, 10)))
+    nothing = queries.actors_of_event(store, event, time=(1, 10))
     assert len(nothing) == 0
-    held = queries.events_of_actor(store, russia, QueryScope(role="target", time=50))
+    held = queries.events_of_actor(store, russia, role="target", time=50)
     assert held.ids() == [event]
 
 
@@ -241,17 +240,17 @@ def test_scoped_inverse_on_random_graphs():
     role_names = [f"r{n}" for n in range(8)] + [None]
     for _ in range(300):
         actor = rng.choice(store.things("actor")).id
-        scope = QueryScope(
+        scope = dict(
             role=rng.choice(role_names),
             time=rng.choice([None, rng.randrange(0, 220), (rng.randrange(0, 100), rng.randrange(100, 220))]),
         )
-        for event in queries.events_of_actor(store, actor, scope).ids():
-            assert actor in queries.actors_of_event(store, event, scope)
+        for event in queries.events_of_actor(store, actor, **scope).ids():
+            assert actor in queries.actors_of_event(store, event, **scope)
     for _ in range(300):
         event = rng.choice(store.things("event")).id
-        scope = QueryScope(role=rng.choice(role_names))
-        for actor in queries.actors_of_event(store, event, scope).ids():
-            assert event in queries.events_of_actor(store, actor, scope)
+        scope = dict(role=rng.choice(role_names))
+        for actor in queries.actors_of_event(store, event, **scope).ids():
+            assert event in queries.events_of_actor(store, actor, **scope)
 
 
 def test_monotone_scoping():
@@ -262,7 +261,7 @@ def test_monotone_scoping():
         base = set(queries.events_of_actor(store, actor).ids())
         narrowed = set(
             queries.events_of_actor(
-                store, actor, QueryScope(role="r1", time=(0, 150))
+                store, actor, role="r1", time=(0, 150)
             ).ids()
         )
         assert narrowed <= base
