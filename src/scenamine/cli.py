@@ -266,6 +266,8 @@ def cmd_query(args) -> int:
         return EXIT_OK
     if args.time is not None:
         filters["time"] = _parse_time_flag(args.time)
+    if arg_kind is None and args.argument is not None:
+        _fail(f"{name} does not take a thing argument; give a window with --time", EXIT_DOMAIN)
     if arg_kind is not None and not args.argument:
         _fail(f"{name} requires a {arg_kind} argument", EXIT_DOMAIN)
     try:

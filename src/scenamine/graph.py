@@ -1,10 +1,11 @@
 """In-memory typed graph of things, relationships and time spans.
 
 Nodes carry a kind, an optional name and scalar properties.  Edges are
-inheritance (``is``), possession (``has`` with a role name), association
-with time (``times``) and set membership (``member`` with a set kind of
-``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
-Time spans are normalized interval sets over an integer tick axis.
+immutable named tuples: inheritance (``is``), possession (``has`` with a
+role name), association with time (``times``) and set membership
+(``member`` with a set kind of ``and``, ``seq`` or ``any``; ``seq``
+members carry a contiguous order).  Time spans are normalized interval
+sets over an integer tick axis.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role, set kind and seq
 order and keeps the endpoints whose node kind is ``node_kind``;
@@ -20,7 +21,9 @@ the things it reaches, not their other edges.  The whole store
 round-trips through a JSON snapshot.  Loading one replays its things and
 edges through the same checks as live construction, so a snapshot must
 list each node's seq members in order (as ``dumps`` writes them), a
-repeated edge is a no-op, and any fault raises ``SnapshotError`` naming it.
+repeated edge is a no-op, every tick is an integer, and any fault raises
+``SnapshotError`` naming it.  A load checks each item once, so its cost
+is linear in things + edges + intervals.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 KINDS = frozenset(
     {
@@ -112,8 +115,9 @@ class TimeSpec:
         )
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One relationship; an immutable tuple, so equal edges hash equal."""
+
     kind: str
     src: int
     dst: int
@@ -283,7 +287,7 @@ class GraphStore:
             if edge.set_kind == "seq":
                 seq = self._seq.setdefault(edge.src, [])
                 if edge.order is None:
-                    edge = Edge("member", edge.src, edge.dst, set_kind="seq", order=len(seq))
+                    edge = edge._replace(order=len(seq))
         if edge in self._edge_set:
             return
         if seq is not None and edge.order != len(seq):
@@ -465,46 +469,60 @@ class GraphStore:
             if not isinstance(items, list):
                 raise SnapshotError(f"snapshot {section} must be a list")
         store = cls()
+        add_edge = store.add_edge
         try:
             for item in raw["things"]:
-                _expect_fields(item, {"id", "kind", "name", "properties"}, "thing")
+                if not isinstance(item, dict) or item.keys() != _THING_FIELDS:
+                    raise _fields_error(item, _THING_FIELDS, "thing")
                 thing_id = item["id"]
                 if type(thing_id) is not int or thing_id in store._things:
                     raise SnapshotError(f"bad or duplicate thing id {thing_id!r}")
                 store._put_thing(thing_id, item["kind"], item["name"], item["properties"])
             for item in raw["times"]:
-                _expect_fields(item, {"id", "intervals"}, "time span")
+                if not isinstance(item, dict) or item.keys() != _TIME_SPAN_FIELDS:
+                    raise _fields_error(item, _TIME_SPAN_FIELDS, "time span")
                 spec_id = item["id"]
                 if type(spec_id) is not int or spec_id in store._times or spec_id in store._things:
                     raise SnapshotError(f"bad or duplicate time span id {spec_id!r}")
+                intervals = item["intervals"]
+                if type(intervals) is not list:
+                    raise SnapshotError(f"bad intervals for {spec_id}: {intervals!r} is not a list")
+                for pair in intervals:
+                    if not (type(pair) is list and len(pair) == 2
+                            and type(pair[0]) is int and type(pair[1]) is int):
+                        raise SnapshotError(
+                            f"bad intervals for {spec_id}: {pair!r} is not a pair of integers"
+                        )
                 try:
-                    store._times[spec_id] = TimeSpec(tuple(tuple(p) for p in item["intervals"]))
-                except (GraphError, TypeError, ValueError) as exc:
+                    store._times[spec_id] = TimeSpec(intervals)
+                except GraphError as exc:
                     raise SnapshotError(f"bad intervals for {spec_id}: {exc}") from exc
             for item in raw["edges"]:
                 if not isinstance(item, dict):
                     raise SnapshotError("edge entries must be objects")
                 kind = item.get("kind")
-                allowed = {"kind", "from", "to"}
-                if kind == "has":
-                    allowed |= {"role"}
-                elif kind == "member":
-                    allowed |= {"set_kind"}
-                    if item.get("set_kind") == "seq":
-                        allowed |= {"order"}
-                _expect_fields(item, allowed, "edge")
+                # a kind that is not a string (a list, say) is not hashed
+                if type(kind) is not str:
+                    shape = None
+                elif kind == "member" and item.get("set_kind") == "seq":
+                    shape = _SEQ
+                else:
+                    shape = kind
+                allowed = _EDGE_FIELDS.get(shape, _PLAIN_EDGE_FIELDS)
+                if item.keys() != allowed:
+                    raise _fields_error(item, allowed, "edge")
                 for key, value in item.items():
                     if type(value) is not _EDGE_FIELD_TYPES[key]:
                         want = "an integer" if _EDGE_FIELD_TYPES[key] is int else "a string"
                         raise SnapshotError(f"edge {key} {value!r} is not {want}")
-                store.add_edge(
+                add_edge(
                     Edge(
                         kind,
                         item["from"],
                         item["to"],
-                        role=item.get("role"),
-                        set_kind=item.get("set_kind"),
-                        order=item.get("order"),
+                        item.get("role"),
+                        item.get("set_kind"),
+                        item.get("order"),
                     )
                 )
         except SnapshotError:
@@ -525,6 +543,19 @@ class GraphStore:
         return cls.loads(fp.read())
 
 
+# The fields of each snapshot entry.  An edge's fields depend on its shape:
+# ``has`` adds a role, ``member`` a set kind, a seq ``member`` (keyed
+# ``_SEQ``) also an order, and every other kind has the plain three.
+_THING_FIELDS = frozenset({"id", "kind", "name", "properties"})
+_TIME_SPAN_FIELDS = frozenset({"id", "intervals"})
+_PLAIN_EDGE_FIELDS = frozenset({"kind", "from", "to"})
+_SEQ = ("member", "seq")
+_EDGE_FIELDS = {
+    "has": _PLAIN_EDGE_FIELDS | {"role"},
+    "member": _PLAIN_EDGE_FIELDS | {"set_kind"},
+    _SEQ: _PLAIN_EDGE_FIELDS | {"set_kind", "order"},
+}
+
 # JSON types of snapshot edge fields; ``type(...) is`` keeps bools and
 # floats such as 1.0 out of the integer fields.
 _EDGE_FIELD_TYPES = {
@@ -532,11 +563,11 @@ _EDGE_FIELD_TYPES = {
 }
 
 
-def _expect_fields(item, allowed: set[str], what: str) -> None:
+def _fields_error(item, allowed: frozenset[str], what: str) -> SnapshotError:
+    """The fault of an entry that is not an object with exactly ``allowed``."""
     if not isinstance(item, dict):
-        raise SnapshotError(f"{what} entries must be objects")
-    if item.keys() != allowed:
-        unknown = item.keys() - allowed
-        if unknown:
-            raise SnapshotError(f"unknown {what} fields {sorted(unknown)}")
-        raise SnapshotError(f"missing {what} fields {sorted(allowed - item.keys())}")
+        return SnapshotError(f"{what} entries must be objects")
+    unknown = item.keys() - allowed
+    if unknown:
+        return SnapshotError(f"unknown {what} fields {sorted(unknown)}")
+    return SnapshotError(f"missing {what} fields {sorted(allowed - item.keys())}")

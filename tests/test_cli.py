@@ -192,6 +192,12 @@ def _mined_stoplight_text() -> str:
     return store.dumps()
 
 
+# an event of the mined stoplight snapshot: its time span is a fuzz target
+_STOPLIGHT_EVENT = next(
+    t["id"] for t in json.loads(_mined_stoplight_text())["things"] if t["kind"] == "event"
+)
+
+
 def _value_paths(value, path=()):
     yield path
     if isinstance(value, dict):
@@ -208,8 +214,9 @@ def _value_paths(value, path=()):
 @given(st.data())
 def test_fuzzed_snapshot_loads_or_fails_cleanly(data):
     """One JSON value anywhere in a mined snapshot is replaced: loading
-    returns or raises SnapshotError, and mine exits 0 or 1 with a
-    scenamine: line, never a traceback."""
+    returns or raises SnapshotError, and mine, a window query and
+    timespan_of each exit 0 or 1 with a scenamine: line, never a
+    traceback."""
     body = json.loads(_mined_stoplight_text())
     path = data.draw(st.sampled_from(list(_value_paths(body))))
     replacement = data.draw(_JSON_VALUES)
@@ -229,12 +236,17 @@ def test_fuzzed_snapshot_loads_or_fails_cleanly(data):
         snapshot = os.path.join(tmp, "snap.json")
         with open(snapshot, "w", encoding="utf-8") as fp:
             fp.write(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["mine", "--snapshot", snapshot])
-    assert code in (0, 1)
-    if code == 1:
-        assert err.getvalue().startswith("scenamine:")
+        for argv in (
+            ["mine", "--snapshot", snapshot],
+            ["query", "--snapshot", snapshot, "events_at", "--time", "0:10"],
+            ["query", "--snapshot", snapshot, "timespan_of", str(_STOPLIGHT_EVENT)],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), argv
+            if code == 1:
+                assert err.getvalue().startswith("scenamine:"), argv
 
 
 def _stoplight_snapshot(tmp_path):
@@ -698,6 +710,17 @@ def test_query_rejects_filter_flags_the_function_does_not_take(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"scenamine: {name} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, entry in queries.REGISTRY.items() if entry[1] is None))
+def test_query_window_function_rejects_a_thing_argument(tmp_path, capsys, name):
+    snapshot = _write(tmp_path / "snap.json", _mined_stoplight_text())
+    assert main(["query", "--snapshot", snapshot, name, "12345"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"scenamine: {name} does not take a thing argument; give a window with --time\n"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(n for n, names in _FILTERS_OF.items() if names))

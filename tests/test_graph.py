@@ -402,11 +402,42 @@ _ACTOR_AND_PROCESS = [_node(1, "actor"), _node(2, "process")]
         (_snapshot(_ACTOR_AND_PROCESS, [{"kind": ["is"], "from": 1, "to": 2}]), "edge kind ['is'] is not a string"),
         (_snapshot(_ACTOR_AND_PROCESS, [{"kind": "has", "from": 2, "to": 1, "role": 5}]), "edge role 5 is not a string"),
         (_snapshot(_ACTOR_AND_PROCESS, [{"kind": "has", "from": 2, "to": 1, "role": ""}]), "has edge 2 -> 1 needs a role name"),
+        (_snapshot([], times=[{"id": 1, "intervals": [["a", "b"]]}]), "bad intervals for 1: ['a', 'b'] is not a pair of integers"),
+        (_snapshot([], times=[{"id": 1, "intervals": [[True, 2]]}]), "bad intervals for 1: [True, 2] is not a pair of integers"),
+        (_snapshot([], times=[{"id": 1, "intervals": [[0.5, 1.5]]}]), "bad intervals for 1: [0.5, 1.5] is not a pair of integers"),
     ],
 )
 def test_load_rejects_malformed_values_naming_them(body, fault):
     with pytest.raises(SnapshotError, match=re.escape(fault)):
         GraphStore.loads(body)
+
+
+def test_load_builds_every_thing_and_edge_through_the_checked_path(monkeypatch):
+    """A load calls ``_put_thing`` once per thing and ``add_edge`` once per
+    edge, so no entry skips the checks live construction makes."""
+    dumped = _random_store(random.Random(7), nodes=200).dumps()
+    raw = json.loads(dumped)
+    calls = {"_put_thing": 0, "add_edge": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _original=getattr(GraphStore, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(GraphStore, name, counted)
+    GraphStore.loads(dumped)
+    assert calls == {"_put_thing": len(raw["things"]), "add_edge": len(raw["edges"])}
+
+
+def test_edge_is_an_immutable_value():
+    edge = Edge(kind="is", src=1, dst=2)
+    assert (edge.role, edge.set_kind, edge.order) == (None, None, None)
+    same = Edge("is", 1, 2)
+    assert edge == same and hash(edge) == hash(same) and len({edge, same}) == 1
+    assert edge != Edge("is", 1, 2, role="r")
+    with pytest.raises(AttributeError):
+        edge.src = 3
+    store = _random_store(random.Random(11), nodes=100)
+    assert GraphStore.loads(store.dumps()).edges() == store.edges()
 
 
 def test_load_rejects_seq_members_out_of_order():
