@@ -23,7 +23,11 @@ edges through the same checks as live construction, so a snapshot must
 list each node's seq members in order (as ``dumps`` writes them), a
 repeated edge is a no-op, every tick is an integer, and any fault raises
 ``SnapshotError`` naming it.  A load checks each item once, so its cost
-is linear in things + edges + intervals.
+is linear in things + edges + intervals.  An edge carries only the fields
+of its kind (a ``has`` role, a ``member`` set kind, a ``seq`` order).
+A thing whose properties name an ``origin`` is mined; ``drop_mined``
+removes those with their edges and time spans and replays the rest, as a
+load does, so the next ids handed out are the ones mining took before.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 KINDS = frozenset(
     {
@@ -163,18 +167,6 @@ class WeightedSet:
     def weight(self, member: int) -> float | None:
         return self._weights.get(member)
 
-    def union(self, other: "WeightedSet") -> "WeightedSet":
-        merged = dict(self._weights)
-        for m, w in other._weights.items():
-            merged[m] = max(merged.get(m, 0.0), w)
-        return WeightedSet(sorted(merged.items()))
-
-    def intersect(self, other: "WeightedSet") -> "WeightedSet":
-        theirs = other._weights
-        return WeightedSet(
-            sorted((m, min(w, theirs[m])) for m, w in self._weights.items() if m in theirs)
-        )
-
     def __contains__(self, member: int) -> bool:
         return member in self._weights
 
@@ -220,6 +212,7 @@ class GraphStore:
         self._edge_set: set[Edge] = set()
         self._by_name: dict[tuple[str, str], list[int]] = {}
         self._seq: dict[int, list[int]] = {}  # each node's seq members in order
+        self._mined: set[int] = set()  # things whose properties name an origin
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
         self._is: dict | None = None  # direction -> {thing: its is endpoints}
@@ -260,6 +253,8 @@ class GraphStore:
         self._in[thing_id] = []
         if name is not None:
             self._by_name.setdefault((kind, name), []).append(thing_id)
+        if "origin" in properties:
+            self._mined.add(thing_id)
 
     def _attach_times(self, thing_id: int, times: TimeSpec) -> None:
         spec_id = self._next_id
@@ -288,6 +283,9 @@ class GraphStore:
                 seq = self._seq.setdefault(edge.src, [])
                 if edge.order is None:
                     edge = edge._replace(order=len(seq))
+        if (edge.role is not None and edge.kind != "has" or edge.order is not None and seq is None
+                or edge.set_kind is not None and edge.kind != "member"):
+            raise GraphError(f"{edge} carries a field its kind does not")
         if edge in self._edge_set:
             return
         if seq is not None and edge.order != len(seq):
@@ -306,16 +304,37 @@ class GraphStore:
         return list(self._by_name.get((kind, name), []))
 
     def find_or_create(
-        self,
-        kind: str,
-        name: str,
-        properties: dict | None = None,
-        times: TimeSpec | None = None,
+        self, kind: str, name: str, properties: dict | None = None
     ) -> tuple[int, bool]:
+        """The first thing of this kind and name, else one made with these properties."""
         existing = self._by_name.get((kind, name))
         if existing:
             return existing[0], False
-        return self.add_thing(kind, name, properties, times), True
+        return self.add_thing(kind, name, properties), True
+
+    def drop_mined(self) -> None:
+        """Remove every mined thing with each edge that touches it and its
+        time spans, replaying the rest through ``_put_thing`` and
+        ``add_edge`` as ``loads`` does; seq orders close up over what is
+        gone.  Without mined things, nothing changes."""
+        mined = self._mined
+        if not mined:
+            return
+        things = [t for t in self.things() if t.id not in mined]
+        edges = [e for e in self.edges() if e.src not in mined and e.dst not in mined]
+        dropped = {e.dst for m in mined for e in self._out[m] if e.kind == "times"}
+        dropped -= {e.dst for e in edges if e.kind == "times"}
+        times = {i: span for i, span in self._times.items() if i not in dropped}
+        GraphStore.__init__(self)
+        self._times.update(times)
+        for t in things:
+            self._put_thing(t.id, t.kind, t.name, t.properties)
+        for e in edges:
+            self.add_edge(e if e.order is None else e._replace(order=None))
+        self._next_id = self._first_free_id()
+
+    def _first_free_id(self) -> int:
+        return max([*self._things, *self._times], default=0) + 1
 
     # -- access -------------------------------------------------------
 
@@ -454,9 +473,6 @@ class GraphStore:
             separators=(",", ":"),
         )
 
-    def save(self, fp: IO[str]) -> None:
-        fp.write(self.dumps())
-
     @classmethod
     def loads(cls, data: str) -> "GraphStore":
         try:
@@ -534,13 +550,8 @@ class GraphStore:
         for event in store._by_kind.get("event", ()):
             if not store.times_of(event.id):
                 raise SnapshotError(f"event {event.id} has no time span")
-        used = list(store._things) + list(store._times)
-        store._next_id = max(used, default=0) + 1
+        store._next_id = store._first_free_id()
         return store
-
-    @classmethod
-    def load(cls, fp: IO[str]) -> "GraphStore":
-        return cls.loads(fp.read())
 
 
 # The fields of each snapshot entry.  An edge's fields depend on its shape:

@@ -313,8 +313,10 @@ def extract_events(
     Each event inherits from the definition's appearance, carries the
     document time, source and the filled-in pattern text, and one role
     edge per variable binding to an actor reused or created under the
-    binding's normalized value.
+    binding's normalized value.  A mined layer is dropped first, so no
+    extracted edge points into it.
     """
+    store.drop_mined()
     created: list[int] = []
     tokens = tokenize(doc.text)
     for definition in definitions:

@@ -3,10 +3,12 @@
 The pipeline runs role scoping, actor differentiation, appearance
 unification, event clustering, situation unification, coincidence
 chaining, scenario unification, fork detection and trigger
-differentiation, in that order.  Mined nodes are written back into the
-graph under content-derived keys, so running the pipeline again over the
-same graph finds what it built before instead of duplicating it, and the
-report it produces is identical.
+differentiation, in that order.  Mining is a function of the extracted
+layer alone: ``run_pipeline`` first drops every node an earlier run built
+(``GraphStore.drop_mined``), and each stage then only creates nodes, each
+tagged with the ``origin`` stage; nothing mined is looked up and reused.
+So mining a graph again, with any settings and after any new events,
+gives the report and graph that one run over its events gives.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ class LiftedProcess:
     process: int
     coincidences: list[int]
     lifted: list[tuple[int, int]]  # (coincidence, situation) steps in order
-
-    @property
-    def sequence(self) -> list[int]:
-        return [s for _, s in self.lifted]
 
 
 @dataclass
@@ -183,10 +181,6 @@ def _event_bindings(store: GraphStore, event_id: int) -> list[tuple[str, int]]:
     )
 
 
-def _count_origin(store: GraphStore, kind: str, origin: str) -> int:
-    return sum(1 for t in store.things(kind) if t.properties.get("origin") == origin)
-
-
 class _UnionFind:
     def __init__(self, items):
         self.parent = {i: i for i in items}
@@ -224,20 +218,17 @@ def scope_roles(store: GraphStore) -> dict[str, int]:
     members = 0
     for (app, role) in sorted(domains):
         actors = sorted(domains[(app, role)])
-        set_id, _ = store.find_or_create(
+        set_id = store.add_thing(
             "generic",
             f"domain:{app}:{role}",
             properties={"origin": "scope_roles", "role": role},
         )
-        role_id, _ = store.find_or_create("role", role)
+        role_id, _ = store.find_or_create("role", role, {"origin": "scope_roles"})
         store.add_edge(Edge("has", role_id, set_id, role="domain"))
         for actor in actors:
             store.add_edge(Edge("member", set_id, actor, set_kind="any"))
         members += len(actors)
-    return {
-        "domains": _count_origin(store, "generic", "scope_roles"),
-        "members": members,
-    }
+    return {"domains": len(domains), "members": members}
 
 
 # -- stage 2: actor differentiation -------------------------------------------
@@ -330,22 +321,24 @@ def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, in
                     var_domains.append((var, col))
             pattern = children[0] if len(children) == 1 else pat.SeqSet(tuple(children))
             name = pat.render_pattern(pattern)
-            app_id, created = store.find_or_create(
+            app_id, _ = store.find_or_create(
                 "appearance",
                 name,
                 properties={"origin": "unify_appearances", "pattern": name},
             )
             for var, values in var_domains:
-                role_id, _ = store.find_or_create("role", var)
+                role_id, _ = store.find_or_create("role", var, {"origin": "unify_appearances"})
                 store.add_edge(Edge("has", app_id, role_id, role=var))
-                dom_id, _ = store.find_or_create(
+                dom_id = store.add_thing(
                     "generic",
                     f"domain:{app_id}:{var}",
                     properties={"origin": "unify_appearances", "role": var},
                 )
                 store.add_edge(Edge("has", role_id, dom_id, role="domain"))
                 for value in values:
-                    actor_id, _ = store.find_or_create("actor", value)
+                    actor_id, _ = store.find_or_create(
+                        "actor", value, {"origin": "unify_appearances"}
+                    )
                     store.add_edge(Edge("member", dom_id, actor_id, set_kind="any"))
             for event_id in component:
                 for specific in _direct_appearances(store, event_id):
@@ -387,7 +380,7 @@ def cluster_events(store: GraphStore, window: int) -> dict[str, int]:
     for component in uf.groups():
         key = ",".join(str(e) for e in component)
         span = TimeSpec(tuple(p for e in component for p in times[e].intervals))
-        cid, created = store.find_or_create(
+        cid = store.add_thing(
             "coincidence",
             f"c[{key}]",
             properties={"origin": "cluster_events", "key": key},
@@ -455,16 +448,11 @@ def unify_situations(store: GraphStore, min_support: int) -> dict[str, int]:
     ``MAX_SITUATIONS`` raise ``ValueError`` before any is built."""
     itemsets = _coincidence_itemsets(store)
     closed = _closed_itemsets([items for _, items in itemsets], min_support)
-    known = {t.properties.get("key"): t.id for t in reversed(store.things("situation"))}
     for s in sorted(closed, key=lambda s: (len(s), sorted(s))):
         ids = sorted(s)
         key = ",".join(str(i) for i in ids)
-        sid = known.get(key)
-        if sid is None:
-            label = "{" + ", ".join(sorted(store.thing(i).name or str(i) for i in ids)) + "}"
-            sid = store.add_thing(
-                "situation", label, {"origin": "unify_situations", "key": key}
-            )
+        label = "{" + ", ".join(sorted(store.thing(i).name or str(i) for i in ids)) + "}"
+        sid = store.add_thing("situation", label, {"origin": "unify_situations", "key": key})
         for i in ids:
             store.add_edge(Edge("member", sid, i, set_kind="and"))
         for r in closed[s]:
@@ -557,12 +545,11 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
             chains.extend(p for p in paths_from(cid) if len(p) >= 2)
     for path in sorted(chains):
         key = ",".join(str(c) for c in path)
-        pid, created = store.find_or_create(
+        pid = store.add_thing(
             "process", f"p[{key}]", properties={"origin": "chain_coincidences", "key": key}
         )
-        if created:
-            for cid in path:
-                store.add_edge(Edge("member", pid, cid, set_kind="seq"))
+        for cid in path:
+            store.add_edge(Edge("member", pid, cid, set_kind="seq"))
     return {"processes": len(store.things("process"))}
 
 
@@ -584,7 +571,6 @@ def unify_scenarios(
     rank: dict[int, tuple[int, int, int]] = {
         t.id: _situation_rank(store, t.id) for t in store.things("situation")
     }
-    known = {t.properties.get("key"): t.id for t in reversed(store.things("scenario"))}
     root = TreeNode(None)
     lifted_all: dict[int, LiftedProcess] = {}
     for proc in store.things("process"):
@@ -611,14 +597,12 @@ def unify_scenarios(
             full = path + [sid]
             scenarios.append((full, len(child.processes)))
             key = ",".join(str(s) for s in full)
-            scenario_id = known.get(key)
-            if scenario_id is None:
-                label = " -> ".join(store.thing(s).name or str(s) for s in full)
-                scenario_id = store.add_thing(
-                    "scenario", label, {"origin": "unify_scenarios", "key": key}
-                )
-                for s in full:
-                    store.add_edge(Edge("member", scenario_id, s, set_kind="seq"))
+            label = " -> ".join(store.thing(s).name or str(s) for s in full)
+            scenario_id = store.add_thing(
+                "scenario", label, {"origin": "unify_scenarios", "key": key}
+            )
+            for s in full:
+                store.add_edge(Edge("member", scenario_id, s, set_kind="seq"))
             for pid in child.processes:
                 store.add_edge(Edge("is", pid, scenario_id))
             materialize(child, full)
@@ -723,12 +707,14 @@ def differentiate_triggers(
 
 
 def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> MiningReport:
-    """Run all nine analyses in order and aggregate the results.
+    """Drop what an earlier run mined, run all nine analyses in order and
+    aggregate the results.
 
     A failing stage aborts the run with a MiningStageError naming it.
     """
     cfg = config or MiningConfig()
     cfg.validate()
+    store.drop_mined()
     stages: dict[str, dict[str, int]] = {}
 
     def run(name: str, fn, *args):
@@ -742,7 +728,7 @@ def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> Minin
     stages["differentiate_actors"] = {"rows": len(rows)}
     made = run("unify_appearances", unify_appearances, store, cfg.min_support)
     stages["unify_appearances"] = {
-        "generalizations": _count_origin(store, "appearance", "unify_appearances"),
+        "generalizations": len(made),
         "covered_events": sum(n for _, n in made),
     }
     stages["cluster_events"] = run(

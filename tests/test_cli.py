@@ -132,6 +132,28 @@ def test_mine_twice_is_byte_identical(tmp_path, capsys):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["--min-support", "51"], ["--min-support", "51", "--window", "3"]),
+        (["--min-support", "51"], ["--min-support", "30"]),
+        (["--min-support", "51", "--window", "3"], ["--min-support", "51"]),
+    ],
+)
+def test_mining_a_mined_snapshot_equals_mining_the_extracted_one(tmp_path, capsys, first, second):
+    """mine rewrites its snapshot; mining that again with other settings
+    gives the report and snapshot bytes of one mine of the extraction."""
+    extracted = _extract(tmp_path, CROSSWALK_DEFINITIONS, crosswalk_corpus_text())
+    fresh = _write(tmp_path / "fresh.json", open(extracted, encoding="utf-8").read())
+    out_again, out_fresh = str(tmp_path / "again.json"), str(tmp_path / "fresh-report.json")
+    assert main(["mine", "--snapshot", extracted, *first]) == 0
+    assert main(["mine", "--snapshot", extracted, "--out", out_again, *second]) == 0
+    assert main(["mine", "--snapshot", fresh, "--out", out_fresh, *second]) == 0
+    capsys.readouterr()
+    assert open(out_again, "rb").read() == open(out_fresh, "rb").read()
+    assert open(extracted, "rb").read() == open(fresh, "rb").read()
+
+
 def test_mine_missing_snapshot_exits_two(tmp_path, capsys):
     assert main(["mine", "--snapshot", str(tmp_path / "none.json")]) == 2
 
@@ -778,3 +800,47 @@ def test_fuzzed_corpus_line_extracts_or_fails_cleanly(data):
     assert code in (0, 1, 2)
     if code != 0:
         assert err.getvalue().startswith("scenamine:")
+
+
+# edge values for a flag: not numbers, out of range, huge, empty, a reversed
+# window, a NUL, and a few that a flag takes
+_FLAG_VALUES = [
+    "nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e9", "1000000000",
+    "", "3:1", "1:4", "\x00", "color", "red",
+]
+_MINING_FLAGS = ["--min-support", "--fork-epsilon", "--trigger-min-shift", "--window", "--max-gap"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_flags_exit_cleanly(data):
+    """mine with one to three mining flags, or a query with up to two
+    filter flags and maybe an argument, each set to an edge value: the
+    command exits 0, 1 or 2, and a failure is one message, never a
+    traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = os.path.join(tmp, "snap.json")
+        with open(snapshot, "w", encoding="utf-8") as fp:
+            fp.write(_mined_stoplight_text())
+        if data.draw(st.booleans()):
+            argv = ["mine", "--snapshot", snapshot]
+            flags = data.draw(st.lists(st.sampled_from(_MINING_FLAGS), min_size=1, max_size=3, unique=True))
+        else:
+            argv = ["query", "--snapshot", snapshot, data.draw(st.sampled_from(sorted(_FILTERS_OF)))]
+            argument = data.draw(st.none() | st.sampled_from(_FLAG_VALUES))
+            if argument is not None:
+                argv.append(argument)
+            flags = data.draw(
+                st.lists(st.sampled_from([f for f, _, _ in _FILTER_FLAGS.values()]), max_size=2, unique=True)
+            )
+        for flag in flags:
+            argv += [flag, data.draw(st.sampled_from(_FLAG_VALUES))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value its type cannot read
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    if code != 0:
+        assert err.getvalue().startswith(("scenamine:", "usage:")), argv

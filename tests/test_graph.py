@@ -1,6 +1,5 @@
 """Graph store: nodes, edges, time spans, persistence."""
 
-import io
 import json
 import random
 import re
@@ -236,13 +235,6 @@ def test_weighted_set_bounds_and_dedup():
         WeightedSet([(1, 1.5)])
 
 
-def test_weighted_set_algebra():
-    a = WeightedSet([(1, 0.4), (2, 1.0)])
-    b = WeightedSet([(2, 0.3), (3, 0.8)])
-    assert a.union(b).pairs() == [(1, 0.4), (2, 1.0), (3, 0.8)]
-    assert a.intersect(b).pairs() == [(2, 0.3)]
-
-
 # -- persistence -----------------------------------------------------------------
 
 
@@ -361,14 +353,6 @@ def test_things_of_kind_in_id_order_after_shuffled_load():
     assert store.things("process") == []
 
 
-def test_save_to_stream():
-    store = GraphStore()
-    store.add_thing("actor", "x")
-    buf = io.StringIO()
-    store.save(buf)
-    assert GraphStore.loads(buf.getvalue()).things()[0].name == "x"
-
-
 def _snapshot(things, edges=(), times=()) -> str:
     return json.dumps({"things": things, "edges": list(edges), "times": list(times)})
 
@@ -468,3 +452,91 @@ def test_has_edge_role_must_be_nonempty_string(role):
     b = store.add_thing("generic")
     with pytest.raises(GraphError, match="needs a role name"):
         store.add_edge(Edge("has", a, b, role=role))
+
+
+# -- edge fields -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "member", "role": "r", "set_kind": "and"},
+        {"kind": "is", "role": "q", "order": 4},
+        {"kind": "is", "role": "q"},
+        {"kind": "has", "role": "r", "set_kind": "any"},
+        {"kind": "member", "set_kind": "any", "order": 0},
+    ],
+)
+def test_edge_with_a_field_its_kind_does_not_carry_raises(fields):
+    """A role off ``has``, a set kind off ``member`` or an order off a seq
+    member would be dropped by ``dumps``, so ``add_edge`` refuses it, and
+    the live edges and their loaded copy stay equal."""
+    store = GraphStore()
+    a, b = store.add_thing("generic"), store.add_thing("generic")
+    store.add_edge(Edge("is", a, b))
+    with pytest.raises(GraphError, match="carries a field its kind does not"):
+        store.add_edge(Edge(src=a, dst=b, **fields))
+    assert store.edges() == [Edge("is", a, b)]
+    assert GraphStore.loads(store.dumps()).edges() == store.edges()
+
+
+# -- dropping the mined layer ------------------------------------------------------
+
+
+def test_drop_mined_on_a_never_mined_store_changes_nothing():
+    store = _random_store(random.Random(5), nodes=100)
+    before = (store.dumps(), store._next_id)
+    store.drop_mined()
+    assert (store.dumps(), store._next_id) == before
+    assert store.add_thing("generic") == before[1]
+
+
+def test_drop_mined_removes_mined_things_edges_and_spans():
+    """What is left equals the store built without the mined things, seq
+    orders close up over a dropped member, and ids are handed out again
+    from the largest kept one."""
+
+    def build(mined: bool) -> GraphStore:
+        store = GraphStore()
+        app = store.add_thing("appearance", "a")
+        events = [store.add_thing("event", times=TimeSpec.point(t)) for t in (1, 2)]
+        process = store.add_thing("process", "p")
+        if mined:
+            coin = store.add_thing(
+                "coincidence", "c", {"origin": "cluster_events"}, times=TimeSpec.point(1)
+            )
+            sit = store.add_thing("situation", "s", {"origin": "unify_situations"})
+            store.add_edge(Edge("member", coin, events[0], set_kind="and"))
+            store.add_edge(Edge("is", coin, sit))
+            store.add_edge(Edge("member", sit, app, set_kind="and"))
+        store.add_edge(Edge("member", process, events[0], set_kind="seq"))
+        if mined:
+            store.add_edge(Edge("member", process, coin, set_kind="seq"))
+        store.add_edge(Edge("member", process, events[1], set_kind="seq"))
+        for event in events:
+            store.add_edge(Edge("is", event, app))
+        return store
+
+    store, expected = build(mined=True), build(mined=False)
+    store.drop_mined()
+    assert store.dumps() == expected.dumps()
+    assert store.edges() == expected.edges()
+    assert store.things("coincidence") == store.things("situation") == []
+    assert store.alive(0, 10) == expected.alive(0, 10)
+    assert store.add_thing("generic") == expected.add_thing("generic")
+
+
+def test_drop_mined_keeps_a_time_span_a_kept_thing_shares():
+    body = _snapshot(
+        [
+            _node(1, "event"),
+            _node(2, "coincidence", properties={"origin": "cluster_events"}),
+        ],
+        [{"kind": "times", "from": 1, "to": 3}, {"kind": "times", "from": 2, "to": 3}],
+        [{"id": 3, "intervals": [[5, 5]]}],
+    )
+    store = GraphStore.loads(body)
+    store.drop_mined()
+    assert [t.id for t in store.things()] == [1]
+    assert store.times_of(1) == TimeSpec.point(5)
+    assert store.add_thing("generic") == 4

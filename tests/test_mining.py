@@ -1,11 +1,21 @@
 """Mining stages against worked examples and brute-force oracles."""
 
+import functools
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import add_coincidence, add_event
+from helpers import (
+    CROSSWALK_DEFINITIONS,
+    CROSSWALK_MIN_SUPPORT,
+    add_coincidence,
+    add_event,
+    crosswalk_documents,
+)
 from oracles import (
     brute_maximal_chains,
     frequent_prefixes,
@@ -654,7 +664,7 @@ def test_lifting_picks_most_specific_situation():
     process = store.add_thing("process", "p")
     store.add_edge(Edge("member", process, coin, set_kind="seq"))
     model, _ = unify_scenarios(store, 1)
-    assert model.lifted[process].sequence == [big]
+    assert [s for _, s in model.lifted[process].lifted] == [big]
 
 
 def test_unlifted_coincidences_are_skipped():
@@ -671,7 +681,7 @@ def test_unlifted_coincidences_are_skipped():
     for c in (c1, c2, c3):
         store.add_edge(Edge("member", process, c, set_kind="seq"))
     model, _ = unify_scenarios(store, 1)
-    assert model.lifted[process].sequence == [sit, sit]
+    assert [s for _, s in model.lifted[process].lifted] == [sit, sit]
 
 
 # -- fork detection -------------------------------------------------------------
@@ -835,6 +845,100 @@ def test_pipeline_is_idempotent():
     assert len(store.edges()) == edge_count
     assert first.stages == second.stages
     assert first.to_json_dict(store) == second.to_json_dict(store)
+
+
+def _report_and_snapshot(store, cfg) -> tuple[str, str]:
+    report = run_pipeline(store, cfg)
+    return json.dumps(report.to_json_dict(store), sort_keys=True), store.dumps()
+
+
+@functools.cache
+def _crosswalk_docs() -> list[Document]:
+    return [Document(d["text"], d["source"], d["time"]) for d in crosswalk_documents()]
+
+
+@functools.cache
+def _crosswalk_mined_at_once() -> tuple[str, str]:
+    store = GraphStore()
+    defs = parse_definitions(CROSSWALK_DEFINITIONS)
+    for doc in _crosswalk_docs():
+        extract_events(store, defs, doc)
+    return _report_and_snapshot(store, MiningConfig(min_support=CROSSWALK_MIN_SUPPORT))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, len(_crosswalk_docs())))
+def test_mining_again_after_new_events_equals_mining_them_all(cut):
+    """Extract the crosswalk corpus up to a cut, mine, extract the rest and
+    mine again: the report and the snapshot equal one mine over it all."""
+    store = GraphStore()
+    defs = parse_definitions(CROSSWALK_DEFINITIONS)
+    cfg = MiningConfig(min_support=CROSSWALK_MIN_SUPPORT)
+    docs = _crosswalk_docs()
+    for doc in docs[:cut]:
+        extract_events(store, defs, doc)
+    run_pipeline(store, cfg)
+    for doc in docs[cut:]:
+        extract_events(store, defs, doc)
+    assert _report_and_snapshot(store, cfg) == _crosswalk_mined_at_once()
+
+
+def test_extraction_after_mining_never_binds_a_mined_actor():
+    """unify_appearances creates actors for column values; a later event
+    bound to the same value gets an extracted actor, as it would without
+    the earlier mine."""
+    defs = parse_definitions(
+        'There name lamp-red patterns "lamp turned red". '
+        'There name lamp-green patterns "lamp turned green". '
+        'There name stoplight patterns "light turned $color", has color.'
+    )
+    first = [Document(f"lamp turned {c}", "cam", t) for t, c in enumerate(["red", "green"] * 2)]
+    later = [Document("light turned red", "cam", 9), Document("light turned red", "cam", 12)]
+    cfg = MiningConfig()
+    store = GraphStore()
+    for doc in first:
+        extract_events(store, defs, doc)
+    run_pipeline(store, cfg)
+    mined_actors = [t for t in store.things("actor") if "origin" in t.properties]
+    assert sorted(t.name for t in mined_actors) == ["green", "red"]
+    for doc in later:
+        extract_events(store, defs, doc)
+    (red,) = [t for t in store.things("actor") if t.name == "red"]
+    assert "origin" not in red.properties
+    fresh = GraphStore()
+    for doc in first + later:
+        extract_events(fresh, defs, doc)
+    assert _report_and_snapshot(store, cfg) == _report_and_snapshot(fresh, cfg)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (MiningConfig(min_support=3, fork_epsilon=0.5), MiningConfig(coincidence_window=3)),
+        (MiningConfig(coincidence_window=3), MiningConfig(min_support=3, fork_epsilon=0.5)),
+        (MiningConfig(min_support=5), MiningConfig(min_support=2, chain_max_gap=3)),
+    ],
+)
+def test_mining_again_with_other_settings_equals_mining_once(first, second):
+    store, fresh = _toy_window_store(), _toy_window_store()
+    run_pipeline(store, first)
+    assert _report_and_snapshot(store, second) == _report_and_snapshot(fresh, second)
+
+
+def test_a_role_mining_creates_is_dropped_with_the_mined_layer():
+    """An event bound under a role with no role thing: scope_roles makes
+    one, and a second mine drops and remakes it with the same ids."""
+    store = GraphStore()
+    actor = store.add_thing("actor", "a")
+    app = store.add_thing("appearance", "x")
+    for tick in (0, 1, 5, 6):
+        event = store.add_thing("event", times=TimeSpec.point(tick))
+        store.add_edge(Edge("is", event, app))
+        store.add_edge(Edge("has", event, actor, role="r"))
+    first = _report_and_snapshot(store, MiningConfig())
+    (role,) = store.things("role")
+    assert role.properties == {"origin": "scope_roles"}
+    assert _report_and_snapshot(store, MiningConfig()) == first
 
 
 def test_stage_failure_names_stage():
