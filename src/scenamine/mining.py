@@ -8,7 +8,9 @@ layer alone: ``run_pipeline`` first drops every node an earlier run built
 (``GraphStore.drop_mined``), and each stage then only creates nodes, each
 tagged with the ``origin`` stage; nothing mined is looked up and reused.
 So mining a graph again, with any settings and after any new events,
-gives the report and graph that one run over its events gives.
+gives the report and graph that one run over its events gives.  Stages
+write only what a query, a later stage or the report reads: role scoping
+and actor differentiation write nothing.
 """
 
 from __future__ import annotations
@@ -206,29 +208,17 @@ class _UnionFind:
 # -- stage 1: role scoping ---------------------------------------------------
 
 
-def scope_roles(store: GraphStore) -> dict[str, int]:
-    """Build the alternative-actor domain of every (appearance, role) pair
-    seen across that appearance's events."""
+def scope_roles(store: GraphStore) -> dict[tuple[int, str], list[int]]:
+    """The alternative-actor domain of every (appearance, role) pair seen
+    across that appearance's events, as sorted actor ids; no node is
+    written."""
     domains: dict[tuple[int, str], set[int]] = {}
     for event in store.things("event"):
         bindings = _event_bindings(store, event.id)
         for app in _direct_appearances(store, event.id):
             for role, actor in bindings:
                 domains.setdefault((app, role), set()).add(actor)
-    members = 0
-    for (app, role) in sorted(domains):
-        actors = sorted(domains[(app, role)])
-        set_id = store.add_thing(
-            "generic",
-            f"domain:{app}:{role}",
-            properties={"origin": "scope_roles", "role": role},
-        )
-        role_id, _ = store.find_or_create("role", role, {"origin": "scope_roles"})
-        store.add_edge(Edge("has", role_id, set_id, role="domain"))
-        for actor in actors:
-            store.add_edge(Edge("member", set_id, actor, set_kind="any"))
-        members += len(actors)
-    return {"domains": len(domains), "members": members}
+    return {pair: sorted(domains[pair]) for pair in sorted(domains)}
 
 
 # -- stage 2: actor differentiation -------------------------------------------
@@ -276,10 +266,15 @@ def differentiate_actors(
 # -- stage 3: appearance unification ------------------------------------------
 
 
-def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, int]]:
+def unify_appearances(
+    store: GraphStore, min_support: int
+) -> list[tuple[str, int, dict[str, list[str]]]]:
     """Anti-unify event texts of equal token length that share anchor
-    tokens; materialize each generalization covering enough events as an
-    abstract appearance with per-slot actor domains.
+    tokens; materialize each generalization covering enough events as a
+    new abstract appearance, with an ``x1``, ``x2``, ... role per slot and
+    an ``is`` edge to it from each appearance of its events.  Each item
+    returned is its name, the number of events it covers and each slot's
+    values.
 
     Two texts of one length are linked when some column holds the same
     token in both.  Instead of comparing every pair, each event is joined
@@ -295,7 +290,7 @@ def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, in
     by_len: dict[int, list[tuple[int, tuple[str, ...]]]] = {}
     for event_id, toks in texted:
         by_len.setdefault(len(toks), []).append((event_id, toks))
-    made: list[tuple[str, int]] = []
+    made: list[tuple[str, int, dict[str, list[str]]]] = []
     for length in sorted(by_len):
         group = by_len[length]
         seqs = dict(group)
@@ -311,40 +306,26 @@ def unify_appearances(store: GraphStore, min_support: int) -> list[tuple[str, in
             if not any(len(col) == 1 for col in columns):
                 continue  # nothing anchors the group
             children: list[pat.PatternNode] = []
-            var_domains: list[tuple[str, list[str]]] = []
+            slots: dict[str, list[str]] = {}
             for col in columns:
                 if len(col) == 1:
                     children.append(pat.Literal(col[0]))
                 else:
-                    var = f"x{len(var_domains) + 1}"
+                    var = f"x{len(slots) + 1}"
                     children.append(pat.Variable(var))
-                    var_domains.append((var, col))
+                    slots[var] = col
             pattern = children[0] if len(children) == 1 else pat.SeqSet(tuple(children))
             name = pat.render_pattern(pattern)
-            app_id, _ = store.find_or_create(
-                "appearance",
-                name,
-                properties={"origin": "unify_appearances", "pattern": name},
+            app_id = store.add_thing(
+                "appearance", name, {"origin": "unify_appearances", "pattern": name}
             )
-            for var, values in var_domains:
+            for var in slots:
                 role_id, _ = store.find_or_create("role", var, {"origin": "unify_appearances"})
                 store.add_edge(Edge("has", app_id, role_id, role=var))
-                dom_id = store.add_thing(
-                    "generic",
-                    f"domain:{app_id}:{var}",
-                    properties={"origin": "unify_appearances", "role": var},
-                )
-                store.add_edge(Edge("has", role_id, dom_id, role="domain"))
-                for value in values:
-                    actor_id, _ = store.find_or_create(
-                        "actor", value, {"origin": "unify_appearances"}
-                    )
-                    store.add_edge(Edge("member", dom_id, actor_id, set_kind="any"))
             for event_id in component:
                 for specific in _direct_appearances(store, event_id):
-                    if specific != app_id:
-                        store.add_edge(Edge("is", specific, app_id))
-            made.append((name, len(component)))
+                    store.add_edge(Edge("is", specific, app_id))
+            made.append((name, len(component), slots))
     return made
 
 
@@ -378,12 +359,11 @@ def cluster_events(store: GraphStore, window: int) -> dict[str, int]:
             run_event, run_end = event_id, end
     times = dict(events)
     for component in uf.groups():
-        key = ",".join(str(e) for e in component)
         span = TimeSpec(tuple(p for e in component for p in times[e].intervals))
         cid = store.add_thing(
             "coincidence",
-            f"c[{key}]",
-            properties={"origin": "cluster_events", "key": key},
+            f"c[{','.join(map(str, component))}]",
+            properties={"origin": "cluster_events"},
             times=span,
         )
         for event_id in component:
@@ -450,9 +430,8 @@ def unify_situations(store: GraphStore, min_support: int) -> dict[str, int]:
     closed = _closed_itemsets([items for _, items in itemsets], min_support)
     for s in sorted(closed, key=lambda s: (len(s), sorted(s))):
         ids = sorted(s)
-        key = ",".join(str(i) for i in ids)
         label = "{" + ", ".join(sorted(store.thing(i).name or str(i) for i in ids)) + "}"
-        sid = store.add_thing("situation", label, {"origin": "unify_situations", "key": key})
+        sid = store.add_thing("situation", label, {"origin": "unify_situations"})
         for i in ids:
             store.add_edge(Edge("member", sid, i, set_kind="and"))
         for r in closed[s]:
@@ -544,10 +523,8 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
         if cid not in has_pred:
             chains.extend(p for p in paths_from(cid) if len(p) >= 2)
     for path in sorted(chains):
-        key = ",".join(str(c) for c in path)
-        pid = store.add_thing(
-            "process", f"p[{key}]", properties={"origin": "chain_coincidences", "key": key}
-        )
+        name = f"p[{','.join(map(str, path))}]"
+        pid = store.add_thing("process", name, {"origin": "chain_coincidences"})
         for cid in path:
             store.add_edge(Edge("member", pid, cid, set_kind="seq"))
     return {"processes": len(store.things("process"))}
@@ -596,11 +573,8 @@ def unify_scenarios(
                 continue
             full = path + [sid]
             scenarios.append((full, len(child.processes)))
-            key = ",".join(str(s) for s in full)
             label = " -> ".join(store.thing(s).name or str(s) for s in full)
-            scenario_id = store.add_thing(
-                "scenario", label, {"origin": "unify_scenarios", "key": key}
-            )
+            scenario_id = store.add_thing("scenario", label, {"origin": "unify_scenarios"})
             for s in full:
                 store.add_edge(Edge("member", scenario_id, s, set_kind="seq"))
             for pid in child.processes:
@@ -723,13 +697,17 @@ def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> Minin
         except Exception as exc:  # noqa: BLE001 - report which stage died
             raise MiningStageError(name, exc) from exc
 
-    stages["scope_roles"] = run("scope_roles", scope_roles, store)
+    domains = run("scope_roles", scope_roles, store)
+    stages["scope_roles"] = {
+        "domains": len(domains),
+        "members": sum(len(actors) for actors in domains.values()),
+    }
     rows, best = run("differentiate_actors", differentiate_actors, store)
     stages["differentiate_actors"] = {"rows": len(rows)}
     made = run("unify_appearances", unify_appearances, store, cfg.min_support)
     stages["unify_appearances"] = {
         "generalizations": len(made),
-        "covered_events": sum(n for _, n in made),
+        "covered_events": sum(n for _, n, _ in made),
     }
     stages["cluster_events"] = run(
         "cluster_events", cluster_events, store, cfg.coincidence_window

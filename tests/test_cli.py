@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,8 @@ SANCTIONS_DOC = (
     '{"time": 100, "source": "news://1", '
     '"text": "Obama forced the EU to impose sanctions against Russia"}\n'
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 STOPLIGHT_DEFS = (
     'There name stoplight patterns "light turned $color", has color.\n'
@@ -152,6 +155,26 @@ def test_mining_a_mined_snapshot_equals_mining_the_extracted_one(tmp_path, capsy
     capsys.readouterr()
     assert open(out_again, "rb").read() == open(out_fresh, "rb").read()
     assert open(extracted, "rb").read() == open(fresh, "rb").read()
+
+
+def test_mining_a_snapshot_with_domain_sets_equals_mining_its_extraction(tmp_path, capsys):
+    """The fixture is six "light turned red" documents after `scenamine run`
+    at commit 7c5b59c, whose mining still wrote domain sets and ``key``
+    properties: mining it again gives the bytes of a fresh extract and mine."""
+    text = (DATA / "stoplight-mined-with-domain-sets.json").read_text(encoding="utf-8")
+    assert '"kind":"generic"' in text and '"key":' in text
+    old = _write(tmp_path / "old.json", text)
+    corpus = "".join(
+        json.dumps({"time": t, "source": "cam", "text": "light turned red"}) + "\n"
+        for t in range(1, 7)
+    )
+    fresh = _extract(tmp_path, STOPLIGHT_DEFS, corpus)
+    out_old, out_fresh = str(tmp_path / "old-report.json"), str(tmp_path / "fresh-report.json")
+    assert main(["mine", "--snapshot", old, "--out", out_old]) == 0
+    assert main(["mine", "--snapshot", fresh, "--out", out_fresh]) == 0
+    capsys.readouterr()
+    assert open(out_old, "rb").read() == open(out_fresh, "rb").read()
+    assert open(old, "rb").read() == open(fresh, "rb").read()
 
 
 def test_mine_missing_snapshot_exits_two(tmp_path, capsys):

@@ -43,15 +43,6 @@ from scenamine.mining import (
 )
 
 
-def _domain_members(store, app_id, role):
-    hits = store.find_by_name("generic", f"domain:{app_id}:{role}")
-    if not hits:
-        return None
-    return sorted(
-        store.thing(m).name for m in store.member_children(hits[0], "any")
-    )
-
-
 # -- role scoping -------------------------------------------------------------
 
 
@@ -62,19 +53,23 @@ def test_scope_roles_stoplight():
     )
     for tick, color in enumerate(["red", "green", "yellow", "red"], start=1):
         extract_events(store, defs, Document(f"light turned {color}", "cam", tick))
-    stats = scope_roles(store)
+    extracted = store.dumps()
+    domains = scope_roles(store)
     (app,) = store.find_by_name("appearance", "stoplight")
-    assert _domain_members(store, app, "color") == ["green", "red", "yellow"]
-    assert stats["domains"] == 1
+    assert list(domains) == [(app, "color")]
+    assert sorted(store.thing(a).name for a in domains[(app, "color")]) == [
+        "green", "red", "yellow"
+    ]
+    assert store.dumps() == extracted  # role scoping writes nothing
 
 
 def test_scope_roles_singleton():
     store = GraphStore()
     defs = parse_definitions('There name x patterns "saw $who", has who.')
     extract_events(store, defs, Document("saw mary", "u", 1))
-    scope_roles(store)
     (app,) = store.find_by_name("appearance", "x")
-    assert _domain_members(store, app, "who") == ["mary"]
+    (mary,) = store.find_by_name("actor", "mary")
+    assert scope_roles(store) == {(app, "who"): [mary]}
 
 
 def test_scope_roles_matches_group_by_oracle():
@@ -90,10 +85,9 @@ def test_scope_roles_matches_group_by_oracle():
         add_event(store, app, n, actors=bound)
         for role, actor in bound.items():
             expected.setdefault((app, role), set()).add(actor)
-    scope_roles(store)
-    for (app, role), actor_ids in expected.items():
-        got = _domain_members(store, app, role)
-        assert got == sorted(store.thing(a).name for a in actor_ids)
+    assert scope_roles(store) == {
+        pair: sorted(actor_ids) for pair, actor_ids in sorted(expected.items())
+    }
 
 
 def test_scope_roles_idempotent():
@@ -179,9 +173,9 @@ def test_unify_appearances_pairwise():
     extract_events(store, defs, Document("john cleans window", "u", 1))
     extract_events(store, defs, Document("mary cleans window", "u", 2))
     made = unify_appearances(store, 2)
-    assert ("$x1 cleans window", 2) in made
+    assert made == [("$x1 cleans window", 2, {"x1": ["john", "mary"]})]
     (app,) = store.find_by_name("appearance", "$x1 cleans window")
-    assert _domain_members(store, app, "x1") == ["john", "mary"]
+    assert [store.thing(r).name for r in store.neighbor_ids(app, "has")] == ["x1"]
     (specific,) = store.find_by_name("appearance", "cleaning")
     assert app in [e.dst for e in store.out_edges(specific) if e.kind == "is"]
 
@@ -192,10 +186,15 @@ def test_unify_appearances_identical_events_keep_literal_shape():
     extract_events(store, defs, Document("ping", "u", 1))
     extract_events(store, defs, Document("ping", "u", 2))
     made = unify_appearances(store, 2)
-    assert made == [("ping", 2)]
-    # the generalization collapses onto the existing appearance, no self loop
-    (app,) = store.find_by_name("appearance", "ping")
-    assert all(e.dst != app for e in store.out_edges(app) if e.kind == "is")
+    assert made == [("ping", 2, {})]
+    # the generalization is a new appearance of the same name, no self loop
+    (extracted,) = [
+        a for a in store.find_by_name("appearance", "ping")
+        if "origin" not in store.thing(a).properties
+    ]
+    (general,) = [a for a in store.find_by_name("appearance", "ping") if a != extracted]
+    assert store.neighbor_ids(extracted, "is") == [general]
+    assert store.neighbor_ids(general, "is") == []
 
 
 def test_unify_appearances_cleaner_does_not_matter():
@@ -206,9 +205,7 @@ def test_unify_appearances_cleaner_does_not_matter():
     for tick, who in enumerate(["mother", "father", "service"], start=1):
         extract_events(store, defs, Document(f"{who} wipes the window", "u", tick))
     made = unify_appearances(store, 3)
-    assert ("$x1 wipes the window", 3) in made
-    (app,) = store.find_by_name("appearance", "$x1 wipes the window")
-    assert _domain_members(store, app, "x1") == ["father", "mother", "service"]
+    assert made == [("$x1 wipes the window", 3, {"x1": ["father", "mother", "service"]})]
 
 
 def test_unify_appearances_requires_anchor():
@@ -282,7 +279,7 @@ def test_unify_appearances_matches_pairwise_union_find():
         min_support = rng.randint(1, 4)
         made = unify_appearances(store, min_support)
         expected = _pairwise_generalizations(texts, min_support)
-        assert made == [(name, n) for name, n, _ in expected]
+        assert made == expected
         generalized = [
             t.name
             for t in store.things("appearance")
@@ -291,8 +288,8 @@ def test_unify_appearances_matches_pairwise_union_find():
         assert sorted(generalized) == sorted(name for name, _, _ in expected)
         for name, _, domains in expected:
             (gen,) = store.find_by_name("appearance", name)
-            for var, values in domains.items():
-                assert _domain_members(store, gen, var) == values
+            roles = store.neighbor_ids(gen, "has", node_kind="role")
+            assert [store.thing(r).name for r in roles] == list(domains)
 
 
 # -- event clustering ------------------------------------------------------------
@@ -883,10 +880,47 @@ def test_mining_again_after_new_events_equals_mining_them_all(cut):
     assert _report_and_snapshot(store, cfg) == _crosswalk_mined_at_once()
 
 
+def test_mined_snapshot_holds_no_domain_set_or_key():
+    _, snapshot = _crosswalk_mined_at_once()
+    things = json.loads(snapshot)["things"]
+    assert [t for t in things if t["kind"] == "generic" or "key" in t["properties"]] == []
+
+
+def _three_red_lights() -> list[Document]:
+    return [Document("light turned red", "cam", tick) for tick in (0, 10, 20)]
+
+
+@pytest.mark.parametrize(
+    "definitions, docs",
+    [
+        (
+            'There name "light turned red". '
+            'There name stoplight patterns "light turned $color", has color.',
+            _three_red_lights,
+        ),
+        (CROSSWALK_DEFINITIONS, _crosswalk_docs),
+    ],
+    ids=["generalization-named-like-an-appearance", "crosswalk"],
+)
+def test_dropping_the_mined_layer_gives_back_the_extracted_graph(definitions, docs):
+    """Mine, then drop what mining built: the extracted snapshot is back.
+    The generalization of three "light turned red" events renders the name
+    of an extracted appearance; it is still a new appearance, so no mined
+    ``is`` edge joins two extracted ones."""
+    store = GraphStore()
+    defs = parse_definitions(definitions)
+    for doc in docs():
+        extract_events(store, defs, doc)
+    extracted = store.dumps()
+    run_pipeline(store, MiningConfig())
+    store.drop_mined()
+    assert store.dumps() == extracted
+
+
 def test_extraction_after_mining_never_binds_a_mined_actor():
-    """unify_appearances creates actors for column values; a later event
-    bound to the same value gets an extracted actor, as it would without
-    the earlier mine."""
+    """Mining creates no actor, not even for the column values of a
+    generalization, so a later event bound to such a value gets an
+    extracted actor, as it would without the earlier mine."""
     defs = parse_definitions(
         'There name lamp-red patterns "lamp turned red". '
         'There name lamp-green patterns "lamp turned green". '
@@ -898,9 +932,9 @@ def test_extraction_after_mining_never_binds_a_mined_actor():
     store = GraphStore()
     for doc in first:
         extract_events(store, defs, doc)
+    actors = store.things("actor")
     run_pipeline(store, cfg)
-    mined_actors = [t for t in store.things("actor") if "origin" in t.properties]
-    assert sorted(t.name for t in mined_actors) == ["green", "red"]
+    assert store.things("actor") == actors
     for doc in later:
         extract_events(store, defs, doc)
     (red,) = [t for t in store.things("actor") if t.name == "red"]
@@ -926,8 +960,8 @@ def test_mining_again_with_other_settings_equals_mining_once(first, second):
 
 
 def test_a_role_mining_creates_is_dropped_with_the_mined_layer():
-    """An event bound under a role with no role thing: scope_roles makes
-    one, and a second mine drops and remakes it with the same ids."""
+    """An event bound under a role with no role thing: mining makes no
+    role for it, and a second mine gives the same bytes."""
     store = GraphStore()
     actor = store.add_thing("actor", "a")
     app = store.add_thing("appearance", "x")
@@ -936,8 +970,7 @@ def test_a_role_mining_creates_is_dropped_with_the_mined_layer():
         store.add_edge(Edge("is", event, app))
         store.add_edge(Edge("has", event, actor, role="r"))
     first = _report_and_snapshot(store, MiningConfig())
-    (role,) = store.things("role")
-    assert role.properties == {"origin": "scope_roles"}
+    assert store.things("role") == []
     assert _report_and_snapshot(store, MiningConfig()) == first
 
 
