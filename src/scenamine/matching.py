@@ -14,6 +14,11 @@ literal the candidate ends come straight from the positions of the
 literal's token.  So from each start a variable before a literal tries
 one span per later occurrence of that literal, not one per remaining
 token.
+
+Before any search, a pattern whose required literals (the token norms
+every match contains) a document lacks is skipped, and starts are tried
+only where one of the pattern's first tokens occurs, or everywhere when
+it can start with a variable.
 """
 
 from __future__ import annotations
@@ -119,7 +124,10 @@ class _Engine:
         self._memo: dict[tuple[int, int], list] = {}
         self._var_memo: dict[tuple[int, int, int], list] = {}
         self._and_memo: dict[int, dict[int, list]] = {}
-        self._positions: dict[str, list[int]] | None = None
+        # ascending token positions keyed by norm
+        self.positions: dict[str, list[int]] = {}
+        for k, token in enumerate(tokens):
+            self.positions.setdefault(token.norm, []).append(k)
 
     # Results are lists of (end_exclusive, bindings-dict); bindings map
     # variable name -> Binding and must agree on norm for repeated names.
@@ -179,7 +187,7 @@ class _Engine:
         type_ref = self.env.get(node.name.lower(), node.type_ref)
         if isinstance(follow, pat.Literal):
             # a literal can start exactly where its token occurs
-            positions = self._token_positions().get(follow.token.lower(), [])
+            positions = self.positions.get(follow.token.lower(), [])
             ends = positions[bisect_right(positions, i) :]
             follow = None
         else:
@@ -200,14 +208,6 @@ class _Engine:
             out.append((end, {node.name: binding}))
         self._var_memo[key] = out
         return out
-
-    def _token_positions(self) -> dict[str, list[int]]:
-        """Ascending token positions keyed by norm, built on first use."""
-        if self._positions is None:
-            self._positions = {}
-            for k, token in enumerate(self.tokens):
-                self._positions.setdefault(token.norm, []).append(k)
-        return self._positions
 
     def _and_matches(self, node: pat.AndSet) -> dict[int, list]:
         cached = self._and_memo.get(id(node))
@@ -264,10 +264,21 @@ def match_pattern(
     env: TypeEnv | None = None,
 ) -> list[Match]:
     """All matches of a pattern over the tokens, at every start position,
-    ordered by (start, end, bindings) with duplicates removed."""
+    ordered by (start, end, bindings) with duplicates removed.
+
+    Nothing is tried when the tokens lack one of the pattern's required
+    literals; otherwise only the positions of its first norms are starts.
+    """
     engine = _Engine(tokens, dict(env or {}))
+    positions = engine.positions
+    if not positions.keys() >= pattern.required_literals:
+        return []
+    if pattern.first_norms is None:
+        starts = range(len(tokens))
+    else:
+        starts = sorted(k for norm in pattern.first_norms for k in positions.get(norm, ()))
     found: dict = {}
-    for start in range(len(tokens)):
+    for start in starts:
         for end, bound in engine.matches_at(pattern, start):
             key = _match_key(start, end - 1, bound)
             if key not in found:

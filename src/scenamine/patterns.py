@@ -6,11 +6,17 @@ unordered conjunctions framed with parentheses ``(a b)`` and ordered
 sequences framed with brackets ``[a b]``.  ``$name`` marks a variable
 slot to be bound when the pattern is matched against text.  Top-level
 whitespace-separated elements form an implicit sequence.
+
+Each node also carries what the matcher needs to rule it out early,
+derived from its children once when it is built: ``required_literals``,
+the token norms that every match contains, and ``first_norms``, the norms
+a match can start on (``None`` when it can start on any token).  Neither
+takes part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .tokens import take_token, tokenize
 
@@ -33,10 +39,18 @@ class PatternSyntaxError(ValueError):
         super().__init__(f"{message} (byte offset {self.offset})")
 
 
+@dataclass(frozen=True)
 class PatternNode:
     """Base class for pattern AST nodes."""
 
     __slots__ = ()
+
+    required_literals: frozenset[str] = field(init=False, repr=False, compare=False)
+    first_norms: frozenset[str] | None = field(init=False, repr=False, compare=False)
+
+    def _analysed(self, required: frozenset[str], first: frozenset[str] | None) -> None:
+        object.__setattr__(self, "required_literals", required)
+        object.__setattr__(self, "first_norms", first)
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,8 @@ class Literal(PatternNode):
     def __post_init__(self):
         if not self.token or any(c.isspace() for c in self.token):
             raise ValueError(f"bad literal token {self.token!r}")
+        norm = frozenset((self.token.lower(),))
+        self._analysed(norm, norm)
 
 
 @dataclass(frozen=True)
@@ -74,13 +90,27 @@ class Variable(PatternNode):
     def __post_init__(self):
         if not self.name or self.name.startswith("$") or any(c.isspace() for c in self.name):
             raise ValueError(f"bad variable name {self.name!r}")
+        # the type is looked up at match time, so it promises no literal
+        self._analysed(frozenset(), None)
 
 
-def _coerce_children(node: PatternNode, children) -> None:
+def _coerce_children(node: PatternNode, children) -> tuple[PatternNode, ...]:
     children = tuple(children)
     if not children:
         raise ValueError(f"{type(node).__name__} requires at least one child")
     object.__setattr__(node, "children", children)
+    return children
+
+
+def _union_required(children) -> frozenset[str]:
+    return frozenset().union(*(c.required_literals for c in children))
+
+
+def _union_first(children) -> frozenset[str] | None:
+    firsts = [c.first_norms for c in children]
+    if None in firsts:
+        return None
+    return frozenset().union(*firsts)
 
 
 @dataclass(frozen=True)
@@ -88,7 +118,9 @@ class AnySet(PatternNode):
     children: tuple[PatternNode, ...]
 
     def __post_init__(self):
-        _coerce_children(self, self.children)
+        kids = _coerce_children(self, self.children)
+        required = frozenset.intersection(*(c.required_literals for c in kids))
+        self._analysed(required, _union_first(kids))
 
 
 @dataclass(frozen=True)
@@ -96,7 +128,8 @@ class AndSet(PatternNode):
     children: tuple[PatternNode, ...]
 
     def __post_init__(self):
-        _coerce_children(self, self.children)
+        kids = _coerce_children(self, self.children)
+        self._analysed(_union_required(kids), _union_first(kids))
 
 
 @dataclass(frozen=True)
@@ -104,7 +137,8 @@ class SeqSet(PatternNode):
     children: tuple[PatternNode, ...]
 
     def __post_init__(self):
-        _coerce_children(self, self.children)
+        kids = _coerce_children(self, self.children)
+        self._analysed(_union_required(kids), kids[0].first_norms)
 
 
 _SET_TYPES = {"any": AnySet, "and": AndSet, "seq": SeqSet}

@@ -1,11 +1,12 @@
 """Matcher: tokenization, typing, pattern matching, event extraction."""
 
+import hashlib
 import random
 
 import pytest
 
 import scenamine.matching as matching
-from helpers import add_event
+from helpers import CROSSWALK_DEFINITIONS, add_event, crosswalk_corpus_text
 from oracles import brute_matches, library_match_set
 from scenamine.definitions import parse_definitions
 from scenamine.graph import GraphStore, TimeSpec
@@ -15,6 +16,7 @@ from scenamine.matching import (
     extract_events,
     match_pattern,
     parse_corpus_line,
+    read_corpus,
     time_to_tick,
 )
 from scenamine.patterns import (
@@ -323,6 +325,73 @@ def test_leading_variable_checks_only_ends_before_its_literal(monkeypatch):
     assert calls == []
 
 
+def _skip_prone_pattern(rng: random.Random, shape: int):
+    """A random pattern over the literals a-e, in one of four shapes."""
+    inner, _ = _random_pattern(rng, 6, ["x", "y"][: rng.randint(0, 2)])
+    literal = Literal(rng.choice("abcde"))
+    if shape == 0:
+        # leading variable, then an alternative with a literal in one branch
+        return SeqSet((Variable("v"), AnySet((literal, Variable("w"))), inner))
+    if shape == 1:
+        return AndSet((literal, inner))
+    if shape == 2:
+        return SeqSet((Variable("v"), inner))
+    return inner
+
+
+def test_randomized_matches_with_missing_literals_equal_brute_force():
+    """Documents drawn from a-j, patterns from a-e: a required literal is
+    often missing, and the skip and the first-token starts must not drop
+    a match."""
+    rng = random.Random(13)
+    skipped = matched = 0
+    for trial in range(400):
+        pattern = _skip_prone_pattern(rng, trial % 4)
+        toks = tokenize(" ".join(rng.choices("abcdefghij", k=rng.randint(0, 12))))
+        got = library_match_set(match_pattern(pattern, toks))
+        assert got == brute_matches(pattern, toks), (pattern, toks)
+        skipped += not pattern.required_literals <= {t.norm for t in toks}
+        matched += bool(got)
+    assert skipped > 100 and matched > 100
+
+
+def test_skip_and_first_token_starts(monkeypatch):
+    calls = []
+
+    def counted(*args, real=matching.check_type):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matching, "check_type", counted)
+    # every "ruled" is followed by "said", never by "that"
+    words = ["the", "court", "ruled", "said", "news"] * 60
+    assert match_pattern(parse_pattern("$court ruled that"), tokenize(" ".join(words))) == []
+    assert calls == []
+
+    starts = []
+
+    def recorded(engine, node, i, real=matching._Engine.matches_at):
+        if node is pattern:
+            starts.append(i)
+        return real(engine, node, i)
+
+    monkeypatch.setattr(matching._Engine, "matches_at", recorded)
+    pattern = parse_pattern("{obama trump} said $matter")
+    toks = tokenize("Trump said this and Obama said that, then trump spoke")
+    matches = match_pattern(pattern, toks)
+    assert starts == [0, 4, 9]
+    assert sorted({m.first for m in matches}) == [0, 4]
+
+    (definition,) = parse_definitions(
+        'There name inspection patterns "inspected by $agency", has agency. '
+        'Agency is "{federal state} {bureau office}".'
+    )
+    env = {r: t for r, t in definition.role_types.items()}
+    toks = tokenize("The plant was inspected by the state bureau today")
+    matches = match_pattern(definition.patterns[0], toks, env)
+    assert [m.bindings["agency"].norm for m in matches] == ["state bureau"]
+
+
 def test_match_ordering_is_stable():
     pattern = parse_pattern("$x b")
     toks = tokenize("a b a b")
@@ -421,6 +490,34 @@ def test_identical_matches_across_alternative_patterns_deduplicate():
     store = GraphStore()
     events = extract_events(store, defs, Document("a b", "u", 1))
     assert len(events) == 1
+
+
+def test_crosswalk_extraction_is_pinned():
+    """The extracted crosswalk snapshot, byte for byte as it was before
+    patterns were skipped by their required literals; a definition that
+    never matches still gets its appearance and role edges."""
+    docs = read_corpus(crosswalk_corpus_text().splitlines())
+    never = 'There name flood patterns "$person swims across $river", has person, river.'
+    digests = []
+    for text in (CROSSWALK_DEFINITIONS, CROSSWALK_DEFINITIONS + never):
+        store = GraphStore()
+        definitions = parse_definitions(text)
+        for doc in docs:
+            extract_events(store, definitions, doc)
+        digests.append(hashlib.sha256(store.dumps().encode()).hexdigest())
+    # both pinned at the commit before the skip
+    assert digests == [
+        "ea7acff27b96030faf7a61400e8cafc25ff0179fefbbe6872f9ba9381d3aafe7",
+        "5ba020cfd8ce601b50608ab2b3749ff7867b3ed7ef81b07f5a2703cd524fcdb2",
+    ]
+    (flood,) = store.find_by_name("appearance", "flood")
+    roles = {
+        (e.role, store.thing(e.dst).name)
+        for e in store.out_edges(flood)
+        if e.kind == "has"
+    }
+    assert roles == {("person", "person"), ("river", "river")}
+    assert not store.neighbor_ids(flood, "is", direction="in")
 
 
 # -- corpus -------------------------------------------------------------------

@@ -12,6 +12,7 @@ from scenamine.patterns import (
     Literal,
     PatternSyntaxError,
     SeqSet,
+    TypeRef,
     Variable,
     list_variables,
     parse_pattern,
@@ -206,3 +207,60 @@ def test_single_child_seq_renders_with_brackets():
     ast = SeqSet((Literal("abc"),))
     assert render_pattern(ast) == "[abc]"
     assert parse_pattern("[abc]") == ast
+
+
+# -- match analysis on each node ----------------------------------------------------
+
+
+def _analysis(node):
+    return node.required_literals, node.first_norms
+
+
+def test_leaf_analysis():
+    assert _analysis(Literal("Red")) == ({"red"}, {"red"})
+    assert _analysis(Variable("x")) == (frozenset(), None)
+    # a composite type is looked up at match time and promises no literal
+    agency = TypeRef("composite", parse_pattern("{federal state} {bureau office}"))
+    assert _analysis(Variable("agency", agency)) == (frozenset(), None)
+
+
+def test_set_analysis():
+    a, b, c, x = Literal("a"), Literal("b"), Literal("c"), Variable("x")
+    assert _analysis(SeqSet((a, x, b))) == ({"a", "b"}, {"a"})
+    assert _analysis(SeqSet((x, a))) == ({"a"}, None)
+    assert _analysis(AnySet((a, b))) == (frozenset(), {"a", "b"})
+    assert _analysis(AnySet((SeqSet((a, b)), SeqSet((b, c))))) == ({"b"}, {"a", "b"})
+    assert _analysis(AnySet((a, x))) == (frozenset(), None)
+    assert _analysis(AndSet((a, b))) == ({"a", "b"}, {"a", "b"})
+    assert _analysis(AndSet((a, x))) == ({"a"}, None)
+
+
+def test_nested_analysis():
+    ast = parse_pattern(
+        "{obama trump} {forced suggested} $organization to "
+        "{impose implement apply} sanctions against $target"
+    )
+    assert _analysis(ast) == ({"to", "sanctions", "against"}, {"obama", "trump"})
+    ast = parse_pattern("[{'storm warning' (storm alert)} {issued $x}] (today Now)")
+    assert _analysis(ast) == ({"storm", "today", "now"}, {"storm", "alert"})
+    assert _analysis(parse_pattern("$court ruled that")) == ({"ruled", "that"}, None)
+
+
+def test_analysis_leaves_equality_hash_and_repr_alone():
+    rng = random.Random(99)
+    for _ in range(200):
+        ast = _random_ast(rng, 1)
+        again = parse_pattern(render_pattern(ast))
+        assert again == ast and hash(again) == hash(ast)
+        assert _analysis(again) == _analysis(ast)
+        assert "required_literals" not in repr(ast) and "first_norms" not in repr(ast)
+    node = SeqSet((Literal("a"), Variable("x")))
+    assert repr(node) == (
+        "SeqSet(children=(Literal(token='a'), Variable(name='x', "
+        "type_ref=TypeRef(kind='untyped', pattern=None))))"
+    )
+    twin = SeqSet((Literal("a"), Variable("x")))
+    object.__setattr__(twin, "required_literals", frozenset({"zzz"}))
+    object.__setattr__(twin, "first_norms", frozenset())
+    assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+    assert render_pattern(twin) == render_pattern(node) == "a $x"
