@@ -21,7 +21,6 @@ from .definitions import DefinitionError, parse_definitions
 from .graph import KINDS, GraphError, GraphStore, SnapshotError
 from .matching import CorpusError, extract_events, read_corpus
 from .mining import MiningConfig, MiningStageError, run_pipeline
-from .patterns import PatternSyntaxError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -143,15 +142,11 @@ def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
         _fail(f"{corpus_path}: {exc}", EXIT_DOMAIN)
     store = GraphStore()
     per_definition = {d.name: 0 for d in definitions}
-    try:
-        for doc in docs:
-            for event_id in extract_events(store, definitions, doc):
-                for app_id in store.neighbor_ids(event_id, "is", node_kind="appearance"):
-                    name = store.thing(app_id).name
-                    if name in per_definition:
-                        per_definition[name] += 1
-    except PatternSyntaxError as exc:
-        _fail(f"bad pattern: {exc}", EXIT_DOMAIN)
+    for event_id in extract_events(store, definitions, *docs):
+        for app_id in store.neighbor_ids(event_id, "is", node_kind="appearance"):
+            name = store.thing(app_id).name
+            if name in per_definition:
+                per_definition[name] += 1
     snapshot_path = _setting(args, file_cfg, "snapshot")
     if snapshot_path:
         _write_atomic(snapshot_path, store.dumps())

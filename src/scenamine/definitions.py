@@ -145,13 +145,14 @@ def _read_name(stmt: _Statement) -> str:
     return value
 
 
-def _parse_there(stmt: _Statement, defs: dict[str, ThingDefinition]) -> None:
+def _parse_there(stmt: _Statement, defs: dict[str, ThingDefinition]) -> str:
     if stmt.keyword() != "name":
         raise DefinitionError("expected 'name' after 'there'", stmt.line)
     stmt.next()
     name = _read_name(stmt)
     definition = defs.setdefault(name, ThingDefinition(name))
     _parse_sections(stmt, definition)
+    return name
 
 
 def _parse_name(stmt: _Statement, defs: dict[str, ThingDefinition]) -> None:
@@ -231,14 +232,16 @@ def _parse_is(stmt: _Statement, defs: dict[str, ThingDefinition]) -> None:
 
 def parse_definitions(source: str) -> list[ThingDefinition]:
     """Parse definitions text; statements about the same name accumulate
-    into a single definition."""
+    into a single definition.  A definition left without patterns is
+    matched by its name, so the name must then parse as a pattern."""
     defs: dict[str, ThingDefinition] = {}
+    there_lines: dict[str, int] = {}
     for tokens, line in _split_statements(source):
         stmt = _Statement(tokens, line)
         keyword = stmt.keyword()
         if keyword == "there":
             stmt.next()
-            _parse_there(stmt, defs)
+            there_lines.setdefault(_parse_there(stmt, defs), line)
         elif keyword == "name":
             stmt.next()
             _parse_name(stmt, defs)
@@ -251,4 +254,7 @@ def parse_definitions(source: str) -> list[ThingDefinition]:
             _parse_is(stmt, defs)
         else:
             raise DefinitionError("unrecognized statement", line)
+    for definition in defs.values():
+        if not definition.patterns:
+            _parse_pattern_string(definition.name, there_lines[definition.name], definition.name)
     return list(defs.values())

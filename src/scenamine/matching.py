@@ -19,6 +19,9 @@ Before any search, a pattern whose required literals (the token norms
 every match contains) a document lacks is skipped, and starts are tried
 only where one of the pattern's first tokens occurs, or everywhere when
 it can start with a variable.
+
+One ``extract_events`` call covers any number of documents: it prepares
+each definition once per call and tokenizes each document once.
 """
 
 from __future__ import annotations
@@ -317,47 +320,66 @@ def definition_patterns(definition: ThingDefinition) -> list[pat.PatternNode]:
 def extract_events(
     store: GraphStore,
     definitions: Sequence[ThingDefinition],
-    doc: Document,
+    *docs: Document,
 ) -> list[int]:
-    """Create an event node for every accepted match of every definition.
+    """Create an event node for every accepted match of every definition
+    in every document, in document order; returns the new event ids.
 
     Each event inherits from the definition's appearance, carries the
     document time, source and the filled-in pattern text, and one role
     edge per variable binding to an actor reused or created under the
     binding's normalized value.  A mined layer is dropped first, so no
-    extracted edge points into it.
+    extracted edge points into it.  Each definition's appearance and
+    roles are found or created once, at its first document.
     """
     store.drop_mined()
+    plans = [
+        (
+            definition,
+            {role.lower(): t for role, t in definition.role_types.items()},
+            definition_patterns(definition),
+        )
+        for definition in definitions
+    ]
+    app_ids: dict[int, int] = {}
     created: list[int] = []
-    tokens = tokenize(doc.text)
-    for definition in definitions:
-        app_id = ensure_definition_things(store, definition)
-        env = {role.lower(): t for role, t in definition.role_types.items()}
-        seen_keys = set()
-        for pattern in definition_patterns(definition):
-            for match in match_pattern(pattern, tokens, env):
-                key = _match_key(match.first, match.last, match.bindings)
-                if key in seen_keys:
+    for doc in docs:
+        tokens = tokenize(doc.text)
+        norms = {token.norm for token in tokens}
+        for k, (definition, env, patterns) in enumerate(plans):
+            app_id = app_ids.get(k)
+            if app_id is None:
+                app_id = app_ids[k] = ensure_definition_things(store, definition)
+            seen_keys = set()
+            for pattern in patterns:
+                if not pattern.required_literals <= norms:
                     continue
-                seen_keys.add(key)
-                text = pat.render_filled(
-                    pattern, {n: b.surface for n, b in match.bindings.items()}
-                )
-                event_id = store.add_thing(
-                    "event",
-                    properties={"sources": doc.source, "text": text},
-                    times=TimeSpec.point(doc.time),
-                )
-                store.add_edge(Edge("is", event_id, app_id))
-                for name in sorted(match.bindings):
-                    binding = match.bindings[name]
-                    role = name.lower()
-                    role_id, _ = store.find_or_create("role", role)
-                    actor_id, _ = store.find_or_create("actor", binding.norm)
-                    store.add_edge(Edge("has", event_id, actor_id, role=role))
-                    store.add_edge(Edge("is", actor_id, role_id))
-                created.append(event_id)
+                for match in match_pattern(pattern, tokens, env):
+                    key = _match_key(match.first, match.last, match.bindings)
+                    if key not in seen_keys:
+                        seen_keys.add(key)
+                        created.append(_add_event(store, app_id, doc, match))
     return created
+
+
+def _add_event(store: GraphStore, app_id: int, doc: Document, match: Match) -> int:
+    text = pat.render_filled(
+        match.pattern, {n: b.surface for n, b in match.bindings.items()}
+    )
+    event_id = store.add_thing(
+        "event",
+        properties={"sources": doc.source, "text": text},
+        times=TimeSpec.point(doc.time),
+    )
+    store.add_edge(Edge("is", event_id, app_id))
+    for name in sorted(match.bindings):
+        binding = match.bindings[name]
+        role = name.lower()
+        role_id, _ = store.find_or_create("role", role)
+        actor_id, _ = store.find_or_create("actor", binding.norm)
+        store.add_edge(Edge("has", event_id, actor_id, role=role))
+        store.add_edge(Edge("is", actor_id, role_id))
+    return event_id
 
 
 # -- corpus ---------------------------------------------------------------

@@ -16,6 +16,7 @@ takes part in equality, hashing or repr.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .tokens import take_token, tokenize
@@ -208,6 +209,7 @@ def parse_pattern(source: str) -> PatternNode:
     return SeqSet(tuple(elements))
 
 
+@functools.cache
 def _is_single_token(token: str) -> bool:
     surface, _cls, j = take_token(token, 0)
     return j == len(token) and surface == token

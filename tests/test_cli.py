@@ -105,6 +105,15 @@ def test_bad_definitions_exit_one_with_location(tmp_path, capsys):
     assert "defs.txt" in captured.err and "line 1" in captured.err
 
 
+@pytest.mark.parametrize("corpus", ["", SANCTIONS_DOC])
+def test_name_only_definition_with_a_bad_pattern_name_exits_one(tmp_path, capsys, corpus):
+    defs_path = _write(tmp_path / "defs.txt", 'There name "(a".\n')
+    corpus_path = _write(tmp_path / "corpus.jsonl", corpus)
+    code = main(["extract", "--definitions", defs_path, "--corpus", corpus_path])
+    assert code == 1
+    assert "defs.txt: line 1: bad pattern for '(a'" in capsys.readouterr().err
+
+
 def test_mine_empty_snapshot(tmp_path, capsys):
     snapshot = _extract(tmp_path, SANCTIONS_DEFS, "")
     capsys.readouterr()

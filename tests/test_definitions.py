@@ -161,6 +161,13 @@ def test_bad_pattern_inside_definition_names_line():
         parse_definitions('There name ok.\nName ok patterns "{unbalanced".')
 
 
+def test_name_only_definition_must_parse_as_a_pattern():
+    with pytest.raises(DefinitionError, match=r"line 2: bad pattern for '\(a'"):
+        parse_definitions('There name ok.\nThere name "(a".\nThere name "(a".')
+    (definition,) = parse_definitions('There name "(a".\nName "(a" patterns "x".')
+    assert definition.patterns == [parse_pattern("x")]
+
+
 # the example of README's pattern language section, and one document per definition
 README_DEFINITIONS = """\
 There name sanctions patterns
@@ -219,13 +226,14 @@ def test_readme_definitions_extract_one_event_each():
 @given(_edited_definitions())
 def test_fuzzed_definitions_parse_or_fail_cleanly(text):
     """An edited definitions file parses or raises DefinitionError, never
-    another exception, and extract exits 0, or 1 with one scenamine: line."""
+    another exception; extract exits 0 when it parses, else 1 with one
+    scenamine: line."""
     try:
         parse_definitions(text)
         parsed = True
     except DefinitionError:
         parsed = False
     code, _, err = _extract(text)
-    assert code in ((0, 1) if parsed else (1,))
+    assert code == (0 if parsed else 1)
     if code:
         assert err.startswith("scenamine:") and err.count("\n") == 1

@@ -1,9 +1,14 @@
 """Matcher: tokenization, typing, pattern matching, event extraction."""
 
+import functools
 import hashlib
+import importlib.util
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenamine.matching as matching
 from helpers import CROSSWALK_DEFINITIONS, add_event, crosswalk_corpus_text
@@ -518,6 +523,106 @@ def test_crosswalk_extraction_is_pinned():
     }
     assert roles == {("person", "person"), ("river", "river")}
     assert not store.neighbor_ids(flood, "is", direction="in")
+
+
+@functools.cache
+def _grouping_corpus(name: str) -> tuple[str, tuple]:
+    """Definitions text and documents of the crosswalk corpus, or of 20
+    documents of the benchmark's news workload at seed 1."""
+    if name == "crosswalk":
+        return CROSSWALK_DEFINITIONS, tuple(read_corpus(crosswalk_corpus_text().splitlines()))
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("news_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs, _facts = workloads.news_corpus(1, 20)
+    text = workloads.corpus_text(docs)
+    return workloads.NEWS_DEFINITIONS, tuple(read_corpus(text.splitlines()))
+
+
+def _extracted_in_groups(name: str, groups) -> str:
+    definitions_text, docs = _grouping_corpus(name)
+    definitions = parse_definitions(definitions_text)
+    store = GraphStore()
+    for group in groups:
+        extract_events(store, definitions, *group)
+    return store.dumps()
+
+
+@functools.cache
+def _extracted_per_document(name: str) -> str:
+    _text, docs = _grouping_corpus(name)
+    return _extracted_in_groups(name, [[doc] for doc in docs])
+
+
+@pytest.mark.parametrize("name", ["crosswalk", "news"])
+def test_one_call_for_the_corpus_equals_one_call_per_document(name):
+    _text, docs = _grouping_corpus(name)
+    assert _extracted_in_groups(name, [docs]) == _extracted_per_document(name)
+
+
+@pytest.mark.parametrize("name", ["crosswalk", "news"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_call_grouping_does_not_change_the_snapshot(name, data):
+    """One extract_events call per random run of consecutive documents
+    gives the bytes of one call per document."""
+    _text, docs = _grouping_corpus(name)
+    expected = _extracted_per_document(name)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(docs) - 1), max_size=12)))
+    bounds = [0, *cuts, len(docs)]
+    groups = [docs[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert _extracted_in_groups(name, groups) == expected
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to a matching function."""
+    calls = []
+    original = getattr(matching, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(matching, name, counted)
+    return calls
+
+
+def test_one_call_ensures_each_definition_once_and_skips_absent_literals(monkeypatch):
+    ensured = _counting(monkeypatch, "ensure_definition_things")
+    matched = _counting(monkeypatch, "match_pattern")
+    definitions = parse_definitions(CROSSWALK_DEFINITIONS)
+    docs = read_corpus(crosswalk_corpus_text().splitlines())[:40]
+    store = GraphStore()
+    created = extract_events(store, definitions, *docs)
+    assert len(created) == len(docs)
+    assert [d.name for _store, d in ensured] == [d.name for d in definitions]
+    assert matched
+    for pattern, tokens, _env in matched:
+        assert pattern.required_literals <= {t.norm for t in tokens}
+    # every document holds the literals of exactly one crosswalk pattern
+    assert len(matched) == len(docs)
+
+
+def test_a_call_with_no_documents_creates_nothing(monkeypatch):
+    ensured = _counting(monkeypatch, "ensure_definition_things")
+    store = GraphStore()
+    assert extract_events(store, parse_definitions(CROSSWALK_DEFINITIONS)) == []
+    assert ensured == []
+    assert store.dumps() == GraphStore().dumps()
+
+
+def test_a_changed_definition_is_linked_to_its_new_role():
+    store = GraphStore()
+    first = parse_definitions('There name stoplight patterns "light turned $color", has color.')
+    second = parse_definitions(
+        'There name stoplight patterns "light turned $color", has color, place.'
+    )
+    extract_events(store, first, Document("light turned red", "cam", 1))
+    extract_events(store, second, Document("light turned green", "cam", 2))
+    (app,) = store.find_by_name("appearance", "stoplight")
+    roles = {e.role for e in store.out_edges(app) if e.kind == "has"}
+    assert roles == {"color", "place"}
 
 
 # -- corpus -------------------------------------------------------------------
