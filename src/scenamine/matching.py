@@ -301,13 +301,17 @@ class Document:
     time: int
 
 
-def ensure_definition_things(store: GraphStore, definition: ThingDefinition) -> int:
-    """Find or create the appearance and role nodes for a definition."""
+def ensure_definition_things(
+    store: GraphStore, definition: ThingDefinition
+) -> tuple[int, dict[str, int]]:
+    """Find or create the appearance and role nodes for a definition;
+    returns the appearance id and the role ids by role name."""
     app_id, _ = store.find_or_create("appearance", definition.name)
+    role_ids = {}
     for role in definition.roles:
-        role_id, _ = store.find_or_create("role", role)
-        store.add_edge(Edge("has", app_id, role_id, role=role))
-    return app_id
+        role_ids[role], _ = store.find_or_create("role", role)
+        store.add_edge(Edge("has", app_id, role_ids[role], role=role))
+    return app_id, role_ids
 
 
 def definition_patterns(definition: ThingDefinition) -> list[pat.PatternNode]:
@@ -330,7 +334,8 @@ def extract_events(
     edge per variable binding to an actor reused or created under the
     binding's normalized value.  A mined layer is dropped first, so no
     extracted edge points into it.  Each definition's appearance and
-    roles are found or created once, at its first document.
+    roles are found or created once, at its first document, and a role's
+    id is looked up once per call.
     """
     store.drop_mined()
     plans = [
@@ -342,6 +347,7 @@ def extract_events(
         for definition in definitions
     ]
     app_ids: dict[int, int] = {}
+    role_ids: dict[str, int] = {}
     created: list[int] = []
     for doc in docs:
         tokens = tokenize(doc.text)
@@ -349,20 +355,27 @@ def extract_events(
         for k, (definition, env, patterns) in enumerate(plans):
             app_id = app_ids.get(k)
             if app_id is None:
-                app_id = app_ids[k] = ensure_definition_things(store, definition)
-            seen_keys = set()
+                app_id, ensured = ensure_definition_things(store, definition)
+                app_ids[k] = app_id
+                role_ids.update(ensured)
+            # match_pattern already drops a pattern's own repeats
+            seen_keys = set() if len(patterns) > 1 else None
             for pattern in patterns:
                 if not pattern.required_literals <= norms:
                     continue
                 for match in match_pattern(pattern, tokens, env):
-                    key = _match_key(match.first, match.last, match.bindings)
-                    if key not in seen_keys:
+                    if seen_keys is not None:
+                        key = _match_key(match.first, match.last, match.bindings)
+                        if key in seen_keys:
+                            continue
                         seen_keys.add(key)
-                        created.append(_add_event(store, app_id, doc, match))
+                    created.append(_add_event(store, app_id, doc, match, role_ids))
     return created
 
 
-def _add_event(store: GraphStore, app_id: int, doc: Document, match: Match) -> int:
+def _add_event(
+    store: GraphStore, app_id: int, doc: Document, match: Match, role_ids: dict[str, int]
+) -> int:
     text = pat.render_filled(
         match.pattern, {n: b.surface for n, b in match.bindings.items()}
     )
@@ -375,7 +388,9 @@ def _add_event(store: GraphStore, app_id: int, doc: Document, match: Match) -> i
     for name in sorted(match.bindings):
         binding = match.bindings[name]
         role = name.lower()
-        role_id, _ = store.find_or_create("role", role)
+        role_id = role_ids.get(role)
+        if role_id is None:
+            role_id = role_ids[role] = store.find_or_create("role", role)[0]
         actor_id, _ = store.find_or_create("actor", binding.norm)
         store.add_edge(Edge("has", event_id, actor_id, role=role))
         store.add_edge(Edge("is", actor_id, role_id))

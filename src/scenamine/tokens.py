@@ -1,22 +1,32 @@
 """Text tokenization shared by the matcher and the pattern language.
 
-Maximal runs of letters become ``word`` tokens, maximal runs of digits
-(with at most one interior dot flanked by digits) become ``number``
-tokens, and every other non-space character is a single ``punct`` token.
-So ``12.5`` is one token while ``example.com`` is three.
+A letter is what ``str.isalpha`` accepts, a digit what ``str.isdecimal``
+accepts and a space what ``str.isspace`` accepts.  Maximal runs of
+letters become ``word`` tokens, maximal runs of digits (with at most one
+interior dot flanked by digits) become ``number`` tokens, and every
+other non-space character is a single ``punct`` token.  So ``12.5`` is
+one token while ``example.com`` is three, and a numeric character that
+is neither a letter nor a digit, such as ``²``, is ``punct``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from itertools import groupby
+from typing import NamedTuple
 
 WORD = "word"
 NUMBER = "number"
 PUNCT = "punct"
 
+# re's [^\W\d_] also takes numerics that are not letters, such as ², so a
+# run it finds is one word only when str.isalpha holds for it
+_SCANNER = re.compile(r"([^\W\d_]+)|(\d+(?:\.\d+)?)|\S")
+_CLASS = {1: WORD, 2: NUMBER, None: PUNCT}  # by Match.lastindex
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     surface: str
     norm: str
     cls: str
@@ -24,47 +34,36 @@ class Token:
     end: int  # character span, end exclusive
 
 
-def take_token(text: str, i: int) -> tuple[str, str, int]:
-    """Read the single token starting at non-space position ``i``.
+def _split_run(run: str, start: int):
+    """Yield (surface, class, start) for a scanner letter run that is not
+    all letters: each run of letters is a word, any other character a punct."""
+    for alpha, chars in groupby(run, str.isalpha):
+        part = "".join(chars)
+        for surface in [part] if alpha else part:
+            yield surface, WORD if alpha else PUNCT, start
+            start += len(surface)
 
-    Returns (surface, class, next index).
-    """
-    ch = text[i]
-    if ch.isalpha():
-        j = i + 1
-        while j < len(text) and text[j].isalpha():
-            j += 1
-        return text[i:j], WORD, j
-    if ch.isdecimal():
-        j = i + 1
-        dotted = False
-        while j < len(text):
-            c = text[j]
-            if c.isdecimal():
-                j += 1
-            elif (
-                c == "."
-                and not dotted
-                and j + 1 < len(text)
-                and text[j + 1].isdecimal()
-            ):
-                dotted = True
-                j += 2
-            else:
-                break
-        return text[i:j], NUMBER, j
-    return ch, PUNCT, i + 1
+
+def take_token(text: str, i: int) -> tuple[str, str, int]:
+    """(surface, class, next index) of the token at non-space position ``i``."""
+    found = _SCANNER.match(text, i)
+    surface = found[0]
+    if found.lastindex == 1 and not surface.isalpha():
+        surface, cls, _start = next(_split_run(surface, i))
+        return surface, cls, i + len(surface)
+    return surface, _CLASS[found.lastindex], found.end()
 
 
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into word, number and punctuation tokens."""
     out: list[Token] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        surface, cls, j = take_token(text, i)
-        out.append(Token(surface, surface.lower(), cls, i, j))
-        i = j
+    for found in _SCANNER.finditer(text):
+        surface = found[0]
+        kind = found.lastindex
+        if kind == 1 and not surface.isalpha():
+            for part, cls, start in _split_run(surface, found.start()):
+                out.append(_new(Token, (part, part.lower(), cls, start, start + len(part))))
+        else:
+            start, end = found.span()
+            out.append(_new(Token, (surface, surface.lower(), _CLASS[kind], start, end)))
     return out

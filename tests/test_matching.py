@@ -604,6 +604,30 @@ def test_one_call_ensures_each_definition_once_and_skips_absent_literals(monkeyp
     assert len(matched) == len(docs)
 
 
+def test_extraction_looks_up_roles_and_match_keys_once(monkeypatch):
+    """Over the crosswalk corpus (700 documents, one single-pattern
+    definition per event) each appearance and role is found or created
+    once and each event's actor once; only ``match_pattern`` keys a match."""
+    keyed = _counting(monkeypatch, "_match_key")
+    found = []
+    original = GraphStore.find_or_create
+
+    def counted(self, kind, name, properties=None):
+        found.append((kind, name))
+        return original(self, kind, name, properties)
+
+    monkeypatch.setattr(GraphStore, "find_or_create", counted)
+    definitions = parse_definitions(CROSSWALK_DEFINITIONS)
+    docs = read_corpus(crosswalk_corpus_text().splitlines())
+    created = extract_events(GraphStore(), definitions, *docs)
+    assert len(created) == len(docs) == 700
+    # before role ids were kept for the call: one more per event
+    assert len(found) == 2 * len(definitions) + 700
+    assert sum(kind == "actor" for kind, _name in found) == 700
+    assert found.count(("role", "person")) == len(definitions)
+    assert len(keyed) == 700
+
+
 def test_a_call_with_no_documents_creates_nothing(monkeypatch):
     ensured = _counting(monkeypatch, "ensure_definition_things")
     store = GraphStore()
