@@ -305,12 +305,12 @@ class GraphStore:
 
     def find_or_create(
         self, kind: str, name: str, properties: dict | None = None
-    ) -> tuple[int, bool]:
+    ) -> int:
         """The first thing of this kind and name, else one made with these properties."""
         existing = self._by_name.get((kind, name))
         if existing:
-            return existing[0], False
-        return self.add_thing(kind, name, properties), True
+            return existing[0]
+        return self.add_thing(kind, name, properties)
 
     def drop_mined(self) -> None:
         """Remove every mined thing with each edge that touches it and its

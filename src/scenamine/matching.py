@@ -306,10 +306,10 @@ def ensure_definition_things(
 ) -> tuple[int, dict[str, int]]:
     """Find or create the appearance and role nodes for a definition;
     returns the appearance id and the role ids by role name."""
-    app_id, _ = store.find_or_create("appearance", definition.name)
+    app_id = store.find_or_create("appearance", definition.name)
     role_ids = {}
     for role in definition.roles:
-        role_ids[role], _ = store.find_or_create("role", role)
+        role_ids[role] = store.find_or_create("role", role)
         store.add_edge(Edge("has", app_id, role_ids[role], role=role))
     return app_id, role_ids
 
@@ -390,8 +390,8 @@ def _add_event(
         role = name.lower()
         role_id = role_ids.get(role)
         if role_id is None:
-            role_id = role_ids[role] = store.find_or_create("role", role)[0]
-        actor_id, _ = store.find_or_create("actor", binding.norm)
+            role_id = role_ids[role] = store.find_or_create("role", role)
+        actor_id = store.find_or_create("actor", binding.norm)
         store.add_edge(Edge("has", event_id, actor_id, role=role))
         store.add_edge(Edge("is", actor_id, role_id))
     return event_id

@@ -10,7 +10,9 @@ tagged with the ``origin`` stage; nothing mined is looked up and reused.
 So mining a graph again, with any settings and after any new events,
 gives the report and graph that one run over its events gives.  Stages
 write only what a query, a later stage or the report reads: role scoping
-and actor differentiation write nothing.
+and actor differentiation write nothing.  Chains, scenarios and forks may
+be of any length; no stage recurses once per step, and ``MAX_PROCESSES``
+is the only bound on chaining.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import patterns as pat
 from .graph import Edge, GraphStore, TimeSpec
@@ -320,7 +323,7 @@ def unify_appearances(
                 "appearance", name, {"origin": "unify_appearances", "pattern": name}
             )
             for var in slots:
-                role_id, _ = store.find_or_create("role", var, {"origin": "unify_appearances"})
+                role_id = store.find_or_create("role", var, {"origin": "unify_appearances"})
                 store.add_edge(Edge("has", app_id, role_id, role=var))
             for event_id in component:
                 for specific in _direct_appearances(store, event_id):
@@ -505,23 +508,13 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
         raise ValueError(
             f"{total} maximal chains exceed the limit of {MAX_PROCESSES} processes"
         )
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def paths_from(cid: int) -> list[tuple[int, ...]]:
-        if cid in memo:
-            return memo[cid]
-        if not succ[cid]:
-            memo[cid] = [(cid,)]
-        else:
-            memo[cid] = [
-                (cid,) + rest for nxt in sorted(succ[cid]) for rest in paths_from(nxt)
-            ]
-        return memo[cid]
-
+    paths: dict[int, list[tuple[int, ...]]] = {}
+    for cid, _ in reversed(by_start):
+        paths[cid] = [(cid,) + rest for nxt in sorted(succ[cid]) for rest in paths[nxt]] or [(cid,)]
     chains = []
     for cid, _ in coins:
         if cid not in has_pred:
-            chains.extend(p for p in paths_from(cid) if len(p) >= 2)
+            chains.extend(p for p in paths[cid] if len(p) >= 2)
     for path in sorted(chains):
         name = f"p[{','.join(map(str, path))}]"
         pid = store.add_thing("process", name, {"origin": "chain_coincidences"})
@@ -531,6 +524,20 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
 
 
 # -- stage 7: scenario unification -------------------------------------------------
+
+
+def _walk_tree(root: TreeNode, min_support: int) -> Iterator[tuple[list[int], TreeNode]]:
+    """Each node of the prefix tree with its path of situation ids, in
+    pre-order (parents first, siblings by id), from an explicit stack; a
+    child held by fewer than ``min_support`` processes is skipped with its
+    subtree."""
+    stack = [([], root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for sid in sorted(node.children, reverse=True):
+            if len(node.children[sid].processes) >= min_support:
+                stack.append((path + [sid], node.children[sid]))
 
 
 def _situation_rank(store: GraphStore, sid: int) -> tuple[int, int, int]:
@@ -565,23 +572,16 @@ def unify_scenarios(
             node.processes.append(proc.id)
 
     scenarios: list[tuple[list[int], int]] = []
-
-    def materialize(node: TreeNode, path: list[int]) -> None:
-        for sid in sorted(node.children):
-            child = node.children[sid]
-            if len(child.processes) < min_support:
-                continue
-            full = path + [sid]
-            scenarios.append((full, len(child.processes)))
-            label = " -> ".join(store.thing(s).name or str(s) for s in full)
-            scenario_id = store.add_thing("scenario", label, {"origin": "unify_scenarios"})
-            for s in full:
-                store.add_edge(Edge("member", scenario_id, s, set_kind="seq"))
-            for pid in child.processes:
-                store.add_edge(Edge("is", pid, scenario_id))
-            materialize(child, full)
-
-    materialize(root, [])
+    for path, node in _walk_tree(root, min_support):
+        if not path:
+            continue
+        scenarios.append((path, len(node.processes)))
+        label = " -> ".join(store.thing(s).name or str(s) for s in path)
+        scenario_id = store.add_thing("scenario", label, {"origin": "unify_scenarios"})
+        for s in path:
+            store.add_edge(Edge("member", scenario_id, s, set_kind="seq"))
+        for pid in node.processes:
+            store.add_edge(Edge("is", pid, scenario_id))
     model = ScenarioModel(root, lifted_all, scenarios)
     return model, {"scenarios": len(store.things("scenario"))}
 
@@ -593,8 +593,7 @@ def detect_forks(model: ScenarioModel, fork_epsilon: float) -> list[Fork]:
     """Tree nodes splitting into two or more branches whose probabilities,
     renormalized over continuing processes, all lie within the epsilon."""
     forks: list[Fork] = []
-
-    def walk(node: TreeNode, path: list[int]) -> None:
+    for path, node in _walk_tree(model.root, 1):
         if len(node.children) >= 2:
             total = sum(len(child.processes) for child in node.children.values())
             branches = [
@@ -603,10 +602,6 @@ def detect_forks(model: ScenarioModel, fork_epsilon: float) -> list[Fork]:
             probs = [p for _, p in branches]
             if max(probs) - min(probs) <= fork_epsilon:
                 forks.append(Fork(tuple(path), branches, node))
-        for sid in sorted(node.children):
-            walk(node.children[sid], path + [sid])
-
-    walk(model.root, [])
     return forks
 
 

@@ -246,37 +246,28 @@ def render_pattern(ast: PatternNode) -> str:
 
 def render_filled(ast: PatternNode, values: dict[str, str]) -> str:
     """Render like render_pattern but substitute each variable with its
-    bound text."""
-
-    def rec(node: PatternNode) -> str:
-        if isinstance(node, Variable):
-            return values.get(node.name, f"${node.name}")
-        if isinstance(node, (AnySet, AndSet, SeqSet)):
-            parts = [rec(c) for c in node.children]
-            if isinstance(node, AnySet):
-                return "{" + " ".join(parts) + "}"
-            if isinstance(node, AndSet):
-                return "(" + " ".join(parts) + ")"
-            return " ".join(parts)
-        return _render(node)
-
-    if isinstance(ast, SeqSet):
-        return " ".join(rec(c) for c in ast.children)
-    return rec(ast)
+    bound text; a sequence renders as its parts without brackets."""
+    if isinstance(ast, Variable):
+        return values.get(ast.name, f"${ast.name}")
+    if isinstance(ast, (AnySet, AndSet, SeqSet)):
+        parts = " ".join(render_filled(c, values) for c in ast.children)
+        if isinstance(ast, AnySet):
+            return "{" + parts + "}"
+        if isinstance(ast, AndSet):
+            return "(" + parts + ")"
+        return parts
+    return _render(ast)
 
 
 def list_variables(ast: PatternNode) -> list[str]:
     """Variable names in left-to-right first-occurrence order; the length
     of the result is the pattern's arity."""
-    seen: list[str] = []
-
-    def walk(node: PatternNode) -> None:
+    names: list[str] = []
+    stack = [ast]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Variable):
-            if node.name not in seen:
-                seen.append(node.name)
+            names.append(node.name)
         elif isinstance(node, (AnySet, AndSet, SeqSet)):
-            for c in node.children:
-                walk(c)
-
-    walk(ast)
-    return seen
+            stack.extend(reversed(node.children))
+    return list(dict.fromkeys(names))

@@ -257,7 +257,7 @@ def add_event(store: GraphStore, app_id: int, tick, actors: dict[str, int] | Non
     store.add_edge(Edge("is", event, app_id))
     for role, actor in (actors or {}).items():
         store.add_edge(Edge("has", event, actor, role=role))
-        role_id, _ = store.find_or_create("role", role)
+        role_id = store.find_or_create("role", role)
         store.add_edge(Edge("is", actor, role_id))
     return event
 

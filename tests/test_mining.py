@@ -1,8 +1,11 @@
 """Mining stages against worked examples and brute-force oracles."""
 
 import functools
+import gc
+import inspect
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -566,6 +569,44 @@ def test_chain_count_over_limit_fails_before_building():
     assert store.things("process") == []
 
 
+def _one_actor_at_every_tick(ticks: int) -> GraphStore:
+    store = GraphStore()
+    actor = store.add_thing("actor", "a")
+    app = store.add_thing("appearance", "x")
+    for tick in range(ticks):
+        add_event(store, app, tick, actors={"r": actor})
+    return store
+
+
+def test_a_long_process_mines_with_its_chain_and_tree_walk():
+    """1,500 consecutive ticks of one actor make one process 1,500 steps
+    long, deeper than the default recursion limit: chaining and the fork
+    walk must not recurse once per step."""
+    store = _one_actor_at_every_tick(1500)
+    report = run_pipeline(store, MiningConfig(min_support=2))
+    assert report.stages["chain_coincidences"] == {"processes": 1}
+    assert len(store.member_children(store.things("process")[0].id, "seq")) == 1500
+    assert report.stages["unify_scenarios"] == {"scenarios": 0}
+    assert report.forks == []
+
+
+def test_a_long_process_at_support_one_makes_every_prefix_a_scenario():
+    """At ``min_support=1`` each of the 200 prefixes of the one process is
+    a scenario.  Scenario edges grow with the square of the length, so the
+    chain is short and the recursion limit is lowered to 100 frames above
+    the caller's depth: materializing must not recurse once per step."""
+    store = _one_actor_at_every_tick(200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        report = run_pipeline(store, MiningConfig(min_support=1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.stages["chain_coincidences"] == {"processes": 1}
+    assert report.stages["unify_scenarios"] == {"scenarios": 200}
+    assert [len(path) for path, _ in report.model.scenarios] == list(range(1, 201))
+
+
 # -- scenario unification -----------------------------------------------------------
 
 
@@ -861,6 +902,29 @@ def _crosswalk_mined_at_once() -> tuple[str, str]:
     for doc in _crosswalk_docs():
         extract_events(store, defs, doc)
     return _report_and_snapshot(store, MiningConfig(min_support=CROSSWALK_MIN_SUPPORT))
+
+
+def _crosswalk_extract_mine_dump_load() -> None:
+    store = GraphStore()
+    extract_events(store, parse_definitions(CROSSWALK_DEFINITIONS), *_crosswalk_docs())
+    report = run_pipeline(store, MiningConfig(min_support=CROSSWALK_MIN_SUPPORT))
+    report.to_json_dict(store)
+    GraphStore.loads(store.dumps())
+
+
+def test_extract_mine_dump_and_load_leave_no_reference_cycles():
+    """With the cyclic collector off, everything a crosswalk extract, mine,
+    report, dump and load made is freed by reference counting alone."""
+    _crosswalk_extract_mine_dump_load()  # one-time import garbage is not counted
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _crosswalk_extract_mine_dump_load()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

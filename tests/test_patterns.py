@@ -16,6 +16,7 @@ from scenamine.patterns import (
     Variable,
     list_variables,
     parse_pattern,
+    render_filled,
     render_pattern,
 )
 
@@ -170,6 +171,28 @@ _asts = st.recursive(
 @given(_asts)
 def test_round_trip_property(ast):
     assert parse_pattern(render_pattern(ast)) == ast
+
+
+@pytest.mark.parametrize(
+    "ast, values, text",
+    [
+        (parse_pattern("$who {crossed stopped} at $light"),
+         {"who": "Ann", "light": "the red light"}, "Ann {crossed stopped} at the red light"),
+        (parse_pattern("{$a (b [c $d])}"), {"a": "x", "d": "y z"}, "{x (b c y z)}"),
+        (parse_pattern("($a [b {c $a}])"), {"a": "Q"}, "(Q b {c Q})"),
+        (parse_pattern('"us president" $x'), {"x": "Trump"}, "us president Trump"),
+        (SeqSet((Literal("a}b"), Variable("x"))), {"x": "1"}, "'a}b' 1"),
+        (parse_pattern("'a}b' $x"), {"x": "1"}, "a '}' b 1"),
+        (parse_pattern("$missing said $x"), {"x": "hi"}, "$missing said hi"),
+        (Variable("x"), {"x": "alone"}, "alone"),
+        (Variable("x"), {}, "$x"),
+        (Literal("word"), {}, "word"),
+        (Literal("$"), {}, "'$'"),
+        (AnySet((Variable("v"),)), {"v": "w"}, "{w}"),
+    ],
+)
+def test_render_filled(ast, values, text):
+    assert render_filled(ast, values) == text
 
 
 def test_list_variables_sanctions():
