@@ -233,7 +233,8 @@ def _parse_is(stmt: _Statement, defs: dict[str, ThingDefinition]) -> None:
 def parse_definitions(source: str) -> list[ThingDefinition]:
     """Parse definitions text; statements about the same name accumulate
     into a single definition.  A definition left without patterns is
-    matched by its name, so the name must then parse as a pattern."""
+    matched by its name, so the name must then parse as a pattern, which
+    becomes its one pattern."""
     defs: dict[str, ThingDefinition] = {}
     there_lines: dict[str, int] = {}
     for tokens, line in _split_statements(source):
@@ -256,5 +257,7 @@ def parse_definitions(source: str) -> list[ThingDefinition]:
             raise DefinitionError("unrecognized statement", line)
     for definition in defs.values():
         if not definition.patterns:
-            _parse_pattern_string(definition.name, there_lines[definition.name], definition.name)
+            definition.patterns.append(
+                _parse_pattern_string(definition.name, there_lines[definition.name], definition.name)
+            )
     return list(defs.values())

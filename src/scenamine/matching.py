@@ -13,7 +13,7 @@ ends where the next sibling can start, and when that sibling is a
 literal the candidate ends come straight from the positions of the
 literal's token.  So from each start a variable before a literal tries
 one span per later occurrence of that literal, not one per remaining
-token.
+token.  One memo holds each node's matches by (node, start, follower).
 
 Before any search, a pattern whose required literals (the token norms
 every match contains) a document lacks is skipped, and starts are tried
@@ -124,8 +124,7 @@ class _Engine:
         self.tokens = tokens
         self.env = env
         self.n = len(tokens)
-        self._memo: dict[tuple[int, int], list] = {}
-        self._var_memo: dict[tuple[int, int, int], list] = {}
+        self._memo: dict[tuple[int, int, int], list] = {}
         self._and_memo: dict[int, dict[int, list]] = {}
         # ascending token positions keyed by norm
         self.positions: dict[str, list[int]] = {}
@@ -135,33 +134,59 @@ class _Engine:
     # Results are lists of (end_exclusive, bindings-dict); bindings map
     # variable name -> Binding and must agree on norm for repeated names.
 
-    def matches_at(self, node: pat.PatternNode, i: int) -> list:
-        key = (id(node), i)
+    def matches_at(
+        self, node: pat.PatternNode, i: int, follow: pat.PatternNode | None = None
+    ) -> list:
+        """The node's matches from ``i``, memoised by (node, start, follow)."""
+        key = (id(node), i, id(follow))
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._compute(node, i)
+            hit = self._compute(node, i, follow)
             self._memo[key] = hit
         return hit
 
-    def _compute(self, node: pat.PatternNode, i: int) -> list:
+    def _compute(
+        self, node: pat.PatternNode, i: int, follow: pat.PatternNode | None
+    ) -> list:
         if isinstance(node, pat.Literal):
             if i < self.n and self.tokens[i].norm == node.token.lower():
                 return [(i + 1, {})]
             return []
         if isinstance(node, pat.Variable):
-            return self._variable_at(node, i, None)
+            # spans from i, ending only where follow (the next sibling in a
+            # sequence, if any) can start
+            type_ref = self.env.get(node.name.lower(), node.type_ref)
+            if isinstance(follow, pat.Literal):
+                # a literal can start exactly where its token occurs
+                positions = self.positions.get(follow.token.lower(), [])
+                ends = positions[bisect_right(positions, i) :]
+                follow = None
+            else:
+                ends = range(i + 1, self.n + 1)
+            out = []
+            for end in ends:
+                first, last = strip_articles(self.tokens, i, end - 1)
+                if not check_type(self.tokens[first : last + 1], type_ref, self.env):
+                    continue
+                if follow is not None and not self.matches_at(follow, end):
+                    continue
+                binding = Binding(
+                    _joined_surface(self.tokens, first, last),
+                    " ".join(t.norm for t in self.tokens[first : last + 1]),
+                    first,
+                    last,
+                )
+                out.append((end, {node.name: binding}))
+            return out
         if isinstance(node, pat.SeqSet):
             states = [(i, {})]
             kids = node.children
             for k, child in enumerate(kids):
-                follow = kids[k + 1] if k + 1 < len(kids) else None
+                # only a variable looks ahead to its next sibling
+                after = kids[k + 1] if isinstance(child, pat.Variable) and k + 1 < len(kids) else None
                 nxt = []
                 for at, bound in states:
-                    if isinstance(child, pat.Variable):
-                        found = self._variable_at(child, at, follow)
-                    else:
-                        found = self.matches_at(child, at)
-                    for end, more in found:
+                    for end, more in self.matches_at(child, at, after):
                         merged = _merge(bound, more)
                         if merged is not None:
                             nxt.append((end, merged))
@@ -177,40 +202,6 @@ class _Engine:
         if isinstance(node, pat.AndSet):
             return self._and_matches(node).get(i, [])
         raise TypeError(f"not a pattern node: {node!r}")
-
-    def _variable_at(
-        self, node: pat.Variable, i: int, follow: pat.PatternNode | None
-    ) -> list:
-        """The variable's spans from ``i``, keeping only the ends where
-        ``follow`` (the next sibling in a sequence, if any) can start."""
-        key = (id(node), i, id(follow))
-        hit = self._var_memo.get(key)
-        if hit is not None:
-            return hit
-        type_ref = self.env.get(node.name.lower(), node.type_ref)
-        if isinstance(follow, pat.Literal):
-            # a literal can start exactly where its token occurs
-            positions = self.positions.get(follow.token.lower(), [])
-            ends = positions[bisect_right(positions, i) :]
-            follow = None
-        else:
-            ends = range(i + 1, self.n + 1)
-        out = []
-        for end in ends:
-            first, last = strip_articles(self.tokens, i, end - 1)
-            if not check_type(self.tokens[first : last + 1], type_ref, self.env):
-                continue
-            if follow is not None and not self.matches_at(follow, end):
-                continue
-            binding = Binding(
-                _joined_surface(self.tokens, first, last),
-                " ".join(t.norm for t in self.tokens[first : last + 1]),
-                first,
-                last,
-            )
-            out.append((end, {node.name: binding}))
-        self._var_memo[key] = out
-        return out
 
     def _and_matches(self, node: pat.AndSet) -> dict[int, list]:
         cached = self._and_memo.get(id(node))
@@ -314,13 +305,6 @@ def ensure_definition_things(
     return app_id, role_ids
 
 
-def definition_patterns(definition: ThingDefinition) -> list[pat.PatternNode]:
-    """Explicit patterns, or the pattern implicit in the name."""
-    if definition.patterns:
-        return definition.patterns
-    return [pat.parse_pattern(definition.name)]
-
-
 def extract_events(
     store: GraphStore,
     definitions: Sequence[ThingDefinition],
@@ -342,7 +326,7 @@ def extract_events(
         (
             definition,
             {role.lower(): t for role, t in definition.role_types.items()},
-            definition_patterns(definition),
+            definition.patterns,
         )
         for definition in definitions
     ]

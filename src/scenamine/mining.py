@@ -1,9 +1,10 @@
 """Scenario mining: nine analyses from extracted events to triggers.
 
-The pipeline runs role scoping, actor differentiation, appearance
-unification, event clustering, situation unification, coincidence
-chaining, scenario unification, fork detection and trigger
-differentiation, in that order.  Mining is a function of the extracted
+The pipeline runs actor differentiation (the one walk over the events'
+actor bindings), role scoping over its rows, appearance unification,
+event clustering, situation unification, coincidence chaining, scenario
+unification, fork detection and trigger differentiation, in that order;
+the report lists role scoping first.  Mining is a function of the extracted
 layer alone: ``run_pipeline`` first drops every node an earlier run built
 (``GraphStore.drop_mined``), and each stage then only creates nodes, each
 tagged with the ``origin`` stage; nothing mined is looked up and reused.
@@ -11,8 +12,8 @@ So mining a graph again, with any settings and after any new events,
 gives the report and graph that one run over its events gives.  Stages
 write only what a query, a later stage or the report reads: role scoping
 and actor differentiation write nothing.  Chains, scenarios and forks may
-be of any length; no stage recurses once per step, and ``MAX_PROCESSES``
-is the only bound on chaining.
+be of any length; no stage recurses once per step, chains grow from chain
+starts only, and ``MAX_PROCESSES`` is the only bound on chaining.
 """
 
 from __future__ import annotations
@@ -178,14 +179,6 @@ def _direct_appearances(store: GraphStore, event_id: int) -> list[int]:
     return store.neighbor_ids(event_id, "is", node_kind="appearance")
 
 
-def _event_bindings(store: GraphStore, event_id: int) -> list[tuple[str, int]]:
-    return sorted(
-        (e.role, e.dst)
-        for e in store.out_edges(event_id)
-        if e.kind == "has" and store.thing(e.dst).kind == "actor"
-    )
-
-
 class _UnionFind:
     def __init__(self, items):
         self.parent = {i: i for i in items}
@@ -208,40 +201,24 @@ class _UnionFind:
         return [sorted(v) for _, v in sorted(out.items())]
 
 
-# -- stage 1: role scoping ---------------------------------------------------
-
-
-def scope_roles(store: GraphStore) -> dict[tuple[int, str], list[int]]:
-    """The alternative-actor domain of every (appearance, role) pair seen
-    across that appearance's events, as sorted actor ids; no node is
-    written."""
-    domains: dict[tuple[int, str], set[int]] = {}
-    for event in store.things("event"):
-        bindings = _event_bindings(store, event.id)
-        for app in _direct_appearances(store, event.id):
-            for role, actor in bindings:
-                domains.setdefault((app, role), set()).add(actor)
-    return {pair: sorted(domains[pair]) for pair in sorted(domains)}
-
-
-# -- stage 2: actor differentiation -------------------------------------------
+# -- stage 1: actor differentiation -------------------------------------------
 
 
 def differentiate_actors(
     store: GraphStore,
 ) -> tuple[list[ActorFrequency], dict[tuple[int, str], int]]:
     """Relative fill frequencies per (actor, role, appearance) and the most
-    probable actor per (appearance, role)."""
+    probable actor per (appearance, role), from the one walk over the
+    events' actor bindings."""
     counts: dict[tuple[int, str], Counter] = {}
     filled: dict[tuple[int, str], int] = {}
     first_seen: dict[tuple[int, str, int], int] = {}
     for event in store.things("event"):
-        span = store.times_of(event.id)
-        start = span.start if span is not None and span else 2**62
-        bindings = _event_bindings(store, event.id)
+        start = store.times_of(event.id).start
         roles_here: dict[str, set[int]] = {}
-        for role, actor in bindings:
-            roles_here.setdefault(role, set()).add(actor)
+        for e in store.out_edges(event.id):
+            if e.kind == "has" and store.thing(e.dst).kind == "actor":
+                roles_here.setdefault(e.role, set()).add(e.dst)
         for app in _direct_appearances(store, event.id):
             for role, actors in roles_here.items():
                 filled[(app, role)] = filled.get((app, role), 0) + 1
@@ -264,6 +241,18 @@ def differentiate_actors(
         best[(app, role)] = entries[0][3]
     rows.sort(key=lambda r: (r.appearance, r.role, -r.count, store.thing(r.actor).name or "", r.actor))
     return rows, best
+
+
+# -- stage 2: role scoping ---------------------------------------------------
+
+
+def scope_roles(rows: list[ActorFrequency]) -> dict[tuple[int, str], list[int]]:
+    """The alternative-actor domain of every (appearance, role) pair that
+    ``differentiate_actors`` found filled, as sorted actor ids."""
+    domains: dict[tuple[int, str], list[int]] = {}
+    for row in rows:
+        domains.setdefault((row.appearance, row.role), []).append(row.actor)
+    return {pair: sorted(domains[pair]) for pair in sorted(domains)}
 
 
 # -- stage 3: appearance unification ------------------------------------------
@@ -448,7 +437,7 @@ def unify_situations(store: GraphStore, min_support: int) -> dict[str, int]:
 def _coincidence_actors(store: GraphStore, cid: int) -> set[int]:
     actors: set[int] = set()
     for event_id in store.member_children(cid, "and"):
-        actors.update(a for _, a in _event_bindings(store, event_id))
+        actors.update(store.neighbor_ids(event_id, "has", node_kind="actor"))
     return actors
 
 
@@ -468,7 +457,8 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
     Successors of a coincidence ``a`` can only start in
     ``(a.start, a.end + chain_max_gap]``, so the candidates are found by
     bisecting the coincidences sorted by start, and only those are
-    tested; the links are the same as from testing all pairs."""
+    tested; the links are the same as from testing all pairs.  Each
+    maximal chain then grows from a chain start along an explicit stack."""
     coins = []
     for t in store.things("coincidence"):
         span = store.times_of(t.id)
@@ -508,13 +498,14 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
         raise ValueError(
             f"{total} maximal chains exceed the limit of {MAX_PROCESSES} processes"
         )
-    paths: dict[int, list[tuple[int, ...]]] = {}
-    for cid, _ in reversed(by_start):
-        paths[cid] = [(cid,) + rest for nxt in sorted(succ[cid]) for rest in paths[nxt]] or [(cid,)]
     chains = []
-    for cid, _ in coins:
-        if cid not in has_pred:
-            chains.extend(p for p in paths[cid] if len(p) >= 2)
+    stack = [(cid,) for cid, _ in coins if cid not in has_pred and succ[cid]]
+    while stack:
+        path = stack.pop()
+        if succ[path[-1]]:
+            stack.extend(path + (nxt,) for nxt in succ[path[-1]])
+        else:
+            chains.append(path)
     for path in sorted(chains):
         name = f"p[{','.join(map(str, path))}]"
         pid = store.add_thing("process", name, {"origin": "chain_coincidences"})
@@ -692,12 +683,9 @@ def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> Minin
         except Exception as exc:  # noqa: BLE001 - report which stage died
             raise MiningStageError(name, exc) from exc
 
-    domains = run("scope_roles", scope_roles, store)
-    stages["scope_roles"] = {
-        "domains": len(domains),
-        "members": sum(len(actors) for actors in domains.values()),
-    }
     rows, best = run("differentiate_actors", differentiate_actors, store)
+    domains = run("scope_roles", scope_roles, rows)
+    stages["scope_roles"] = {"domains": len(domains), "members": len(rows)}
     stages["differentiate_actors"] = {"rows": len(rows)}
     made = run("unify_appearances", unify_appearances, store, cfg.min_support)
     stages["unify_appearances"] = {

@@ -5,7 +5,9 @@ nested collections: alternatives framed with braces ``{red green}``,
 unordered conjunctions framed with parentheses ``(a b)`` and ordered
 sequences framed with brackets ``[a b]``.  ``$name`` marks a variable
 slot to be bound when the pattern is matched against text.  Top-level
-whitespace-separated elements form an implicit sequence.
+whitespace-separated elements form an implicit sequence.  One walk
+renders a pattern as canonical text, which parses back to an equal
+pattern, or filled with bound values, as an event's text.
 
 Each node also carries what the matcher needs to rule it out early,
 derived from its children once when it is built: ``required_literals``,
@@ -215,48 +217,44 @@ def _is_single_token(token: str) -> bool:
     return j == len(token) and surface == token
 
 
-def _render(node: PatternNode) -> str:
+def _render(node: PatternNode, values: dict[str, str] | None = None, top: bool = False) -> str:
+    """Canonical text, with a sequence at the ``top`` as its parts; with
+    ``values``, bound variables as their text and every sequence as its parts."""
     if isinstance(node, Literal):
         if not (set(node.token) & _STRUCTURAL) and _is_single_token(node.token):
             return node.token
-        return f"'{node.token}'"
+        quote = '"' if "'" in node.token else "'"
+        return quote + node.token + quote
     if isinstance(node, Variable):
-        return f"${node.name}"
+        return (values or {}).get(node.name, f"${node.name}")
+    if not isinstance(node, (AnySet, AndSet, SeqSet)):
+        raise TypeError(f"not a pattern node: {node!r}")
+    parts = " ".join(_render(c, values) for c in node.children)
     if isinstance(node, AnySet):
-        return "{" + " ".join(_render(c) for c in node.children) + "}"
+        return "{" + parts + "}"
     if isinstance(node, AndSet):
-        return "(" + " ".join(_render(c) for c in node.children) + ")"
-    if isinstance(node, SeqSet):
-        if len(node.children) > 1 and all(
-            isinstance(c, Literal) and "'" not in c.token and _is_single_token(c.token)
-            for c in node.children
-        ):
-            return "'" + " ".join(c.token for c in node.children) + "'"
-        return "[" + " ".join(_render(c) for c in node.children) + "]"
-    raise TypeError(f"not a pattern node: {node!r}")
+        return "(" + parts + ")"
+    if values is not None or (top and len(node.children) > 1):
+        return parts
+    if len(node.children) > 1 and all(
+        isinstance(c, Literal) and "'" not in c.token and _is_single_token(c.token)
+        for c in node.children
+    ):
+        return "'" + " ".join(c.token for c in node.children) + "'"
+    return "[" + parts + "]"
 
 
 def render_pattern(ast: PatternNode) -> str:
     """Render an AST back to canonical text, such that parsing the result
-    reproduces a structurally equal AST."""
-    if isinstance(ast, SeqSet) and len(ast.children) > 1:
-        return " ".join(_render(c) for c in ast.children)
-    return _render(ast)
+    reproduces a structurally equal AST.  A literal holding ``'`` is quoted
+    with ``"``."""
+    return _render(ast, top=True)
 
 
 def render_filled(ast: PatternNode, values: dict[str, str]) -> str:
     """Render like render_pattern but substitute each variable with its
     bound text; a sequence renders as its parts without brackets."""
-    if isinstance(ast, Variable):
-        return values.get(ast.name, f"${ast.name}")
-    if isinstance(ast, (AnySet, AndSet, SeqSet)):
-        parts = " ".join(render_filled(c, values) for c in ast.children)
-        if isinstance(ast, AnySet):
-            return "{" + parts + "}"
-        if isinstance(ast, AndSet):
-            return "(" + parts + ")"
-        return parts
-    return _render(ast)
+    return _render(ast, values)
 
 
 def list_variables(ast: PatternNode) -> list[str]:

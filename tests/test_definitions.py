@@ -41,7 +41,7 @@ def test_has_list_mixes_separators():
 def test_bare_definition():
     (definition,) = parse_definitions("There name person.")
     assert definition.name == "person"
-    assert definition.patterns == []
+    assert definition.patterns == [parse_pattern("person")]
     assert definition.roles == []
 
 

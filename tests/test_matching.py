@@ -375,10 +375,10 @@ def test_skip_and_first_token_starts(monkeypatch):
 
     starts = []
 
-    def recorded(engine, node, i, real=matching._Engine.matches_at):
+    def recorded(engine, node, i, follow=None, real=matching._Engine.matches_at):
         if node is pattern:
             starts.append(i)
-        return real(engine, node, i)
+        return real(engine, node, i, follow)
 
     monkeypatch.setattr(matching._Engine, "matches_at", recorded)
     pattern = parse_pattern("{obama trump} said $matter")

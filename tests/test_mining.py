@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from scenamine.definitions import parse_definitions
 from scenamine import mining
 from scenamine.graph import Edge, GraphStore, TimeSpec
 from scenamine.matching import Document, extract_events
+from scenamine.patterns import parse_pattern, render_pattern
 from scenamine.mining import (
     MiningConfig,
     MiningStageError,
@@ -57,7 +59,7 @@ def test_scope_roles_stoplight():
     for tick, color in enumerate(["red", "green", "yellow", "red"], start=1):
         extract_events(store, defs, Document(f"light turned {color}", "cam", tick))
     extracted = store.dumps()
-    domains = scope_roles(store)
+    domains = scope_roles(differentiate_actors(store)[0])
     (app,) = store.find_by_name("appearance", "stoplight")
     assert list(domains) == [(app, "color")]
     assert sorted(store.thing(a).name for a in domains[(app, "color")]) == [
@@ -72,7 +74,7 @@ def test_scope_roles_singleton():
     extract_events(store, defs, Document("saw mary", "u", 1))
     (app,) = store.find_by_name("appearance", "x")
     (mary,) = store.find_by_name("actor", "mary")
-    assert scope_roles(store) == {(app, "who"): [mary]}
+    assert scope_roles(differentiate_actors(store)[0]) == {(app, "who"): [mary]}
 
 
 def test_scope_roles_matches_group_by_oracle():
@@ -88,7 +90,7 @@ def test_scope_roles_matches_group_by_oracle():
         add_event(store, app, n, actors=bound)
         for role, actor in bound.items():
             expected.setdefault((app, role), set()).add(actor)
-    assert scope_roles(store) == {
+    assert scope_roles(differentiate_actors(store)[0]) == {
         pair: sorted(actor_ids) for pair, actor_ids in sorted(expected.items())
     }
 
@@ -97,8 +99,8 @@ def test_scope_roles_idempotent():
     store = GraphStore()
     defs = parse_definitions('There name x patterns "saw $who", has who.')
     extract_events(store, defs, Document("saw mary", "u", 1))
-    first = scope_roles(store)
-    second = scope_roles(store)
+    first = scope_roles(differentiate_actors(store)[0])
+    second = scope_roles(differentiate_actors(store)[0])
     assert first == second
 
 
@@ -209,6 +211,19 @@ def test_unify_appearances_cleaner_does_not_matter():
         extract_events(store, defs, Document(f"{who} wipes the window", "u", tick))
     made = unify_appearances(store, 3)
     assert made == [("$x1 wipes the window", 3, {"x1": ["father", "mother", "service"]})]
+
+
+def test_every_mined_pattern_parses_again():
+    store = GraphStore()
+    defs = parse_definitions('There name says patterns "$who says $what", has who, what.')
+    extract_events(
+        store, defs, Document("ann says it's red", "u", 1), Document("bob says it's blue", "u", 2)
+    )
+    run_pipeline(store, MiningConfig(min_support=2))
+    mined = [t.properties["pattern"] for t in store.things("appearance") if "pattern" in t.properties]
+    assert mined == ["$x1 says it", '$x1 says it "\'"', '$x1 says it "\'" s', '$x1 says it "\'" s $x2']
+    for text in mined:
+        assert render_pattern(parse_pattern(text)) == text
 
 
 def test_unify_appearances_requires_anchor():
@@ -588,6 +603,22 @@ def test_a_long_process_mines_with_its_chain_and_tree_walk():
     assert len(store.member_children(store.things("process")[0].id, "seq")) == 1500
     assert report.stages["unify_scenarios"] == {"scenarios": 0}
     assert report.forks == []
+
+
+def test_chaining_a_long_process_holds_only_the_chains_from_starts():
+    """Chains grow from chain starts only, so one process of 2,000 steps
+    does not keep the chain from every one of its coincidences."""
+    store = _one_actor_at_every_tick(2000)
+    cluster_events(store, 1)
+    tracemalloc.start()
+    try:
+        stats = chain_coincidences(store, MiningConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == {"processes": 1}
+    assert len(store.member_children(store.things("process")[0].id, "seq")) == 2000
+    assert peak < 5 * 2**20, f"peak {peak} bytes"
 
 
 def test_a_long_process_at_support_one_makes_every_prefix_a_scenario():

@@ -19,6 +19,7 @@ from scenamine.patterns import (
     render_filled,
     render_pattern,
 )
+from scenamine.tokens import tokenize
 
 # every pattern string quoted in the source material, typographic quotes and all
 FIXTURE_PATTERNS = [
@@ -223,6 +224,28 @@ def test_dollar_sign_literal_is_quoted():
     ast = parse_pattern("prices '$' $cost")
     assert ast.children[1] == Literal("$")
     assert ast.children[2] == Variable("cost")
+    assert parse_pattern(render_pattern(ast)) == ast
+
+
+# every ASCII character that is one punct token on its own
+ASCII_PUNCT = [
+    c for c in map(chr, range(128)) if [(t.surface, t.cls) for t in tokenize(c)] == [(c, "punct")]
+]
+
+
+@pytest.mark.parametrize("char", ASCII_PUNCT)
+def test_punct_literal_round_trips_alone_and_in_a_sequence(char):
+    for ast in (
+        Literal(char),
+        SeqSet((Literal("a"), Literal(char), Literal("b"))),
+        AnySet((SeqSet((Literal("a"), Literal(char))), Literal("c"))),
+    ):
+        assert parse_pattern(render_pattern(ast)) == ast
+
+
+def test_literal_holding_apostrophe_renders_in_double_quotes():
+    ast = parse_pattern('"it\'s" $x')
+    assert render_pattern(ast) == '[it "\'" s] $x'
     assert parse_pattern(render_pattern(ast)) == ast
 
 
