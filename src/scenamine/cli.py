@@ -181,17 +181,21 @@ def _do_mine(args, file_cfg, store: GraphStore, cfg: MiningConfig) -> None:
     sys.stdout.write(text)
 
 
+def _load_snapshot(args: argparse.Namespace, file_cfg: dict, command: str) -> GraphStore:
+    """The store in the required ``--snapshot`` file; a fault exits 1."""
+    snapshot_path = _setting(args, file_cfg, "snapshot")
+    if not snapshot_path:
+        _fail(f"{command} requires --snapshot", EXIT_DOMAIN)
+    try:
+        return GraphStore.loads(_read_text(snapshot_path))
+    except SnapshotError as exc:
+        _fail(f"{snapshot_path}: {exc}", EXIT_DOMAIN)
+
+
 def cmd_mine(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _mining_config(args, file_cfg)
-    snapshot_path = _setting(args, file_cfg, "snapshot")
-    if not snapshot_path:
-        _fail("mine requires --snapshot", EXIT_DOMAIN)
-    try:
-        store = GraphStore.loads(_read_text(snapshot_path))
-    except SnapshotError as exc:
-        _fail(f"{snapshot_path}: {exc}", EXIT_DOMAIN)
-    _do_mine(args, file_cfg, store, cfg)
+    _do_mine(args, file_cfg, _load_snapshot(args, file_cfg, "mine"), cfg)
     return EXIT_OK
 
 
@@ -233,13 +237,7 @@ def _resolve_thing(store: GraphStore, kind: str | None, value: str) -> int:
 
 def cmd_query(args) -> int:
     file_cfg = _load_config_file(args.config)
-    snapshot_path = _setting(args, file_cfg, "snapshot")
-    if not snapshot_path:
-        _fail("query requires --snapshot", EXIT_DOMAIN)
-    try:
-        store = GraphStore.loads(_read_text(snapshot_path))
-    except SnapshotError as exc:
-        _fail(f"{snapshot_path}: {exc}", EXIT_DOMAIN)
+    store = _load_snapshot(args, file_cfg, "query")
     name = args.function
     if name not in queries.REGISTRY and name != "timespan_of":
         valid = ", ".join(sorted(queries.REGISTRY) + ["timespan_of"])

@@ -18,13 +18,15 @@ bisections bound the candidates, so a time-window query costs log n plus
 those, not a scan of every thing.  ``is_links`` reads one index of each
 thing's ``is`` endpoints in each direction, so an inheritance walk costs
 the things it reaches, not their other edges.  The whole store
-round-trips through a JSON snapshot.  Loading one replays its things and
-edges through the same checks as live construction, so a snapshot must
-list each node's seq members in order (as ``dumps`` writes them), a
-repeated edge is a no-op, every tick is an integer, and any fault raises
-``SnapshotError`` naming it.  A load checks each item once, so its cost
-is linear in things + edges + intervals.  An edge carries only the fields
-of its kind (a ``has`` role, a ``member`` set kind, a ``seq`` order).
+round-trips through a JSON snapshot.  One path checks both live
+construction and a load: ``_put_thing`` a thing, ``add_edge`` an edge's
+field types and fields (one table says which fields each kind carries:
+a ``has`` role, a ``member`` set kind, a ``seq`` order) and ``TimeSpec``
+each interval's integer ticks.  ``loads`` checks only the JSON shape, so
+a store built live always loads again, a snapshot must list each node's
+seq members in order (as ``dumps`` writes them), a repeated edge is a
+no-op, and any fault raises ``SnapshotError`` naming it.  A load checks
+each item once, so its cost is linear in things + edges + intervals.
 A thing whose properties name an ``origin`` is mined; ``drop_mined``
 removes those with their edges and time spans and replays the rest, as a
 load does, so the next ids handed out are the ones mining took before.
@@ -70,12 +72,17 @@ class TimeSpec:
 
     Intervals are over a discrete axis: two intervals whose tick sets
     touch or overlap are coalesced, so {[1,2],[3,4]} becomes [1,4] while
-    {[1,1],[3,3]} keeps its gap.
+    {[1,1],[3,3]} keeps its gap.  Each interval is a tuple or list of two
+    ``int`` ticks; ``type(...) is`` keeps bools and floats such as 1.0 out.
     """
 
     intervals: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        for pair in self.intervals:
+            if not (type(pair) in (tuple, list) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise GraphError(f"{pair!r} is not a pair of integers")
         merged: list[list[int]] = []
         for start, end in sorted(tuple(p) for p in self.intervals):
             if start > end:
@@ -226,13 +233,17 @@ class GraphStore:
         properties: dict | None = None,
         times: TimeSpec | None = None,
     ) -> int:
-        if kind == "event" and (times is None or not times):
+        if times is not None and type(times) is not TimeSpec:
+            raise GraphError(f"times {times!r} is not a TimeSpec")
+        if kind == "event" and not times:
             raise GraphError("events require a non-empty time span")
         thing_id = self._next_id
         self._put_thing(thing_id, kind, name, {} if properties is None else properties)
         self._next_id += 1
         if times is not None:
-            self._attach_times(thing_id, times)
+            spec_id, self._next_id = self._next_id, self._next_id + 1
+            self._times[spec_id] = times
+            self.add_edge(Edge("times", thing_id, spec_id))
         return thing_id
 
     def _put_thing(self, thing_id: int, kind: str, name: str | None, properties: dict) -> None:
@@ -256,49 +267,51 @@ class GraphStore:
         if "origin" in properties:
             self._mined.add(thing_id)
 
-    def _attach_times(self, thing_id: int, times: TimeSpec) -> None:
-        spec_id = self._next_id
-        self._next_id += 1
-        self._times[spec_id] = times
-        self.add_edge(Edge("times", thing_id, spec_id))
-
     def add_edge(self, edge: Edge) -> None:
+        """Check one edge and add it; a repeat is a no-op, a seq member without an order gets the next."""
+        kind, src, dst, role, set_kind, order = edge
+        if not (type(kind) is str and type(src) is int and type(dst) is int
+                and (role is None or type(role) is str) and (set_kind is None or type(set_kind) is str)
+                and (order is None or type(order) is int)):
+            raise _edge_type_error(edge)
         self._intervals = self._is = None
-        if edge.kind not in EDGE_KINDS:
-            raise GraphError(f"unknown edge kind {edge.kind!r}")
-        if edge.src not in self._things:
-            raise GraphError(f"dangling edge source {edge.src}")
-        if edge.kind == "times":
-            if edge.dst not in self._times:
-                raise GraphError(f"dangling time span {edge.dst}")
-        elif edge.dst not in self._things:
-            raise GraphError(f"dangling edge target {edge.dst}")
-        if edge.kind == "has" and not (isinstance(edge.role, str) and edge.role):
-            raise GraphError(f"has edge {edge.src} -> {edge.dst} needs a role name")
+        if kind not in EDGE_KINDS:
+            raise GraphError(f"unknown edge kind {kind!r}")
+        if src not in self._things:
+            raise GraphError(f"dangling edge source {src}")
+        if kind == "times":
+            if dst not in self._times:
+                raise GraphError(f"dangling time span {dst}")
+        elif dst not in self._things:
+            raise GraphError(f"dangling edge target {dst}")
+        if kind == "has" and not role:
+            raise GraphError(f"has edge {src} -> {dst} needs a role name")
         seq = None
-        if edge.kind == "member":
-            if edge.set_kind not in SET_KINDS:
-                raise GraphError(f"bad set kind {edge.set_kind!r}")
-            if edge.set_kind == "seq":
-                seq = self._seq.setdefault(edge.src, [])
-                if edge.order is None:
-                    edge = edge._replace(order=len(seq))
-        if (edge.role is not None and edge.kind != "has" or edge.order is not None and seq is None
-                or edge.set_kind is not None and edge.kind != "member"):
+        if kind == "member":
+            if set_kind not in SET_KINDS:
+                raise GraphError(f"bad set kind {set_kind!r}")
+            if set_kind == "seq":
+                seq = self._seq.setdefault(src, [])
+                if order is None:
+                    order = len(seq)
+                    edge = edge._replace(order=order)
+        # the checks above set each field the kind carries, so any other is one it does not
+        present = (role is not None) + (set_kind is not None) + (order is not None)
+        if present and present != len(_EDGE_EXTRAS.get((kind, set_kind), ())):
             raise GraphError(f"{edge} carries a field its kind does not")
         if edge in self._edge_set:
             return
-        if seq is not None and edge.order != len(seq):
+        if seq is not None and order != len(seq):
             raise GraphError(
-                f"seq order {edge.order} breaks contiguity: orders of {edge.src} "
+                f"seq order {order} breaks contiguity: orders of {src} "
                 f"are not contiguous from 0 (expected {len(seq)})"
             )
         self._edge_set.add(edge)
-        self._out[edge.src].append(edge)
-        if edge.kind != "times":
-            self._in[edge.dst].append(edge)
+        self._out[src].append(edge)
+        if kind != "times":
+            self._in[dst].append(edge)
         if seq is not None:
-            seq.append(edge.dst)
+            seq.append(dst)
 
     def find_by_name(self, kind: str, name: str) -> list[int]:
         return list(self._by_name.get((kind, name), []))
@@ -455,13 +468,10 @@ class GraphStore:
         edges = []
         for t in self.things():
             for e in self._out[t.id]:
-                item = {"kind": e.kind, "from": e.src, "to": e.dst}
-                if e.kind == "has":
-                    item["role"] = e.role
-                elif e.kind == "member":
-                    item["set_kind"] = e.set_kind
-                    if e.set_kind == "seq":
-                        item["order"] = e.order
+                kind, src, dst, _, set_kind, _ = e
+                item = {"kind": kind, "from": src, "to": dst}
+                for key in _EDGE_EXTRAS.get((kind, set_kind), ()):
+                    item[key] = getattr(e, key)
                 edges.append(item)
         times = [
             {"id": spec_id, "intervals": [list(p) for p in spec.intervals]}
@@ -503,12 +513,6 @@ class GraphStore:
                 intervals = item["intervals"]
                 if type(intervals) is not list:
                     raise SnapshotError(f"bad intervals for {spec_id}: {intervals!r} is not a list")
-                for pair in intervals:
-                    if not (type(pair) is list and len(pair) == 2
-                            and type(pair[0]) is int and type(pair[1]) is int):
-                        raise SnapshotError(
-                            f"bad intervals for {spec_id}: {pair!r} is not a pair of integers"
-                        )
                 try:
                     store._times[spec_id] = TimeSpec(intervals)
                 except GraphError as exc:
@@ -516,31 +520,12 @@ class GraphStore:
             for item in raw["edges"]:
                 if not isinstance(item, dict):
                     raise SnapshotError("edge entries must be objects")
-                kind = item.get("kind")
-                # a kind that is not a string (a list, say) is not hashed
-                if type(kind) is not str:
-                    shape = None
-                elif kind == "member" and item.get("set_kind") == "seq":
-                    shape = _SEQ
-                else:
-                    shape = kind
-                allowed = _EDGE_FIELDS.get(shape, _PLAIN_EDGE_FIELDS)
-                if item.keys() != allowed:
+                kind, set_kind = item.get("kind"), item.get("set_kind")
+                add_edge(Edge(kind, item.get("from"), item.get("to"), item.get("role"), set_kind, item.get("order")))
+                # add_edge checked the values, so (kind, set_kind) hashes
+                allowed = _EDGE_FIELDS.get((kind, set_kind), _PLAIN_EDGE_FIELDS)
+                if item.keys() != allowed or None in item.values():
                     raise _fields_error(item, allowed, "edge")
-                for key, value in item.items():
-                    if type(value) is not _EDGE_FIELD_TYPES[key]:
-                        want = "an integer" if _EDGE_FIELD_TYPES[key] is int else "a string"
-                        raise SnapshotError(f"edge {key} {value!r} is not {want}")
-                add_edge(
-                    Edge(
-                        kind,
-                        item["from"],
-                        item["to"],
-                        item.get("role"),
-                        item.get("set_kind"),
-                        item.get("order"),
-                    )
-                )
         except SnapshotError:
             raise
         except GraphError as exc:
@@ -554,31 +539,39 @@ class GraphStore:
         return store
 
 
-# The fields of each snapshot entry.  An edge's fields depend on its shape:
-# ``has`` adds a role, ``member`` a set kind, a seq ``member`` (keyed
-# ``_SEQ``) also an order, and every other kind has the plain three.
+# The optional fields each (kind, set kind) of edge carries, named alike
+# in ``Edge`` and in a snapshot; any other pair carries none.
+_EDGE_EXTRAS = {("has", None): ("role",), ("member", "and"): ("set_kind",), ("member", "any"): ("set_kind",),
+                ("member", "seq"): ("set_kind", "order")}
+
+# The fields of each snapshot entry.
 _THING_FIELDS = frozenset({"id", "kind", "name", "properties"})
 _TIME_SPAN_FIELDS = frozenset({"id", "intervals"})
 _PLAIN_EDGE_FIELDS = frozenset({"kind", "from", "to"})
-_SEQ = ("member", "seq")
-_EDGE_FIELDS = {
-    "has": _PLAIN_EDGE_FIELDS | {"role"},
-    "member": _PLAIN_EDGE_FIELDS | {"set_kind"},
-    _SEQ: _PLAIN_EDGE_FIELDS | {"set_kind", "order"},
-}
+_EDGE_FIELDS = {pair: _PLAIN_EDGE_FIELDS.union(extras) for pair, extras in _EDGE_EXTRAS.items()}
 
-# JSON types of snapshot edge fields; ``type(...) is`` keeps bools and
-# floats such as 1.0 out of the integer fields.
-_EDGE_FIELD_TYPES = {
-    "kind": str, "from": int, "to": int, "role": str, "set_kind": str, "order": int
-}
+
+def _edge_type_error(edge: Edge) -> GraphError:
+    """The first field of ``edge`` whose type is wrong, named by its snapshot
+    key; ``type(...) is`` keeps bools and floats such as 1.0 out of the
+    integer fields, and only role, set kind and order may be None."""
+    for key, value, want in zip(("kind", "from", "to", "role", "set_kind", "order"), edge,
+                                (str, int, int, str, str, int)):
+        if type(value) is not want and (value is not None or key in ("kind", "from", "to")):
+            fault = f"edge {key} {value!r} is not {'an integer' if want is int else 'a string'}"
+            if key == "role" and edge.kind == "has":
+                fault = f"has edge {edge.src} -> {edge.dst} needs a role name; {fault}"
+            return GraphError(fault)
 
 
 def _fields_error(item, allowed: frozenset[str], what: str) -> SnapshotError:
-    """The fault of an entry that is not an object with exactly ``allowed``."""
+    """The fault of an entry that is not an object with exactly ``allowed``,
+    or of an edge entry with a null field."""
     if not isinstance(item, dict):
         return SnapshotError(f"{what} entries must be objects")
     unknown = item.keys() - allowed
     if unknown:
         return SnapshotError(f"unknown {what} fields {sorted(unknown)}")
-    return SnapshotError(f"missing {what} fields {sorted(allowed - item.keys())}")
+    missing = sorted(allowed - item.keys())
+    nulls = sorted(key for key, value in item.items() if value is None)
+    return SnapshotError(f"missing {what} fields {missing}" if missing else f"null {what} fields {nulls}")

@@ -394,9 +394,12 @@ class CorpusError(ValueError):
 
 def time_to_tick(value, granularity: int = 1):
     """Convert a corpus time value to a tick: integers pass through,
-    ISO-8601 strings map to epoch seconds divided by the granularity."""
+    ISO-8601 strings map to epoch seconds divided by the granularity, an
+    integer >= 1."""
     from datetime import datetime, timezone
 
+    if type(granularity) is not int or granularity < 1:
+        raise ValueError(f"granularity must be an integer >= 1, got {granularity!r}")
     if isinstance(value, bool):
         raise ValueError("time must be an integer tick or ISO-8601 string")
     if isinstance(value, int):

@@ -30,7 +30,9 @@ _QUOTE_FOLD = str.maketrans({"‘": "'", "’": "'", "“": '"', "”": '"'})
 
 _OPEN = {"{": "any", "(": "and", "[": "seq"}
 _CLOSE = {"}": "{", ")": "(", "]": "["}
-_STRUCTURAL = set("{}()[]$'\"")
+# a literal holding one of these renders quoted; the typographic quotes
+# count, since the parser folds them to ASCII ones
+_STRUCTURAL = set("{}()[]$'\"").union(map(chr, _QUOTE_FOLD))
 _VAR_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
@@ -223,7 +225,7 @@ def _render(node: PatternNode, values: dict[str, str] | None = None, top: bool =
     if isinstance(node, Literal):
         if not (set(node.token) & _STRUCTURAL) and _is_single_token(node.token):
             return node.token
-        quote = '"' if "'" in node.token else "'"
+        quote = '"' if "'" in node.token.translate(_QUOTE_FOLD) else "'"
         return quote + node.token + quote
     if isinstance(node, Variable):
         return (values or {}).get(node.name, f"${node.name}")
@@ -237,7 +239,7 @@ def _render(node: PatternNode, values: dict[str, str] | None = None, top: bool =
     if values is not None or (top and len(node.children) > 1):
         return parts
     if len(node.children) > 1 and all(
-        isinstance(c, Literal) and "'" not in c.token and _is_single_token(c.token)
+        isinstance(c, Literal) and "'" not in c.token.translate(_QUOTE_FOLD) and _is_single_token(c.token)
         for c in node.children
     ):
         return "'" + " ".join(c.token for c in node.children) + "'"
@@ -246,8 +248,8 @@ def _render(node: PatternNode, values: dict[str, str] | None = None, top: bool =
 
 def render_pattern(ast: PatternNode) -> str:
     """Render an AST back to canonical text, such that parsing the result
-    reproduces a structurally equal AST.  A literal holding ``'`` is quoted
-    with ``"``."""
+    reproduces a structurally equal AST.  A literal holding ``'`` or ``’``
+    is quoted with ``"``; a typographic quote parses back folded, ``’`` as ``'``."""
     return _render(ast, top=True)
 
 

@@ -1,5 +1,6 @@
 """Graph store: nodes, edges, time spans, persistence."""
 
+import contextlib
 import json
 import random
 import re
@@ -394,6 +395,75 @@ _ACTOR_AND_PROCESS = [_node(1, "actor"), _node(2, "process")]
 def test_load_rejects_malformed_values_naming_them(body, fault):
     with pytest.raises(SnapshotError, match=re.escape(fault)):
         GraphStore.loads(body)
+
+
+@pytest.mark.parametrize(
+    "build, fault",
+    [
+        # the edge and interval rows above, built live
+        (lambda s: s.add_edge(Edge("is", [1], 2)), "edge from [1] is not an integer"),
+        (lambda s: s.add_edge(Edge("member", [2], 1, set_kind="seq", order=0)), "edge from [2] is not an integer"),
+        (lambda s: s.add_edge(Edge("is", 1.0, 2)), "edge from 1.0 is not an integer"),
+        (lambda s: s.add_edge(Edge("member", 2, 1, set_kind="seq", order=True)), "edge order True is not an integer"),
+        (lambda s: s.add_edge(Edge(["is"], 1, 2)), "edge kind ['is'] is not a string"),
+        (lambda s: s.add_edge(Edge("has", 2, 1, role=5)), "edge role 5 is not a string"),
+        (lambda s: s.add_edge(Edge("has", 2, 1, role="")), "has edge 2 -> 1 needs a role name"),
+        (lambda s: TimeSpec((["a", "b"],)), "['a', 'b'] is not a pair of integers"),
+        (lambda s: TimeSpec(([True, 2],)), "[True, 2] is not a pair of integers"),
+        (lambda s: TimeSpec(([0.5, 1.5],)), "[0.5, 1.5] is not a pair of integers"),
+        # values that no snapshot can hold
+        (lambda s: s.add_edge(Edge("is", True, 2)), "edge from True is not an integer"),
+        (lambda s: s.add_edge(Edge("member", 2, 1, set_kind="seq", order=False)), "edge order False is not an integer"),
+        (lambda s: s.add_edge(Edge("member", 2, 1, set_kind=["seq"])), "edge set_kind ['seq'] is not a string"),
+        (lambda s: TimeSpec(((1.5, 2),)), "(1.5, 2) is not a pair of integers"),
+        (lambda s: s.add_thing("event", times=((1, 2),)), "times ((1, 2),) is not a TimeSpec"),
+    ],
+)
+def test_live_construction_refuses_what_a_load_refuses(build, fault):
+    """Live construction and load share one check per fact, so what a load
+    refuses is refused live with the same text, and every store built live
+    round-trips through its snapshot."""
+    store = GraphStore()
+    actor, process = store.add_thing("actor"), store.add_thing("process")
+    event = store.add_thing("event", times=TimeSpec(((3, 5), [7, 7])))
+    store.add_edge(Edge("has", event, actor, role="who"))
+    store.add_edge(Edge("member", process, event, set_kind="seq"))
+    dumped = store.dumps()
+    with pytest.raises(GraphError, match=re.escape(fault)):
+        build(store)
+    assert store.dumps() == dumped
+    assert GraphStore.loads(dumped).dumps() == dumped
+
+
+_IDS = st.sampled_from([1, 2, 3, 4, True, 1.0, [1]])
+_EDGES = st.builds(
+    Edge,
+    st.sampled_from(["is", "has", "member", "times", ["is"]]),
+    _IDS,
+    _IDS,
+    st.none() | st.sampled_from(["r", "", 5, ["r"]]),
+    st.none() | st.sampled_from(["and", "seq", "any", ["seq"]]),
+    st.none() | st.sampled_from([0, 1, True, False, 1.5]),
+)
+_TICKS = st.sampled_from([0, 1, 5, True, 1.5, "a"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.tuples(_TICKS, _TICKS), max_size=3), max_size=3), st.lists(_EDGES, max_size=25))
+def test_every_store_built_live_loads_again(spans, edges):
+    """Whatever the public construction methods accept, a load of its
+    snapshot accepts and writes back unchanged."""
+    store = GraphStore()
+    for kind in ("actor", "process", "coincidence"):
+        store.add_thing(kind)
+    for pairs in spans:
+        with contextlib.suppress(GraphError):
+            store.add_thing("event", times=TimeSpec(tuple(pairs)))
+    for edge in edges:
+        with contextlib.suppress(GraphError):
+            store.add_edge(edge)
+    dumped = store.dumps()
+    assert GraphStore.loads(dumped).dumps() == dumped
 
 
 def test_load_builds_every_thing_and_edge_through_the_checked_path(monkeypatch):

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -672,3 +673,16 @@ def test_corpus_errors_name_line():
         parse_corpus_line("{broken", 3)
     with pytest.raises(CorpusError, match="missing"):
         parse_corpus_line('{"time": 1}', 1)
+
+
+@pytest.mark.parametrize("granularity", [0, -60, 2.5, True])
+def test_granularity_below_one_is_a_corpus_error(granularity):
+    """A bad granularity names itself instead of dividing by zero or
+    giving negative ticks."""
+    from scenamine.matching import CorpusError
+
+    fault = f"granularity must be an integer >= 1, got {granularity!r}"
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        time_to_tick("2020-01-01", granularity)
+    with pytest.raises(CorpusError, match=re.escape(fault)):
+        read_corpus(['{"time": "2020-01-01", "source": "s", "text": "x"}'], granularity)

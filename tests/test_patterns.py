@@ -247,6 +247,10 @@ def test_literal_holding_apostrophe_renders_in_double_quotes():
     ast = parse_pattern('"it\'s" $x')
     assert render_pattern(ast) == '[it "\'" s] $x'
     assert parse_pattern(render_pattern(ast)) == ast
+    # a typographic apostrophe, as mined from "it’s", is quoted too and parses back folded
+    typographic = SeqSet((Literal("it"), Literal("’"), Literal("s"), Variable("x")))
+    assert render_pattern(typographic) == 'it "’" s $x'
+    assert parse_pattern(render_pattern(typographic)) == parse_pattern('it "\'" s $x')
 
 
 def test_single_child_seq_renders_with_brackets():
