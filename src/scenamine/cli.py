@@ -19,7 +19,7 @@ import tempfile
 from . import queries
 from .definitions import DefinitionError, parse_definitions
 from .graph import KINDS, GraphError, GraphStore, SnapshotError
-from .matching import CorpusError, extract_events, read_corpus
+from .matching import CorpusError, check_granularity, extract_events, read_corpus
 from .mining import MiningConfig, MiningStageError, run_pipeline
 
 EXIT_OK = 0
@@ -115,10 +115,10 @@ def _setting(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
 
 
 def _granularity(args: argparse.Namespace, file_cfg: dict) -> int:
-    value = _setting(args, file_cfg, "granularity", 1)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        _fail(f"granularity must be an integer >= 1, got {value!r}", EXIT_DOMAIN)
-    return value
+    try:
+        return check_granularity(_setting(args, file_cfg, "granularity", 1))
+    except ValueError as exc:
+        _fail(str(exc), EXIT_DOMAIN)
 
 
 def _report_json(report, store) -> str:

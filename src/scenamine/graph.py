@@ -27,6 +27,10 @@ a store built live always loads again, a snapshot must list each node's
 seq members in order (as ``dumps`` writes them), a repeated edge is a
 no-op, and any fault raises ``SnapshotError`` naming it.  A load checks
 each item once, so its cost is linear in things + edges + intervals.
+It pauses the cyclic collector from parsing to return and then restores
+it as it was, also when the load fails: a load makes no reference cycles,
+which a test checks, so a collection could free nothing and would only
+scan every parsed entry and new node.
 A thing whose properties name an ``origin`` is mined; ``drop_mined``
 removes those with their edges and time spans and replays the rest, as a
 load does, so the next ids handed out are the ones mining took before.
@@ -34,6 +38,7 @@ load does, so the next ids handed out are the ones mining took before.
 
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -79,12 +84,19 @@ class TimeSpec:
     intervals: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for pair in self.intervals:
+        intervals = self.intervals
+        for pair in intervals:
             if not (type(pair) in (tuple, list) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
                 raise GraphError(f"{pair!r} is not a pair of integers")
+        if len(intervals) == 1:  # most spans: one interval, nothing to sort or merge
+            start, end = intervals[0]
+            if start > end:
+                raise GraphError(f"bad interval [{start}, {end}]")
+            object.__setattr__(self, "intervals", ((start, end),))
+            return
         merged: list[list[int]] = []
-        for start, end in sorted(tuple(p) for p in self.intervals):
+        for start, end in sorted(tuple(p) for p in intervals):
             if start > end:
                 raise GraphError(f"bad interval [{start}, {end}]")
             if merged and start <= merged[-1][1] + 1:
@@ -137,7 +149,7 @@ class Edge(NamedTuple):
     order: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ThingNode:
     id: int
     kind: str
@@ -461,12 +473,13 @@ class GraphStore:
     # -- persistence ----------------------------------------------------
 
     def dumps(self) -> str:
+        ordered = self.things()
         things = [
             {"id": t.id, "kind": t.kind, "name": t.name, "properties": t.properties}
-            for t in self.things()
+            for t in ordered
         ]
         edges = []
-        for t in self.things():
+        for t in ordered:
             for e in self._out[t.id]:
                 kind, src, dst, _, set_kind, _ = e
                 item = {"kind": kind, "from": src, "to": dst}
@@ -485,6 +498,18 @@ class GraphStore:
 
     @classmethod
     def loads(cls, data: str) -> "GraphStore":
+        """The store a snapshot holds, built through the checked path with
+        the cyclic collector paused (see the module docstring)."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load(data)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _load(cls, data: str) -> "GraphStore":
         try:
             raw = json.loads(data)
         except json.JSONDecodeError as exc:
@@ -520,12 +545,16 @@ class GraphStore:
             for item in raw["edges"]:
                 if not isinstance(item, dict):
                     raise SnapshotError("edge entries must be objects")
-                kind, set_kind = item.get("kind"), item.get("set_kind")
-                add_edge(Edge(kind, item.get("from"), item.get("to"), item.get("role"), set_kind, item.get("order")))
-                # add_edge checked the values, so (kind, set_kind) hashes
-                allowed = _EDGE_FIELDS.get((kind, set_kind), _PLAIN_EDGE_FIELDS)
-                if item.keys() != allowed or None in item.values():
-                    raise _fields_error(item, allowed, "edge")
+                get = item.get  # an Edge without the named tuple's Python-level __new__
+                edge = tuple.__new__(Edge, (get("kind"), get("from"), get("to"), get("role"),
+                                            get("set_kind"), get("order")))
+                add_edge(edge)
+                # add_edge refused a field the kind does not carry and the lack
+                # of one it needs, a seq order aside, so the entry holds exactly
+                # the kind's fields, none null, when each of its keys gave one
+                # of the edge's non-None fields
+                if len(item) != len(edge) - edge.count(None) or edge[5] is None and edge[4] == "seq":
+                    raise _fields_error(item, _EDGE_FIELDS.get((edge[0], edge[4]), _PLAIN_EDGE_FIELDS), "edge")
         except SnapshotError:
             raise
         except GraphError as exc:

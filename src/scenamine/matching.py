@@ -392,14 +392,21 @@ class CorpusError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+def check_granularity(granularity) -> int:
+    """``granularity`` if it is an integer >= 1 (not a bool), else a
+    ValueError naming it; the one check of the setting."""
+    if type(granularity) is not int or granularity < 1:
+        raise ValueError(f"granularity must be an integer >= 1, got {granularity!r}")
+    return granularity
+
+
 def time_to_tick(value, granularity: int = 1):
     """Convert a corpus time value to a tick: integers pass through,
     ISO-8601 strings map to epoch seconds divided by the granularity, an
     integer >= 1."""
     from datetime import datetime, timezone
 
-    if type(granularity) is not int or granularity < 1:
-        raise ValueError(f"granularity must be an integer >= 1, got {granularity!r}")
+    check_granularity(granularity)
     if isinstance(value, bool):
         raise ValueError("time must be an integer tick or ISO-8601 string")
     if isinstance(value, int):

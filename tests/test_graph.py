@@ -1,6 +1,7 @@
 """Graph store: nodes, edges, time spans, persistence."""
 
 import contextlib
+import gc
 import json
 import random
 import re
@@ -224,6 +225,34 @@ def test_timespec_membership_matches_naive_scan(raw, tick):
         spec.intervals[i + 1][0] > spec.intervals[i][1] + 1
         for i in range(len(spec.intervals) - 1)
     )
+
+
+
+def _sorted_and_coalesced(pairs) -> tuple:
+    """The reference normal form: every tick the pairs cover, cut into runs."""
+    ticks = sorted({tick for start, end in pairs for tick in range(start, end + 1)})
+    runs = []
+    for tick in ticks:
+        if runs and tick == runs[-1][1] + 1:
+            runs[-1][1] = tick
+        else:
+            runs.append([tick, tick])
+    return tuple((start, end) for start, end in runs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), max_size=4))
+def test_timespec_sorts_and_coalesces_or_names_a_reversed_pair(pairs):
+    """One pair or several, as tuples or as the lists a load passes:
+    ``TimeSpec`` gives the reference form, or names a reversed pair."""
+    reversed_pairs = {f"bad interval [{start}, {end}]" for start, end in pairs if start > end}
+    for given_pairs in (tuple(pairs), [list(p) for p in pairs]):
+        if reversed_pairs:
+            with pytest.raises(GraphError) as caught:
+                TimeSpec(given_pairs)
+            assert str(caught.value) in reversed_pairs
+        else:
+            assert TimeSpec(given_pairs).intervals == _sorted_and_coalesced(pairs)
 
 
 # -- weighted sets ---------------------------------------------------------------
@@ -480,6 +509,46 @@ def test_load_builds_every_thing_and_edge_through_the_checked_path(monkeypatch):
         monkeypatch.setattr(GraphStore, name, counted)
     GraphStore.loads(dumped)
     assert calls == {"_put_thing": len(raw["things"]), "add_edge": len(raw["edges"])}
+
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("snapshot", ["good", "truncated", "dangling-edge"])
+def test_load_leaves_the_collector_as_it_found_it(enabled, snapshot):
+    """A load pauses the cyclic collector; whether it returns or raises, the
+    collector is on after it exactly when it was on before."""
+    text = _random_store(random.Random(3), nodes=60).dumps()
+    if snapshot == "truncated":
+        text = text[: len(text) // 2]
+    elif snapshot == "dangling-edge":
+        text = _snapshot(_ACTOR_AND_PROCESS, [{"kind": "is", "from": 1, "to": 7}])
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if snapshot == "good":
+            assert GraphStore.loads(text).dumps() == text
+        else:
+            with pytest.raises(SnapshotError):
+                GraphStore.loads(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        ({"kind": "member", "set_kind": "seq", "from": 2, "to": 1}, "missing edge fields ['order']"),
+        ({**_seq(2, 1, 0), "order": None}, "null edge fields ['order']"),
+        ({"kind": "is", "from": 1, "to": 2, "weight": 1}, "unknown edge fields ['weight']"),
+        ({"kind": "is", "from": 1, "to": 2, "role": None}, "unknown edge fields ['role']"),
+        ({"kind": "has", "from": 2, "to": 1, "role": "r", "set_kind": None}, "unknown edge fields ['set_kind']"),
+        ({"kind": "member", "set_kind": "and", "from": 2, "to": 1, "order": None}, "unknown edge fields ['order']"),
+    ],
+)
+def test_load_names_an_edge_entry_without_exactly_its_kinds_fields(entry, fault):
+    with pytest.raises(SnapshotError, match=re.escape(fault)):
+        GraphStore.loads(_snapshot(_ACTOR_AND_PROCESS, [entry]))
 
 
 def test_edge_is_an_immutable_value():
