@@ -18,19 +18,22 @@ bisections bound the candidates, so a time-window query costs log n plus
 those, not a scan of every thing.  ``is_links`` reads one index of each
 thing's ``is`` endpoints in each direction, so an inheritance walk costs
 the things it reaches, not their other edges.  The whole store
-round-trips through a JSON snapshot.  One path checks both live
-construction and a load: ``_put_thing`` a thing, ``add_edge`` an edge's
-field types and fields (one table says which fields each kind carries:
-a ``has`` role, a ``member`` set kind, a ``seq`` order) and ``TimeSpec``
-each interval's integer ticks.  ``loads`` checks only the JSON shape, so
-a store built live always loads again, a snapshot must list each node's
-seq members in order (as ``dumps`` writes them), a repeated edge is a
-no-op, and any fault raises ``SnapshotError`` naming it.  A load checks
-each item once, so its cost is linear in things + edges + intervals.
-It pauses the cyclic collector from parsing to return and then restores
-it as it was, also when the load fails: a load makes no reference cycles,
-which a test checks, so a collection could free nothing and would only
-scan every parsed entry and new node.
+round-trips through a JSON snapshot, which ``dumps`` writes as text in
+one pass: the ASCII bytes ``json.dumps`` with sorted keys gives, with no
+tree built for it.  Only names, ``has`` roles and properties are free
+text and escaped; ids, ticks and kinds are checked ints and known words.
+One path checks both live construction and a load: ``_put_thing`` a
+thing, ``add_edge`` an edge's field types and fields (one table says
+which fields each kind carries: a ``has`` role, a ``member`` set kind, a
+``seq`` order) and ``TimeSpec`` each interval's integer ticks.  ``loads``
+checks only the JSON shape, so a store built live always loads again, a
+snapshot must list each node's seq members in order (as ``dumps`` writes
+them), a repeated edge is a no-op, and any fault raises ``SnapshotError``
+naming it.  A load checks each item once, so its cost is linear in
+things + edges + intervals.  It pauses the cyclic collector from parsing
+to return and then restores it as it was, also when the load fails: a
+load makes no reference cycles, which a test checks, so a collection
+could free nothing and would only scan every parsed entry and new node.
 A thing whose properties name an ``origin`` is mined; ``drop_mined``
 removes those with their edges and time spans and replays the rest, as a
 load does, so the next ids handed out are the ones mining took before.
@@ -215,6 +218,11 @@ class WeightedSet:
 
 _SCALARS = (str, int, float, bool)
 
+# the two escapers of ``dumps``: a JSON string in ASCII, and a properties object
+# with sorted keys (scalar values only, so no cycle to look for)
+_quote = json.encoder.encode_basestring_ascii
+_encode_properties = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
 # the empty answer of ``neighbors``, shared: no WeightedSet changes in place
 _NOTHING = WeightedSet()
 
@@ -249,8 +257,10 @@ class GraphStore:
             raise GraphError(f"times {times!r} is not a TimeSpec")
         if kind == "event" and not times:
             raise GraphError("events require a non-empty time span")
+        if properties is None or isinstance(properties, dict):  # a copy: the caller keeps its dict
+            properties = dict(properties or ())
         thing_id = self._next_id
-        self._put_thing(thing_id, kind, name, {} if properties is None else properties)
+        self._put_thing(thing_id, kind, name, properties)
         self._next_id += 1
         if times is not None:
             spec_id, self._next_id = self._next_id, self._next_id + 1
@@ -260,16 +270,18 @@ class GraphStore:
 
     def _put_thing(self, thing_id: int, kind: str, name: str | None, properties: dict) -> None:
         """Validate one node and add it to every index."""
-        if not isinstance(kind, str) or kind not in KINDS:
+        if type(kind) is not str or kind not in KINDS:
             raise GraphError(f"thing {thing_id} has unknown kind {kind!r}")
         if name is not None and not isinstance(name, str):
             raise GraphError(f"thing {thing_id} name {name!r} is not a string")
         if not isinstance(properties, dict):
             raise GraphError(f"thing {thing_id} properties are not an object")
         for key, value in properties.items():
+            if not isinstance(key, str):
+                raise GraphError(f"thing {thing_id} property key {key!r} is not a string")
             if not isinstance(value, _SCALARS):
                 raise GraphError(f"thing {thing_id} property {key!r} is not a scalar")
-        node = ThingNode(thing_id, kind, name, dict(properties))
+        node = ThingNode(thing_id, kind, name, properties)
         self._things[thing_id] = node
         self._by_kind.setdefault(kind, []).append(node)
         self._out[thing_id] = []
@@ -473,28 +485,30 @@ class GraphStore:
     # -- persistence ----------------------------------------------------
 
     def dumps(self) -> str:
+        """The snapshot text, written in one pass (see the module docstring)."""
         ordered = self.things()
         things = [
-            {"id": t.id, "kind": t.kind, "name": t.name, "properties": t.properties}
+            f'{{"id":{t.id},"kind":"{t.kind}","name":{"null" if t.name is None else _quote(t.name)},'
+            f'"properties":{_encode_properties(t.properties)}}}'
             for t in ordered
         ]
         edges = []
+        append = edges.append
         for t in ordered:
-            for e in self._out[t.id]:
-                kind, src, dst, _, set_kind, _ = e
-                item = {"kind": kind, "from": src, "to": dst}
-                for key in _EDGE_EXTRAS.get((kind, set_kind), ()):
-                    item[key] = getattr(e, key)
-                edges.append(item)
+            for kind, src, dst, role, set_kind, order in self._out[t.id]:
+                if role is not None:
+                    append(f'{{"from":{src},"kind":"{kind}","role":{_quote(role)},"to":{dst}}}')
+                elif set_kind is None:
+                    append(f'{{"from":{src},"kind":"{kind}","to":{dst}}}')
+                elif order is None:
+                    append(f'{{"from":{src},"kind":"{kind}","set_kind":"{set_kind}","to":{dst}}}')
+                else:
+                    append(f'{{"from":{src},"kind":"{kind}","order":{order},"set_kind":"{set_kind}","to":{dst}}}')
         times = [
-            {"id": spec_id, "intervals": [list(p) for p in spec.intervals]}
+            f'{{"id":{spec_id},"intervals":[{",".join([f"[{s},{e}]" for s, e in spec.intervals])}]}}'
             for spec_id, spec in sorted(self._times.items())
         ]
-        return json.dumps(
-            {"things": things, "edges": edges, "times": times},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return f'{{"edges":[{",".join(edges)}],"things":[{",".join(things)}],"times":[{",".join(times)}]}}'
 
     @classmethod
     def loads(cls, data: str) -> "GraphStore":

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import json
+import math
 import random
 import re
 import time
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_membership, tickset_union
 from scenamine.graph import (
+    KINDS,
     Edge,
     GraphError,
     GraphStore,
@@ -495,6 +497,99 @@ def test_every_store_built_live_loads_again(spans, edges):
     assert GraphStore.loads(dumped).dumps() == dumped
 
 
+class _Text(str):
+    """A string whose ``str()`` is not its text; a snapshot holds the text."""
+
+    def __str__(self):
+        return "not the text"
+
+
+class _Count(int):
+    """An integer whose ``repr()`` is not its digits; a snapshot holds the digits."""
+
+    def __repr__(self):
+        return "not the count"
+
+
+# quotes, backslashes, control characters, non-ASCII, non-BMP and lone surrogates
+_ODD_CHARS = st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\U0001f600", "\ud800", "\udfff", "a"]
+) | st.characters(exclude_categories=())
+_ODD_TEXT = st.text(_ODD_CHARS, max_size=6)
+_FREE_TEXT = _ODD_TEXT | _ODD_TEXT.map(_Text)
+_PROPERTY_VALUES = (
+    _FREE_TEXT
+    | st.booleans()
+    | st.integers()
+    | st.integers().map(_Count)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70])
+)
+_WRITER_THINGS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(KINDS)),
+        st.none() | _FREE_TEXT,
+        st.dictionaries(_FREE_TEXT, _PROPERTY_VALUES, max_size=3),
+        st.lists(st.tuples(st.integers(-5, 30), st.integers(0, 6)), max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+_WRITER_LINKS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from(["is", "has", "times", "and", "any", "seq"]),
+        st.text(_ODD_CHARS, min_size=1, max_size=4),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_WRITER_THINGS, _WRITER_LINKS)
+def test_dumps_writes_what_json_dumps_writes_for_the_entry_tree(things, links):
+    """``dumps`` writes its text directly; it equals ``json.dumps`` with sorted
+    keys of the entry tree read back through the public accessors, whatever
+    the names, roles and properties hold, and it loads back to itself."""
+    store, ids, spans = GraphStore(), [], {}
+    for kind, name, properties, pairs in things:
+        intervals = tuple((start, start + length) for start, length in pairs)
+        if kind == "event" and not intervals:
+            intervals = ((0, 0),)
+        thing = store.add_thing(kind, name, properties, TimeSpec(intervals) if intervals else None)
+        ids.append(thing)
+        for edge in store.out_edges(thing):  # its one times edge, if it has a span
+            spans[edge.dst] = store.times_of(thing).intervals
+    for a, b, link, role in links:
+        src, dst = ids[a % len(ids)], ids[b % len(ids)]
+        if link == "times":
+            if spans:
+                store.add_edge(Edge("times", src, sorted(spans)[b % len(spans)]))
+        elif link in ("is", "has"):
+            store.add_edge(Edge(link, src, dst, role=role if link == "has" else None))
+        else:
+            store.add_edge(Edge("member", src, dst, set_kind=link))
+    edges = []
+    for t in store.things():
+        for e in store.out_edges(t.id):
+            extras = {"role": e.role, "set_kind": e.set_kind, "order": e.order}
+            edges.append({"kind": e.kind, "from": e.src, "to": e.dst,
+                          **{key: value for key, value in extras.items() if value is not None}})
+    tree = {
+        "things": [{"id": t.id, "kind": t.kind, "name": t.name, "properties": t.properties} for t in store.things()],
+        "edges": edges,
+        "times": [{"id": spec_id, "intervals": [list(p) for p in spans[spec_id]]} for spec_id in sorted(spans)],
+    }
+    dumped = store.dumps()
+    assert dumped == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    assert dumped.isascii()
+    assert GraphStore.loads(dumped).dumps() == dumped
+    tree["things"].reverse()  # a snapshot in another order is written back in id order
+    tree["times"].reverse()
+    assert GraphStore.loads(json.dumps(tree)).dumps() == dumped
+
+
 def test_load_builds_every_thing_and_edge_through_the_checked_path(monkeypatch):
     """A load calls ``_put_thing`` once per thing and ``add_edge`` once per
     edge, so no entry skips the checks live construction makes."""
@@ -582,6 +677,41 @@ def test_load_duplicate_seq_edge_is_noop():
 def test_add_thing_rejects_non_string_name():
     with pytest.raises(GraphError, match="name 5 is not a string"):
         GraphStore().add_thing("actor", 5)
+
+
+def test_add_thing_takes_a_kind_only_as_a_plain_string():
+    """``dumps`` writes a kind as it is, so a str subclass, whose ``str()``
+    need not be its text, is refused like any unknown kind."""
+    store = GraphStore()
+    with pytest.raises(GraphError, match="thing 1 has unknown kind 'actor'"):
+        store.add_thing(_Text("actor"))
+    assert store.things() == []
+
+
+def test_add_thing_refuses_a_property_key_that_is_not_a_string():
+    """A snapshot's property keys are JSON strings, so any other key is
+    refused when added, not left to fail in ``dumps`` or to load back as
+    its text."""
+    store = GraphStore()
+    for properties in ({1: "a", "b": 2}, {1: "a"}):
+        with pytest.raises(GraphError, match=re.escape("thing 1 property key 1 is not a string")):
+            store.add_thing("actor", "x", properties)
+    assert store.dumps() == GraphStore().dumps()
+    assert store.add_thing("actor", "x", {"1": "a"}) == 1
+    assert GraphStore.loads(store.dumps()).thing(1).properties == {"1": "a"}
+
+
+def test_add_thing_keeps_its_own_copy_of_the_properties():
+    properties = {"a": 1}
+    store = GraphStore()
+    thing = store.add_thing("actor", "x", properties)
+    dumped = store.dumps()
+    properties["a"] = 2
+    properties["origin"] = "elsewhere"
+    assert store.thing(thing).properties == {"a": 1}
+    assert store.dumps() == dumped
+    with pytest.raises(GraphError, match="thing 2 properties are not an object"):
+        store.add_thing("actor", "y", [("a", 1)])
 
 
 @pytest.mark.parametrize("role", [5, "", ["r"]])
