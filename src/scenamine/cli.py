@@ -71,7 +71,7 @@ def _load_config_file(path: str | None) -> dict:
     raw = _read_text(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
         _fail(f"bad config file {path}: {exc}", EXIT_DOMAIN)
     if not isinstance(data, dict):
         _fail(f"bad config file {path}: expected an object", EXIT_DOMAIN)

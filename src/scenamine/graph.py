@@ -219,9 +219,23 @@ class WeightedSet:
 _SCALARS = (str, int, float, bool)
 
 # the two escapers of ``dumps``: a JSON string in ASCII, and a properties object
-# with sorted keys (scalar values only, so no cycle to look for)
 _quote = json.encoder.encode_basestring_ascii
-_encode_properties = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
+def _properties_encoder():
+    """Encode a properties object as ``json.dumps`` with sorted keys does
+    (scalar values only, so no cycle to look for) through one C encoder made
+    once, not one per call as ``JSONEncoder.encode`` makes; without the C
+    accelerator the pure encoder writes the same bytes."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    encode = make(None, encoder.default, _quote, None, ":", ",", True, False, True)
+    return lambda properties: "".join(encode(properties, 0))
+
+
+_encode_properties = _properties_encoder()
 
 # the empty answer of ``neighbors``, shared: no WeightedSet changes in place
 _NOTHING = WeightedSet()
@@ -504,10 +518,15 @@ class GraphStore:
                     append(f'{{"from":{src},"kind":"{kind}","set_kind":"{set_kind}","to":{dst}}}')
                 else:
                     append(f'{{"from":{src},"kind":"{kind}","order":{order},"set_kind":"{set_kind}","to":{dst}}}')
-        times = [
-            f'{{"id":{spec_id},"intervals":[{",".join([f"[{s},{e}]" for s, e in spec.intervals])}]}}'
-            for spec_id, spec in sorted(self._times.items())
-        ]
+        times = []
+        append = times.append
+        for spec_id, spec in sorted(self._times.items()):
+            intervals = spec.intervals
+            if len(intervals) == 1:  # most spans
+                ((start, end),) = intervals
+                append(f'{{"id":{spec_id},"intervals":[[{start},{end}]]}}')
+            else:
+                append(f'{{"id":{spec_id},"intervals":[{",".join([f"[{s},{e}]" for s, e in intervals])}]}}')
         return f'{{"edges":[{",".join(edges)}],"things":[{",".join(things)}],"times":[{",".join(times)}]}}'
 
     @classmethod
@@ -526,7 +545,7 @@ class GraphStore:
     def _load(cls, data: str) -> "GraphStore":
         try:
             raw = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         if not isinstance(raw, dict) or set(raw) != {"things", "edges", "times"}:
             raise SnapshotError("snapshot must have exactly things/edges/times")

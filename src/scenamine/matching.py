@@ -13,12 +13,21 @@ ends where the next sibling can start, and when that sibling is a
 literal the candidate ends come straight from the positions of the
 literal's token.  So from each start a variable before a literal tries
 one span per later occurrence of that literal, not one per remaining
-token.  One memo holds each node's matches by (node, start, follower).
+token.  A literal child of a sequence is stepped with one token compare
+per state; every other node's matches go through one memo, keyed by
+(node, start, follower).
 
 Before any search, a pattern whose required literals (the token norms
-every match contains) a document lacks is skipped, and starts are tried
-only where one of the pattern's first tokens occurs, or everywhere when
-it can start with a variable.
+every match contains) a document lacks is skipped.  Starts are tried
+only where a match can begin: at the positions of the pattern's first
+norms, or, for a sequence that starts with variables, back from each
+position of its anchor (the first child with first norms) by the
+widths its leading children can span under the role types.  A ``word``
+or ``number`` spans 1 token, ``money`` 2 and ``time`` 1 to 5, not
+counting the articles a typed variable drops; an untyped or composite
+variable and a conjunction have no greatest width, so then every start
+up to the last anchor position less the least width is tried.  The
+start plan is made once per pattern and type environment.
 
 One ``extract_events`` call covers any number of documents: it prepares
 each definition once per call and tokenizes each document once.
@@ -149,7 +158,7 @@ class _Engine:
         self, node: pat.PatternNode, i: int, follow: pat.PatternNode | None
     ) -> list:
         if isinstance(node, pat.Literal):
-            if i < self.n and self.tokens[i].norm == node.token.lower():
+            if i < self.n and self.tokens[i].norm == node.norm:
                 return [(i + 1, {})]
             return []
         if isinstance(node, pat.Variable):
@@ -158,7 +167,7 @@ class _Engine:
             type_ref = self.env.get(node.name.lower(), node.type_ref)
             if isinstance(follow, pat.Literal):
                 # a literal can start exactly where its token occurs
-                positions = self.positions.get(follow.token.lower(), [])
+                positions = self.positions.get(follow.norm, [])
                 ends = positions[bisect_right(positions, i) :]
                 follow = None
             else:
@@ -179,21 +188,27 @@ class _Engine:
                 out.append((end, {node.name: binding}))
             return out
         if isinstance(node, pat.SeqSet):
+            tokens, n = self.tokens, self.n
             states = [(i, {})]
             kids = node.children
             for k, child in enumerate(kids):
-                # only a variable looks ahead to its next sibling
-                after = kids[k + 1] if isinstance(child, pat.Variable) and k + 1 < len(kids) else None
-                nxt = []
-                for at, bound in states:
-                    for end, more in self.matches_at(child, at, after):
-                        merged = _merge(bound, more)
-                        if merged is not None:
-                            nxt.append((end, merged))
-                states = nxt
+                if isinstance(child, pat.Literal):
+                    # a literal step binds nothing: one token compare per state
+                    norm = child.norm
+                    states = [(at + 1, bound) for at, bound in states if at < n and tokens[at].norm == norm]
+                else:
+                    # only a variable looks ahead to its next sibling
+                    after = kids[k + 1] if isinstance(child, pat.Variable) and k + 1 < len(kids) else None
+                    nxt = []
+                    for at, bound in states:
+                        for end, more in self.matches_at(child, at, after):
+                            merged = _merge(bound, more)
+                            if merged is not None:
+                                nxt.append((end, merged))
+                    states = nxt
                 if not states:
                     return []
-            return [(end, bound) for end, bound in states]
+            return states
         if isinstance(node, pat.AnySet):
             out = []
             for child in node.children:
@@ -252,6 +267,86 @@ def _match_key(first: int, last: int, bindings: Mapping[str, Binding]):
     )
 
 
+# (least tokens, most non-article tokens) a variable of an atomic type spans;
+# any other variable spans at least one token and has no greatest width
+_WIDTHS = {"word": (1, 1), "number": (1, 1), "money": (2, 2), "time": (1, 5)}
+
+
+def _width(node: pat.PatternNode, env: TypeEnv) -> tuple[int, int | None]:
+    """The least number of tokens a match of ``node`` spans and the most
+    non-article tokens it can span, ``None`` when that has no bound."""
+    if isinstance(node, pat.Literal):
+        return 1, 1
+    if isinstance(node, pat.Variable):
+        return _WIDTHS.get(env.get(node.name.lower(), node.type_ref).kind, (1, None))
+    if isinstance(node, pat.AndSet):
+        return 1, None
+    widths = [_width(child, env) for child in node.children]
+    greatest = [most for _least, most in widths]
+    if isinstance(node, pat.AnySet):
+        return min(least for least, _most in widths), None if None in greatest else max(greatest)
+    return sum(least for least, _most in widths), None if None in greatest else sum(greatest)
+
+
+def _start_plan(pattern: pat.PatternNode, env: TypeEnv):
+    """(anchor norms, least width, greatest width) of the span before the
+    anchor, or ``None`` when a match may start on any token.  The anchor is
+    the pattern itself when it has first norms (widths 0), else the first
+    child of a sequence that has them."""
+    if pattern.first_norms is not None:
+        return pattern.first_norms, 0, 0
+    if not isinstance(pattern, pat.SeqSet):
+        return None
+    least, most = 0, 0
+    for child in pattern.children:
+        if child.first_norms is not None:
+            return child.first_norms, least, most
+        child_least, child_most = _width(child, env)
+        least += child_least
+        most = None if most is None or child_most is None else most + child_most
+    return None
+
+
+class _PlannedEnv(dict):
+    """A type environment that keeps the start plan of each pattern matched
+    under it, made at the pattern's first match."""
+
+    def __init__(self, types: TypeEnv):
+        super().__init__(types)
+        # id(pattern) -> (pattern, plan); holding the pattern keeps its id unique
+        self._plans: dict[int, tuple] = {}
+
+    def plan(self, pattern: pat.PatternNode):
+        held = self._plans.get(id(pattern))
+        if held is None:
+            held = self._plans[id(pattern)] = (pattern, _start_plan(pattern, self))
+        return held[1]
+
+
+def _starts(plan, tokens: Sequence[Token], positions: Mapping[str, list[int]]):
+    """Ascending candidate starts: each anchor position less every width
+    the leading span can take; the least width counts every token, the
+    greatest only the tokens that are not articles."""
+    if plan is None:
+        return range(len(tokens))
+    norms, least, most = plan
+    anchors = sorted(k for norm in norms for k in positions.get(norm, ()))
+    if not least:
+        return anchors
+    if most is None:
+        return range(anchors[-1] - least + 1) if anchors else ()
+    starts = set()
+    for anchor in anchors:
+        words = 0
+        for start in range(anchor - 1, -1, -1):
+            words += tokens[start].norm not in ARTICLES
+            if words > most:
+                break
+            if anchor - start >= least:
+                starts.add(start)
+    return sorted(starts)
+
+
 def match_pattern(
     pattern: pat.PatternNode,
     tokens: Sequence[Token],
@@ -261,18 +356,19 @@ def match_pattern(
     ordered by (start, end, bindings) with duplicates removed.
 
     Nothing is tried when the tokens lack one of the pattern's required
-    literals; otherwise only the positions of its first norms are starts.
+    literals; otherwise only the starts of the pattern's start plan are
+    tried: the positions of its first norms or, when it starts with
+    variables, the positions its anchor can be reached from (see the
+    module docstring).
     """
-    engine = _Engine(tokens, dict(env or {}))
+    if not isinstance(env, _PlannedEnv):
+        env = _PlannedEnv(env or {})
+    engine = _Engine(tokens, env)
     positions = engine.positions
     if not positions.keys() >= pattern.required_literals:
         return []
-    if pattern.first_norms is None:
-        starts = range(len(tokens))
-    else:
-        starts = sorted(k for norm in pattern.first_norms for k in positions.get(norm, ()))
     found: dict = {}
-    for start in starts:
+    for start in _starts(env.plan(pattern), tokens, positions):
         for end, bound in engine.matches_at(pattern, start):
             key = _match_key(start, end - 1, bound)
             if key not in found:
@@ -318,14 +414,15 @@ def extract_events(
     edge per variable binding to an actor reused or created under the
     binding's normalized value.  A mined layer is dropped first, so no
     extracted edge points into it.  Each definition's appearance and
-    roles are found or created once, at its first document, and a role's
-    id is looked up once per call.
+    roles are found or created once, at its first document, a role's id
+    is looked up once per call, and each pattern's start plan is made once
+    per call.
     """
     store.drop_mined()
     plans = [
         (
             definition,
-            {role.lower(): t for role, t in definition.role_types.items()},
+            _PlannedEnv({role.lower(): t for role, t in definition.role_types.items()}),
             definition.patterns,
         )
         for definition in definitions
@@ -423,7 +520,7 @@ def time_to_tick(value, granularity: int = 1):
 def parse_corpus_line(line: str, line_no: int, granularity: int = 1) -> Document:
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
         raise CorpusError(f"invalid JSON: {exc}", line_no) from exc
     if not isinstance(raw, dict):
         raise CorpusError("document must be a JSON object", line_no)

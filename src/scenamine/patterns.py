@@ -12,8 +12,9 @@ pattern, or filled with bound values, as an event's text.
 Each node also carries what the matcher needs to rule it out early,
 derived from its children once when it is built: ``required_literals``,
 the token norms that every match contains, and ``first_norms``, the norms
-a match can start on (``None`` when it can start on any token).  Neither
-takes part in equality, hashing or repr.
+a match can start on (``None`` when it can start on any token); a literal
+also keeps its token's norm.  None of these takes part in equality,
+hashing or repr.
 """
 
 from __future__ import annotations
@@ -79,11 +80,13 @@ UNTYPED = TypeRef("untyped")
 @dataclass(frozen=True)
 class Literal(PatternNode):
     token: str
+    norm: str = field(init=False, repr=False, compare=False)  # the token's norm
 
     def __post_init__(self):
         if not self.token or any(c.isspace() for c in self.token):
             raise ValueError(f"bad literal token {self.token!r}")
-        norm = frozenset((self.token.lower(),))
+        object.__setattr__(self, "norm", self.token.lower())
+        norm = frozenset((self.norm,))
         self._analysed(norm, norm)
 
 

@@ -195,6 +195,36 @@ def test_mine_corrupt_snapshot_exits_one(tmp_path, capsys):
     assert main(["mine", "--snapshot", snapshot]) == 1
 
 
+# nested past the decoder's recursion limit on every supported Python
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_snapshot_exits_one_naming_it(tmp_path, capsys):
+    snapshot = _write(tmp_path / "snap.json", _DEEP_JSON)
+    assert main(["mine", "--snapshot", snapshot]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenamine: {snapshot}: malformed snapshot: ") and "recursion" in err
+
+
+def test_deeply_nested_corpus_line_exits_one_naming_its_line(tmp_path, capsys):
+    defs_path = _write(tmp_path / "defs.txt", SANCTIONS_DEFS)
+    corpus_path = _write(tmp_path / "corpus.jsonl", SANCTIONS_DOC + _DEEP_JSON + "\n")
+    snapshot = tmp_path / "snap.json"
+    code = main(
+        ["extract", "--definitions", defs_path, "--corpus", corpus_path,
+         "--snapshot", str(snapshot)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"scenamine: {corpus_path}: line 2: invalid JSON: ")
+    assert not snapshot.exists()
+
+
+def test_deeply_nested_config_exits_one_naming_it(tmp_path, capsys):
+    config_path = _write(tmp_path / "config.json", _DEEP_JSON)
+    assert main(["mine", "--config", config_path]) == 1
+    assert capsys.readouterr().err.startswith(f"scenamine: bad config file {config_path}: ")
+
+
 def test_mine_untimed_event_exits_one_naming_it(tmp_path, capsys):
     snapshot = _write(
         tmp_path / "snap.json",

@@ -7,11 +7,13 @@ import math
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenamine.graph as graph
 from oracles import naive_membership, tickset_union
 from scenamine.graph import (
     KINDS,
@@ -588,6 +590,17 @@ def test_dumps_writes_what_json_dumps_writes_for_the_entry_tree(things, links):
     tree["things"].reverse()  # a snapshot in another order is written back in id order
     tree["times"].reverse()
     assert GraphStore.loads(json.dumps(tree)).dumps() == dumped
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(_FREE_TEXT, _PROPERTY_VALUES, max_size=4))
+def test_properties_encoder_without_the_c_accelerator_writes_the_same_bytes(properties):
+    """``dumps`` makes its properties encoder once; where ``json`` has no C
+    encoder it falls back to the pure one, which writes the same bytes."""
+    written = graph._encode_properties(properties)
+    assert written == json.dumps(properties, sort_keys=True, separators=(",", ":"))
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        assert graph._properties_encoder()(properties) == written
 
 
 def test_load_builds_every_thing_and_edge_through_the_checked_path(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import scenamine.matching as matching
 from helpers import CROSSWALK_DEFINITIONS, add_event, crosswalk_corpus_text
-from oracles import brute_matches, library_match_set
+from oracles import ARTICLES, brute_matches, library_match_set
 from scenamine.definitions import parse_definitions
 from scenamine.graph import GraphStore, TimeSpec
 from scenamine.matching import (
@@ -32,6 +32,7 @@ from scenamine.patterns import (
     SeqSet,
     TypeRef,
     Variable,
+    list_variables,
     parse_pattern,
 )
 from scenamine.tokens import tokenize
@@ -396,6 +397,125 @@ def test_skip_and_first_token_starts(monkeypatch):
     toks = tokenize("The plant was inspected by the state bureau today")
     matches = match_pattern(definition.patterns[0], toks, env)
     assert [m.bindings["agency"].norm for m in matches] == ["state bureau"]
+
+
+# -- width-bounded starts ---------------------------------------------------
+
+_START_TYPES = ("word", "number", "money", "time", "untyped")
+# a word, a number, a money value or a time shape, of 1 to 5 tokens
+_START_VALUES = ("ped", "Ann", "3", "12.5", "$5", "€ 7", "12:30", "2024-01-15")
+
+
+def _start_document(rng: random.Random) -> str:
+    """1-3 phrases of articles and values, each ending in an anchor x or y
+    most of the time, so anchors repeat and often follow an article."""
+    phrases = []
+    for _ in range(rng.randint(1, 3)):
+        words = rng.choices(["a", "an", "the", "The"], k=rng.choice([0, 0, 1, 2]))
+        words += rng.choices(_START_VALUES, k=rng.randint(0, 2))
+        words += rng.choices(["x", "y"], k=rng.choice([0, 1, 1, 2]))
+        phrases.append(" ".join(words))
+    return " ".join(phrases)
+
+
+def typed_brute_matches(pattern, tokens, env) -> set:
+    """The oracle's matches whose every binding spans tokens admissible
+    for its variable's type under ``env`` (untyped when absent)."""
+    return {
+        (first, last, bindings)
+        for first, last, bindings in brute_matches(pattern, tokens)
+        if all(
+            check_type(tokens[lo : hi + 1], env.get(name, TypeRef("untyped")), env)
+            for name, _norm, lo, hi in bindings
+        )
+    }
+
+
+def _leading_child(rng: random.Random, names: list[str]):
+    """A child that can open a sequence without first norms: a variable, an
+    alternative led by one, or a nested sequence led by one."""
+    kind = rng.choice(["variable", "variable", "any", "seq"])
+    if kind == "variable":
+        return Variable(names.pop())
+    if kind == "any":
+        other = rng.choice([Literal(rng.choice("xy")), SeqSet((Literal("the"), Variable(names.pop())))])
+        return AnySet((Variable(names.pop()), other))
+    return SeqSet((Variable(names.pop()), rng.choice([Literal(rng.choice("xy")), Variable(names.pop())])))
+
+
+def _leading_pattern(rng: random.Random):
+    """A sequence of 0-2 leading children, an anchor and an optional tail,
+    with a random type for each of its variables."""
+    names = ["p", "q", "r", "s", "t", "u", "v"]
+    rng.shuffle(names)
+    lead = [_leading_child(rng, names) for _ in range(rng.randint(0, 2))]
+    anchor = rng.choice([Literal("x"), Literal("y"), AnySet((Literal("x"), Literal("y")))])
+    tail = [rng.choice([Literal("y"), Variable(names.pop())])] if rng.random() < 0.4 else []
+    pattern = SeqSet((*lead, anchor, *tail)) if lead or tail else anchor
+    env = {}
+    for name in list_variables(pattern):
+        kind = rng.choice(_START_TYPES)
+        if kind != "untyped" or rng.random() < 0.5:
+            env[name] = TypeRef(kind)
+    return pattern, env
+
+
+def test_width_bounded_starts_equal_typed_brute_force():
+    """Leading typed and untyped variables, alternatives and nested
+    sequences before an anchor, over documents with articles and repeated
+    anchors: the start plan must not drop a match."""
+    rng = random.Random(2026)
+    matched = article_led = 0
+    led_by = set()  # types of the leading variables of found matches
+    for _ in range(1000):
+        pattern, env = _leading_pattern(rng)
+        toks = tokenize(_start_document(rng))
+        got = library_match_set(match_pattern(pattern, toks, env))
+        assert got == typed_brute_matches(pattern, toks, env), (pattern, env, toks)
+        matched += bool(got)
+        article_led += any(toks[first].norm in ARTICLES for first, _last, _b in got)
+        leader = pattern.children[0] if isinstance(pattern, SeqSet) else pattern
+        if got and isinstance(leader, Variable):
+            led_by.add(env.get(leader.name, TypeRef("untyped")).kind)
+    assert matched > 250 and article_led > 40
+    assert led_by == set(_START_TYPES)
+
+
+def _top_level_starts(monkeypatch, patterns) -> list:
+    """Record the start of every top-level attempt at one of ``patterns``."""
+    starts = []
+    tops = {id(p) for p in patterns}
+
+    def recorded(engine, node, i, follow=None, real=matching._Engine.matches_at):
+        if id(node) in tops:
+            starts.append(i)
+        return real(engine, node, i, follow)
+
+    monkeypatch.setattr(matching._Engine, "matches_at", recorded)
+    return starts
+
+
+def test_starts_are_tried_only_where_an_anchor_can_be_reached(monkeypatch):
+    # crosswalk: every pattern is "$person <literal> ...", Person is word
+    definitions = parse_definitions(CROSSWALK_DEFINITIONS)
+    starts = _top_level_starts(monkeypatch, [p for d in definitions for p in d.patterns])
+    docs = read_corpus(crosswalk_corpus_text().splitlines())
+    created = extract_events(GraphStore(), definitions, *docs)
+    assert len(starts) == len(created) == len(docs) == 700
+
+    # untyped: no start after the last "ruled" less one token
+    pattern = parse_pattern("$court ruled that")
+    starts = _top_level_starts(monkeypatch, [pattern])
+    words = "the court ruled that the judge ruled the appeal said ruled news today".split()
+    matches = match_pattern(pattern, tokenize(" ".join(words)))
+    assert starts == list(range(10))
+    assert [(m.first, m.last) for m in matches] == [(0, 3), (1, 3)]
+
+    # word: the token before each "ruled" and any articles just before that
+    starts.clear()
+    matches = match_pattern(pattern, tokenize(" ".join(words)), {"court": TypeRef("word")})
+    assert starts == [0, 1, 4, 5, 9]
+    assert [(m.first, m.bindings["court"].norm) for m in matches] == [(0, "court"), (1, "court")]
 
 
 def test_match_ordering_is_stable():
