@@ -125,7 +125,9 @@ def _report_json(report, store) -> str:
     return json.dumps(report.to_json_dict(store), sort_keys=True, indent=2) + "\n"
 
 
-def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
+def _do_extract(args, file_cfg) -> tuple[GraphStore, list, int, list[int]]:
+    """The extracted store, with the definitions, the number of documents
+    and the new event ids."""
     definitions_path = _setting(args, file_cfg, "definitions")
     corpus_path = _setting(args, file_cfg, "corpus")
     if not definitions_path or not corpus_path:
@@ -141,8 +143,14 @@ def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
     except CorpusError as exc:
         _fail(f"{corpus_path}: {exc}", EXIT_DOMAIN)
     store = GraphStore()
+    return store, definitions, len(docs), extract_events(store, definitions, *docs)
+
+
+def cmd_extract(args) -> int:
+    file_cfg = _load_config_file(args.config)
+    store, definitions, documents, event_ids = _do_extract(args, file_cfg)
     per_definition = {d.name: 0 for d in definitions}
-    for event_id in extract_events(store, definitions, *docs):
+    for event_id in event_ids:
         for app_id in store.neighbor_ids(event_id, "is", node_kind="appearance"):
             name = store.thing(app_id).name
             if name in per_definition:
@@ -151,18 +159,11 @@ def _do_extract(args, file_cfg, quiet: bool = False) -> GraphStore:
     if snapshot_path:
         _write_atomic(snapshot_path, store.dumps())
     summary = {
-        "documents": len(docs),
+        "documents": documents,
         "events": len(store.things("event")),
         "per_definition": per_definition,
     }
-    if not quiet:
-        print(json.dumps(summary, sort_keys=True, indent=2))
-    return store
-
-
-def cmd_extract(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    _do_extract(args, file_cfg)
+    print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -202,7 +203,7 @@ def cmd_mine(args) -> int:
 def cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _mining_config(args, file_cfg)
-    store = _do_extract(args, file_cfg, quiet=True)
+    store = _do_extract(args, file_cfg)[0]
     _do_mine(args, file_cfg, store, cfg)
     return EXIT_OK
 
@@ -218,12 +219,17 @@ def _parse_time_flag(text: str):
     return window
 
 
+def _with_article(kind: str) -> str:
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
+
+
 def _resolve_thing(store: GraphStore, kind: str | None, value: str) -> int:
-    """A thing id, or the one thing of the kind (any kind for None) with
-    that name."""
+    """A thing id of the kind, or the one thing of the kind with that name;
+    None takes any kind."""
     if value.isdecimal():
-        thing_id = int(value)
-        node = store.thing(thing_id)  # raises GraphError when unknown
+        node = store.thing(int(value))  # raises GraphError when unknown
+        if kind is not None and node.kind != kind:
+            _fail(f"thing {node.id} is {_with_article(node.kind)}, not {_with_article(kind)}", EXIT_DOMAIN)
         return node.id
     kinds = sorted(KINDS) if kind is None else [kind]
     matches = sorted(i for k in kinds for i in store.find_by_name(k, value))

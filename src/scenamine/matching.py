@@ -415,15 +415,15 @@ def extract_events(
     binding's normalized value.  A mined layer is dropped first, so no
     extracted edge points into it.  Each definition's appearance and
     roles are found or created once, at its first document, a role's id
-    is looked up once per call, and each pattern's start plan is made once
-    per call.
+    is looked up once per call, and each pattern's start plan and filled
+    text template (``patterns.filled_template``) are made once per call.
     """
     store.drop_mined()
     plans = [
         (
             definition,
             _PlannedEnv({role.lower(): t for role, t in definition.role_types.items()}),
-            definition.patterns,
+            [(pattern, pat.filled_template(pattern)) for pattern in definition.patterns],
         )
         for definition in definitions
     ]
@@ -441,7 +441,7 @@ def extract_events(
                 role_ids.update(ensured)
             # match_pattern already drops a pattern's own repeats
             seen_keys = set() if len(patterns) > 1 else None
-            for pattern in patterns:
+            for pattern, template in patterns:
                 if not pattern.required_literals <= norms:
                     continue
                 for match in match_pattern(pattern, tokens, env):
@@ -450,16 +450,16 @@ def extract_events(
                         if key in seen_keys:
                             continue
                         seen_keys.add(key)
-                    created.append(_add_event(store, app_id, doc, match, role_ids))
+                    created.append(_add_event(store, app_id, doc, match, template, role_ids))
     return created
 
 
 def _add_event(
-    store: GraphStore, app_id: int, doc: Document, match: Match, role_ids: dict[str, int]
+    store: GraphStore, app_id: int, doc: Document, match: Match, template, role_ids: dict[str, int]
 ) -> int:
-    text = pat.render_filled(
-        match.pattern, {n: b.surface for n, b in match.bindings.items()}
-    )
+    form, names = template
+    values = {n: b.surface for n, b in match.bindings.items()}
+    text = form.format(*[values.get(n, "$" + n) for n in names])
     event_id = store.add_thing(
         "event",
         properties={"sources": doc.source, "text": text},

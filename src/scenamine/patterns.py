@@ -7,7 +7,8 @@ sequences framed with brackets ``[a b]``.  ``$name`` marks a variable
 slot to be bound when the pattern is matched against text.  Top-level
 whitespace-separated elements form an implicit sequence.  One walk
 renders a pattern as canonical text, which parses back to an equal
-pattern, or filled with bound values, as an event's text.
+pattern, or filled with bound values, as an event's text; ``filled_template``
+makes that walk once per pattern, leaving only the values to put in.
 
 Each node also carries what the matcher needs to rule it out early,
 derived from its children once when it is built: ``required_literals``,
@@ -20,6 +21,7 @@ hashing or repr.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .tokens import take_token, tokenize
@@ -260,6 +262,18 @@ def render_filled(ast: PatternNode, values: dict[str, str]) -> str:
     """Render like render_pattern but substitute each variable with its
     bound text; a sequence renders as its parts without brackets."""
     return _render(ast, values)
+
+
+def filled_template(ast: PatternNode) -> tuple[str, tuple[str, ...]]:
+    """``render_filled`` prepared once per pattern: a ``str.format`` text with
+    one ``{}`` per variable occurrence, and those variables' names in order,
+    so ``text.format(*(values.get(n, "$" + n) for n in names))`` equals
+    ``render_filled(ast, values)``.  Each variable is rendered between two
+    marks, a character the pattern's own text does not hold."""
+    plain = _render(ast, {})
+    mark = next(c for c in map(chr, itertools.count()) if c not in plain)
+    parts = _render(ast, {n: mark + n + mark for n in list_variables(ast)}).split(mark)
+    return "{}".join(t.replace("{", "{{").replace("}", "}}") for t in parts[::2]), tuple(parts[1::2])
 
 
 def list_variables(ast: PatternNode) -> list[str]:

@@ -3,7 +3,11 @@
 Every function returns a WeightedSet; crisp graph facts come back with
 weight 1.0.  Lookups across inheritance follow ``is`` chains in both
 directions, so each specific/abstract pair of functions is mutually
-inverse: x is in f(y) exactly when y is in g(x).
+inverse: x is in f(y) exactly when y is in g(x).  One walk serves them
+all: ``_reach`` goes level by level over ``GraphStore.is_links`` from a
+sequence of starts, one for a lookup and every live event for
+``appearances_at``, so a window pays for each shared generalization once.
+The time-window queries read ``GraphStore.alive``.
 """
 
 from __future__ import annotations
@@ -11,17 +15,19 @@ from __future__ import annotations
 from .graph import GraphError, GraphStore, TimeSpec, WeightedSet
 
 
-def _reach(store: GraphStore, start: int, direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
-    """Things of a kind reachable over ``is`` edges from ``start``, in id
-    order, by a level-by-level walk over ``GraphStore.is_links``: it reads
-    only the things it reaches and passes through those of other kinds.  A
-    thing first reached at level d weighs hop_weight ** d, its largest
-    weight since 0 <= hop_weight <= 1 (1.0 keeps everything crisp)."""
+def _reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
+    """Things of a kind reachable over ``is`` edges from any of ``starts``, in
+    id order, by one level-by-level walk over ``GraphStore.is_links``: it reads
+    only the things it reaches and passes through those of other kinds, and a
+    start never enters the answer.  A thing first reached at level d weighs
+    hop_weight ** d, its largest weight since 0 <= hop_weight <= 1 (1.0 keeps
+    everything crisp)."""
     if not 0.0 <= hop_weight <= 1.0:
         raise GraphError(f"hop weight {hop_weight} outside [0, 1]")
-    store.thing(start)
+    for start in starts:
+        store.thing(start)
     links = store.is_links(direction)
-    seen, level = {start}, [start]
+    seen, level = set(starts), starts
     found: dict[int, float] = {}
     weight = 1.0
     while level:
@@ -32,7 +38,8 @@ def _reach(store: GraphStore, start: int, direction: str, kind: str, hop_weight:
                 if other not in seen:
                     seen.add(other)
                     reached.append(other)
-        found.update((node, weight) for node in reached if store.thing(node).kind == kind)
+                    if store.thing(other).kind == kind:
+                        found[other] = weight
         level = reached
     if hop_weight == 1.0:
         return WeightedSet.crisp(sorted(found))
@@ -59,12 +66,12 @@ def _alive(store: GraphStore, time, kind: str | None = None) -> list[int]:
 
 def actors_of_role(store: GraphStore, role_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """All actors playing the given role."""
-    return _reach(store, role_id, "in", "actor", hop_weight)
+    return _reach(store, [role_id], "in", "actor", hop_weight)
 
 
 def roles_of_actor(store: GraphStore, actor_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """All roles the given actor plays."""
-    return _reach(store, actor_id, "out", "role", hop_weight)
+    return _reach(store, [actor_id], "out", "role", hop_weight)
 
 
 def roles_of_appearance(store: GraphStore, appearance_id: int) -> WeightedSet:
@@ -82,12 +89,12 @@ def appearances_of_role(store: GraphStore, role_id: int) -> WeightedSet:
 
 def appearances_of_event(store: GraphStore, event_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """Appearances the event instantiates, through inheritance chains."""
-    return _reach(store, event_id, "out", "appearance", hop_weight)
+    return _reach(store, [event_id], "out", "appearance", hop_weight)
 
 
 def events_of_appearance(store: GraphStore, appearance_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """Events instantiating the appearance, through inheritance chains."""
-    return _reach(store, appearance_id, "in", "event", hop_weight)
+    return _reach(store, [appearance_id], "in", "event", hop_weight)
 
 
 def events_at(store: GraphStore, time) -> WeightedSet:
@@ -96,9 +103,9 @@ def events_at(store: GraphStore, time) -> WeightedSet:
 
 
 def appearances_at(store: GraphStore, time) -> WeightedSet:
-    """Appearances of the events alive at the given time."""
-    live = _alive(store, time, "event")
-    return WeightedSet.crisp(sorted({a for e in live for a in appearances_of_event(store, e).ids()}))
+    """Appearances of the events alive at the given time, by one ``is`` walk
+    from all of them."""
+    return _reach(store, _alive(store, time, "event"), "out", "appearance")
 
 
 def actors_of_event(store: GraphStore, event_id: int, role: str | None = None, time=None) -> WeightedSet:
@@ -133,12 +140,12 @@ def appearances_of_situation(store: GraphStore, situation_id: int) -> WeightedSe
 
 def situations_of_coincidence(store: GraphStore, coincidence_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """Situations generalizing the coincidence."""
-    return _reach(store, coincidence_id, "out", "situation", hop_weight)
+    return _reach(store, [coincidence_id], "out", "situation", hop_weight)
 
 
 def coincidences_of_situation(store: GraphStore, situation_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """Coincidences generalized by the situation."""
-    return _reach(store, situation_id, "in", "coincidence", hop_weight)
+    return _reach(store, [situation_id], "in", "coincidence", hop_weight)
 
 
 def coincidences_of_event(store: GraphStore, event_id: int) -> WeightedSet:
@@ -181,12 +188,12 @@ def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | Non
 
 def processes_of_scenario(store: GraphStore, scenario_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """Processes implementing the scenario."""
-    return _reach(store, scenario_id, "in", "process", hop_weight)
+    return _reach(store, [scenario_id], "in", "process", hop_weight)
 
 
 def scenarios_of_process(store: GraphStore, process_id: int, hop_weight: float = 1.0) -> WeightedSet:
     """Scenarios generalizing the process."""
-    return _reach(store, process_id, "out", "scenario", hop_weight)
+    return _reach(store, [process_id], "out", "scenario", hop_weight)
 
 
 def processes_at(store: GraphStore, time) -> WeightedSet:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import crosswalk_corpus_text, CROSSWALK_DEFINITIONS
-from scenamine import mining, queries
+from scenamine import cli, mining, queries
 from scenamine.cli import main
 from scenamine.definitions import parse_definitions
 from scenamine.graph import Edge, GraphStore, SnapshotError, TimeSpec
@@ -333,12 +333,14 @@ def test_fuzzed_snapshot_loads_or_fails_cleanly(data):
                 assert err.getvalue().startswith("scenamine:"), argv
 
 
+STOPLIGHT_CORPUS = "".join(
+    json.dumps({"time": t, "source": "cam", "text": f"light turned {c}"}) + "\n"
+    for t, c in enumerate(["red", "green", "yellow", "red"], start=1)
+)
+
+
 def _stoplight_snapshot(tmp_path):
-    corpus = "\n".join(
-        json.dumps({"time": t, "source": "cam", "text": f"light turned {c}"})
-        for t, c in enumerate(["red", "green", "yellow", "red"], start=1)
-    )
-    snapshot = _extract(tmp_path, STOPLIGHT_DEFS, corpus + "\n")
+    snapshot = _extract(tmp_path, STOPLIGHT_DEFS, STOPLIGHT_CORPUS)
     code = main(["mine", "--snapshot", snapshot])
     assert code == 0
     return snapshot
@@ -448,6 +450,43 @@ def test_query_timespan_of_by_name(tmp_path, capsys):
     assert "no thing named 'purple'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["coincidences_at", "--event", "1"], "thing 1 is an appearance, not an event"),
+        (["coincidences_at", "--time", "0:9", "--event", "5"], "thing 5 is an actor, not an event"),
+        (["actors_of_role", "3"], "thing 3 is an event, not a role"),
+        (["events_of_appearance", "2"], "thing 2 is a role, not an appearance"),
+        (["roles_of_actor", "1"], "thing 1 is an appearance, not an actor"),
+        (["processes_of_coincidence", "3", "--time", "1"], "thing 3 is an event, not a coincidence"),
+    ],
+)
+def test_query_id_of_the_wrong_kind_exits_one(tmp_path, capsys, args, message):
+    snapshot = _stoplight_snapshot(tmp_path)
+    store = GraphStore.loads(open(snapshot).read())
+    assert [store.thing(i).kind for i in (1, 2, 3, 5)] == ["appearance", "role", "event", "actor"]
+    capsys.readouterr()
+    assert main(["query", "--snapshot", snapshot, *args]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"scenamine: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argument, code, out, err",
+    [
+        ("3", 0, '{"intervals": [[1, 1]]}\n', ""),
+        ("5", 0, '{"intervals": [[1, 1], [4, 4]]}\n', ""),
+        ("16", 0, '{"intervals": [[1, 1]]}\n', ""),
+        ("1", 1, "", "scenamine: things of kind 'appearance' have no temporal extent\n"),
+    ],
+)
+def test_timespan_of_takes_an_id_of_any_kind(tmp_path, capsys, argument, code, out, err):
+    snapshot = _stoplight_snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["query", "--snapshot", snapshot, "timespan_of", argument]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("value", ["a:b", "5:", "x", "1:2:3"])
 def test_query_bad_time_exits_one(tmp_path, capsys, value):
     snapshot = _stoplight_snapshot(tmp_path)
@@ -474,6 +513,35 @@ def test_run_subcommand_and_config_file(tmp_path, capsys):
     assert out_path.exists() and snapshot.exists()
     report = json.loads(out_path.read_text())
     assert report["forks"], "crosswalk corpus must produce a fork"
+
+
+def _stoplight_inputs(tmp_path) -> list[str]:
+    return ["--definitions", _write(tmp_path / "defs.txt", STOPLIGHT_DEFS),
+            "--corpus", _write(tmp_path / "corpus.jsonl", STOPLIGHT_CORPUS)]
+
+
+def test_run_writes_the_mined_snapshot_only(tmp_path, capsys, monkeypatch):
+    snapshot = tmp_path / "snap.json"
+    written = []
+    write_atomic = cli._write_atomic
+    monkeypatch.setattr(cli, "_write_atomic", lambda path, data: written.append(path) or write_atomic(path, data))
+    assert main(["run", *_stoplight_inputs(tmp_path), "--snapshot", str(snapshot)]) == 0
+    assert written == [str(snapshot)]
+    assert GraphStore.loads(snapshot.read_text()).things("situation"), "the snapshot holds the mined layer"
+
+
+@pytest.mark.parametrize("before", [None, "not a snapshot"])
+def test_run_whose_mining_fails_leaves_the_snapshot_alone(tmp_path, capsys, monkeypatch, before):
+    snapshot = tmp_path / "snap.json"
+    if before is not None:
+        snapshot.write_text(before)
+    monkeypatch.setattr(mining, "MAX_SITUATIONS", 0)
+    assert main(["run", *_stoplight_inputs(tmp_path), "--snapshot", str(snapshot)]) == 1
+    assert "stage 'unify_situations' failed" in capsys.readouterr().err
+    if before is None:
+        assert not snapshot.exists()
+    else:
+        assert snapshot.read_text() == before
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -14,6 +14,7 @@ from scenamine.patterns import (
     SeqSet,
     TypeRef,
     Variable,
+    filled_template,
     list_variables,
     parse_pattern,
     render_filled,
@@ -194,6 +195,35 @@ def test_round_trip_property(ast):
 )
 def test_render_filled(ast, values, text):
     assert render_filled(ast, values) == text
+
+
+# literals and values that a template must carry through unchanged: quotes,
+# braces (the format syntax), a dollar sign and the NUL character
+_TEMPLATE_TOKENS = ["a", "it's", "’", '"', "{", "}", "{}", "{0}", "$", "\x00", "4.25"]
+_template_asts = st.recursive(
+    st.sampled_from(_TEMPLATE_TOKENS).map(Literal) | st.sampled_from(["x", "y", "9z"]).map(Variable),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).flatmap(
+        lambda kids: st.sampled_from([AnySet, AndSet, SeqSet]).map(lambda cls: cls(tuple(kids)))
+    ),
+    max_leaves=12,
+)
+
+
+def _occurrences(ast) -> list[str]:
+    """Every variable occurrence, left to right, repeats kept."""
+    if isinstance(ast, Variable):
+        return [ast.name]
+    if isinstance(ast, Literal):
+        return []
+    return [n for c in ast.children for n in _occurrences(c)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_template_asts, st.dictionaries(st.sampled_from(["x", "y", "9z"]), st.sampled_from(_TEMPLATE_TOKENS + ["a b"])))
+def test_filled_template_equals_render_filled(ast, values):
+    text, names = filled_template(ast)
+    assert names == tuple(_occurrences(ast))
+    assert text.format(*(values.get(n, "$" + n) for n in names)) == render_filled(ast, values)
 
 
 def test_list_variables_sanctions():

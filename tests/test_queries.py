@@ -427,6 +427,66 @@ def test_window_query_reads_no_time_span_after_the_first(monkeypatch):
     assert calls == []
 
 
+def _layered_window_store(rng: random.Random) -> GraphStore:
+    """Timed events over multi-level ``is`` chains: appearances that are
+    appearances, generic and event nodes passed through on the way, an ``is``
+    cycle among appearances, events that are other events, and coincidences
+    whose ``and`` members include things that are no events."""
+    store = GraphStore()
+    apps = [store.add_thing("appearance", f"a{n}") for n in range(rng.randint(2, 8))]
+    for low, high in zip(apps, apps[1:]):
+        if rng.random() < 0.7:
+            store.add_edge(Edge("is", low, high))
+    store.add_edge(Edge("is", apps[-1], rng.choice(apps)))  # a cycle, or a self-loop
+    generics = [store.add_thing("generic") for _ in range(rng.randint(1, 3))]
+    for generic in generics:
+        store.add_edge(Edge("is", generic, rng.choice(apps + generics)))
+    events = []
+    for _ in range(rng.randint(3, 30)):
+        start = rng.randrange(0, 40)
+        event = store.add_thing("event", times=TimeSpec(((start, start + rng.choice([0, 1, 5])),)))
+        for target in rng.sample(apps + generics + events, rng.randint(0, 2)):
+            store.add_edge(Edge("is", event, target))
+        events.append(event)
+    others = apps + generics + [store.add_thing("actor", f"x{n}") for n in range(2)]
+    for _ in range(rng.randint(1, 8)):
+        members = rng.sample(events, rng.randint(1, 3)) + rng.sample(others, rng.randint(0, 1))
+        span = TimeSpec(tuple(p for m in members if m in events for p in store.times_of(m).intervals))
+        coincidence = store.add_thing("coincidence", times=span)
+        for member in members:
+            store.add_edge(Edge("member", coincidence, member, set_kind="and"))
+    return store
+
+
+def test_appearances_at_is_the_union_of_the_event_walks_on_layered_graphs():
+    rng = random.Random(31)
+    for _ in range(60):
+        store = _layered_window_store(rng)
+        times = [None, 0, 17, (0, 45), (-9, -1), (50, 60)]
+        times += [(s, s + rng.choice([0, 2, 9])) for s in rng.sample(range(-2, 46), 6)]
+        for time in times:
+            union = {a for e in queries.events_at(store, time).ids()
+                     for a in queries.appearances_of_event(store, e).ids()}
+            got = queries.appearances_at(store, time)
+            assert got.ids() == sorted(union), time
+            assert {w for _, w in got} <= {1.0}
+
+
+def test_coincidences_at_an_event_on_layered_graphs():
+    rng = random.Random(37)
+    for _ in range(40):
+        store = _layered_window_store(rng)
+        unknown = max(t.id for t in store.things()) + 100
+        for time in [None, 3, (0, 45), (10, 20), (50, 60)]:
+            live = queries.coincidences_at(store, time).ids()
+            for thing in store.things():
+                expected = [c for c in live if thing.id in queries.events_of_coincidence(store, c)]
+                assert queries.coincidences_at(store, time, event_id=thing.id).ids() == expected
+                if thing.kind != "event":
+                    assert expected == []
+            assert queries.coincidences_at(store, time, event_id=unknown).ids() == []
+
+
 # -- the is index behind the inheritance walks ---------------------------------
 
 REACH_QUERIES = {
