@@ -10,14 +10,15 @@ sets over an integer tick axis.
 over edges of kind E": it selects edges by kind, role, set kind and seq
 order and keeps the endpoints whose node kind is ``node_kind``;
 ``neighbors`` wraps those ids in a ``WeightedSet``.  Only a caller that
-needs each edge's role reads ``out_edges``/``in_edges``.  Two read indexes
-are built lazily, each on its first call, and any write drops both.
+needs each edge's role reads ``out_edges``/``in_edges``.  Three read
+indexes are built lazily, each on its first call, and any write drops them.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
 bisections bound the candidates, so a time-window query costs log n plus
 those, not a scan of every thing.  ``is_links`` reads one index of each
 thing's ``is`` endpoints in each direction, so an inheritance walk costs
-the things it reaches, not their other edges.  The whole store
+the things it reaches, not their other edges.  ``seq_holders`` maps each
+``seq`` member to the nodes that hold it.  The whole store
 round-trips through a JSON snapshot, which ``dumps`` writes as text in
 one pass: the ASCII bytes ``json.dumps`` with sorted keys gives, with no
 tree built for it.  Only names, ``has`` roles and properties are free
@@ -257,6 +258,7 @@ class GraphStore:
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
         self._is: dict | None = None  # direction -> {thing: its is endpoints}
+        self._holders: dict | None = None  # thing -> the nodes holding it in seq
 
     # -- construction -------------------------------------------------
 
@@ -312,7 +314,7 @@ class GraphStore:
                 and (role is None or type(role) is str) and (set_kind is None or type(set_kind) is str)
                 and (order is None or type(order) is int)):
             raise _edge_type_error(edge)
-        self._intervals = self._is = None
+        self._intervals = self._is = self._holders = None
         if kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {kind!r}")
         if src not in self._things:
@@ -489,6 +491,16 @@ class GraphStore:
                     self._is["out"].setdefault(e.src, []).append(e.dst)
                     self._is["in"].setdefault(e.dst, []).append(e.src)
         return self._is[direction]
+
+    def seq_holders(self) -> dict[int, list[int]]:
+        """The seq-holder index: a thing mapped to the nodes that hold it as a
+        ``seq`` member, each once; things held by none are absent.  Read only."""
+        if self._holders is None:
+            self._holders = {}
+            for holder, members in self._seq.items():
+                for member in dict.fromkeys(members):
+                    self._holders.setdefault(member, []).append(holder)
+        return self._holders
 
     def member_children(self, thing_id: int, set_kind: str) -> list[int]:
         """Members of a set node; seq members ordered, possibly repeating."""

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from . import patterns as pat
 from .graph import Edge, GraphStore, TimeSpec
-from .tokens import tokenize
+from .tokens import ascii_norms, tokenize
 
 
 class MiningStageError(RuntimeError):
@@ -258,6 +258,14 @@ def scope_roles(rows: list[ActorFrequency]) -> dict[tuple[int, str], list[int]]:
 # -- stage 3: appearance unification ------------------------------------------
 
 
+def _norms(text: str) -> tuple[str, ...]:
+    """The norms of ``text``'s tokens: from one scan for ASCII text, else
+    from ``tokenize``."""
+    if text.isascii():
+        return tuple(ascii_norms(text))
+    return tuple(t.norm for t in tokenize(text))
+
+
 def unify_appearances(
     store: GraphStore, min_support: int
 ) -> list[tuple[str, int, dict[str, list[str]]]]:
@@ -268,29 +276,34 @@ def unify_appearances(
     returned is its name, the number of events it covers and each slot's
     values.
 
-    Two texts of one length are linked when some column holds the same
-    token in both.  Instead of comparing every pair, each event is joined
-    with the first event seen in each of its (column, token) buckets,
-    which yields the same components in time linear in the tokens."""
-    texted: list[tuple[int, tuple[str, ...]]] = []
+    An ASCII text's token norms come from one scan (``ascii_norms``), any
+    other text's from ``tokenize``.  Two texts of one length are linked
+    when some column holds the same token in both.  Instead of comparing
+    every pair, each event is joined with the first event seen in each of
+    its (column, token) buckets when that is another event, which yields
+    the same components in time linear in the tokens.  A length group with
+    fewer events than ``min_support`` is skipped whole: none of its
+    components could reach support."""
+    by_len: dict[int, list[tuple[int, tuple[str, ...]]]] = {}
     for event in store.things("event"):
         text = event.properties.get("text")
         if isinstance(text, str):
-            toks = tuple(t.norm for t in tokenize(text))
+            toks = _norms(text)
             if toks:
-                texted.append((event.id, toks))
-    by_len: dict[int, list[tuple[int, tuple[str, ...]]]] = {}
-    for event_id, toks in texted:
-        by_len.setdefault(len(toks), []).append((event_id, toks))
+                by_len.setdefault(len(toks), []).append((event.id, toks))
     made: list[tuple[str, int, dict[str, list[str]]]] = []
     for length in sorted(by_len):
         group = by_len[length]
+        if len(group) < min_support:
+            continue
         seqs = dict(group)
         uf = _UnionFind(seqs)
         first_in_bucket: dict[tuple[int, str], int] = {}
         for event_id, toks in group:
             for bucket in enumerate(toks):
-                uf.join(first_in_bucket.setdefault(bucket, event_id), event_id)
+                first = first_in_bucket.setdefault(bucket, event_id)
+                if first != event_id:
+                    uf.join(first, event_id)
         for component in uf.groups():
             if len(component) < min_support:
                 continue

@@ -7,7 +7,8 @@ inverse: x is in f(y) exactly when y is in g(x).  One walk serves them
 all: ``_reach`` goes level by level over ``GraphStore.is_links`` from a
 sequence of starts, one for a lookup and every live event for
 ``appearances_at``, so a window pays for each shared generalization once.
-The time-window queries read ``GraphStore.alive``.
+The time-window queries read ``GraphStore.alive``, and ``processes_at``
+reads the holders of the live things from ``GraphStore.seq_holders``.
 """
 
 from __future__ import annotations
@@ -201,10 +202,12 @@ def processes_at(store: GraphStore, time) -> WeightedSet:
     holding a live seq member, as that span only joins intervals that touch."""
     if time is None:
         return WeightedSet.crisp(_alive(store, None, "process"))
+    holders = store.seq_holders()
     return WeightedSet.crisp(sorted({
         p
         for m in _alive(store, time)
-        for p in store.neighbor_ids(m, "member", "in", set_kind="seq", node_kind="process")
+        for p in holders.get(m, ())
+        if store.thing(p).kind == "process"
     }))
 
 

@@ -7,6 +7,7 @@ interior dot flanked by digits) become ``number`` tokens, and every
 other non-space character is a single ``punct`` token.  So ``12.5`` is
 one token while ``example.com`` is three, and a numeric character that
 is neither a letter nor a digit, such as ``²``, is ``punct``.
+``ascii_norms`` gives an ASCII text's token norms from one scan.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ PUNCT = "punct"
 
 # re's [^\W\d_] also takes numerics that are not letters, such as ², so a
 # run it finds is one word only when str.isalpha holds for it
-_SCANNER = re.compile(r"([^\W\d_]+)|(\d+(?:\.\d+)?)|\S")
+_WORD, _NUMBER = r"[^\W\d_]+", r"\d+(?:\.\d+)?"
+_SCANNER = re.compile(rf"({_WORD})|({_NUMBER})|\S")
+# the same grammar without groups, so that findall yields whole tokens
+_TOKEN_TEXT = re.compile(rf"{_WORD}|{_NUMBER}|\S")
 _CLASS = {1: WORD, 2: NUMBER, None: PUNCT}  # by Match.lastindex
 _new = tuple.__new__
 
@@ -67,3 +71,10 @@ def tokenize(text: str) -> list[Token]:
             start, end = found.span()
             out.append(_new(Token, (surface, surface.lower(), _CLASS[kind], start, end)))
     return out
+
+
+def ascii_norms(text: str) -> list[str]:
+    """``[t.norm for t in tokenize(text)]`` for an ASCII ``text``, from one
+    scan: an ASCII letter run is all letters, so no run is split, and
+    lower-casing maps ASCII letters to letters one for one."""
+    return _TOKEN_TEXT.findall(text.lower())

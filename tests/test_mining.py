@@ -32,6 +32,7 @@ from scenamine import mining
 from scenamine.graph import Edge, GraphStore, TimeSpec
 from scenamine.matching import Document, extract_events
 from scenamine.patterns import parse_pattern, render_pattern
+from scenamine.tokens import tokenize
 from scenamine.mining import (
     MiningConfig,
     MiningStageError,
@@ -286,14 +287,15 @@ def _pairwise_generalizations(texts, min_support):
 
 def test_unify_appearances_matches_pairwise_union_find():
     rng = random.Random(606)
-    vocab = ["aa", "bb", "cc", "dd", "ee", "ff"]
+    vocab = ["aa", "bb", "cc", "dd", "ee", "ff", "BB", "ñu"]
     for case in range(60):
         store = GraphStore()
         app = store.add_thing("appearance", "misc")
         texts = []
         for tick in range(rng.randint(1, 25)):
             toks = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
-            texts.append((add_event(store, app, tick, text=" ".join(toks)), toks))
+            norms = tuple(tok.lower() for tok in toks)
+            texts.append((add_event(store, app, tick, text=" ".join(toks)), norms))
         min_support = rng.randint(1, 4)
         made = unify_appearances(store, min_support)
         expected = _pairwise_generalizations(texts, min_support)
@@ -308,6 +310,30 @@ def test_unify_appearances_matches_pairwise_union_find():
             (gen,) = store.find_by_name("appearance", name)
             roles = store.neighbor_ids(gen, "has", node_kind="role")
             assert [store.thing(r).name for r in roles] == list(domains)
+
+
+def _same_norms(text):
+    assert mining._norms(text) == tuple(t.norm for t in tokenize(text)), ascii(text)
+
+
+def test_norm_scan_equals_tokenize_on_every_code_point():
+    _same_norms("".join(map(chr, range(128))))  # the one-scan path
+    chunk = 1 << 12
+    for lo in range(0, sys.maxunicode + 1, chunk):
+        _same_norms("".join(map(chr, range(lo, lo + chunk))))
+
+
+_ASCII_PIECES = ["12.5", "1.2.3", ".5", "5.", "...", "?!-", "a_b", "Ab", "cD", "EFG", "x", "0",
+                 " ", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_ASCII_PIECES) | st.text(alphabet="aQz09._$! \x0b\x1c\x1f", max_size=6),
+                max_size=12))
+def test_norm_scan_equals_tokenize_on_ascii_texts(pieces):
+    text = "".join(pieces)
+    assert text.isascii()
+    _same_norms(text)
 
 
 # -- event clustering ------------------------------------------------------------

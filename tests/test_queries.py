@@ -401,6 +401,22 @@ def test_window_queries_see_things_added_after_a_query():
     assert queries.coincidences_at(store, 5).ids() == [coincidence]
 
 
+def test_processes_at_never_answers_a_scenario_holding_a_live_thing():
+    store = GraphStore()
+    app = store.add_thing("appearance", "a")
+    event = add_event(store, app, 3)
+    coincidence = add_coincidence(store, [event])
+    scenario = store.add_thing("scenario")
+    for member in (coincidence, event):
+        store.add_edge(Edge("member", scenario, member, set_kind="seq"))
+    assert queries.processes_at(store, 3).ids() == []
+    process = store.add_thing("process")
+    store.add_edge(Edge("member", process, coincidence, set_kind="seq"))
+    for time in (3, (0, 9), None):
+        assert queries.processes_at(store, time).ids() == [process]
+    assert queries.processes_at(store, 7).ids() == []
+
+
 def test_reversed_window_raises_on_every_store():
     for store in (GraphStore(), _stoplight_store()):
         for name in WINDOW_QUERIES:
