@@ -223,46 +223,41 @@ def _with_article(kind: str) -> str:
     return ("an " if kind[0] in "aeiou" else "a ") + kind
 
 
-def _resolve_thing(store: GraphStore, kind: str | None, value: str) -> int:
+def _resolve_thing(store: GraphStore, kind: str, value: str) -> int:
     """A thing id of the kind, or the one thing of the kind with that name;
-    None takes any kind."""
+    the kind "thing" takes any kind."""
     if value.isdecimal():
         node = store.thing(int(value))  # raises GraphError when unknown
-        if kind is not None and node.kind != kind:
+        if kind not in ("thing", node.kind):
             _fail(f"thing {node.id} is {_with_article(node.kind)}, not {_with_article(kind)}", EXIT_DOMAIN)
         return node.id
-    kinds = sorted(KINDS) if kind is None else [kind]
+    kinds = sorted(KINDS) if kind == "thing" else [kind]
     matches = sorted(i for k in kinds for i in store.find_by_name(k, value))
-    what = kind or "thing"
     if not matches:
-        _fail(f"no {what} named {value!r}", EXIT_DOMAIN)
+        _fail(f"no {kind} named {value!r}", EXIT_DOMAIN)
     if len(matches) > 1:
-        _fail(f"ambiguous {what} name {value!r}: ids {matches}", EXIT_DOMAIN)
+        _fail(f"ambiguous {kind} name {value!r}: ids {matches}", EXIT_DOMAIN)
     return matches[0]
+
+
+# the query functions the command line runs, as queries.REGISTRY lays them
+# out: the registry's and timespan_of, which takes a thing of any kind and
+# no filter
+_QUERIES = {**queries.REGISTRY, "timespan_of": (queries.timespan_of, "thing", ())}
 
 
 def cmd_query(args) -> int:
     file_cfg = _load_config_file(args.config)
     store = _load_snapshot(args, file_cfg, "query")
     name = args.function
-    if name not in queries.REGISTRY and name != "timespan_of":
-        valid = ", ".join(sorted(queries.REGISTRY) + ["timespan_of"])
+    if name not in _QUERIES:
+        valid = ", ".join(sorted(_QUERIES))
         _fail(f"unknown query function {name!r}; valid names: {valid}", EXIT_DOMAIN)
-    # timespan_of takes any thing and no filter
-    fn, arg_kind, names = queries.REGISTRY.get(name, (queries.timespan_of, None, ()))
+    fn, arg_kind, names = _QUERIES[name]
     filters = {"time": args.time, "role": args.role, "order": args.order, "event_id": args.event_id}
     for key, value in filters.items():
         if value is not None and key not in names:
             _fail(f"{name} does not take --{key.removesuffix('_id')}", EXIT_DOMAIN)
-    if name == "timespan_of":
-        if not args.argument:
-            _fail("timespan_of requires a thing argument", EXIT_DOMAIN)
-        try:
-            span = queries.timespan_of(store, _resolve_thing(store, None, args.argument))
-        except GraphError as exc:
-            _fail(str(exc), EXIT_DOMAIN)
-        print(json.dumps({"intervals": [list(p) for p in span.intervals]}))
-        return EXIT_OK
     if args.time is not None:
         filters["time"] = _parse_time_flag(args.time)
     if arg_kind is None and args.argument is not None:

@@ -1,7 +1,7 @@
 """Definition statements: named things, their patterns, roles and types.
 
-A definitions file is UTF-8 text made of ``.``-terminated statements with
-``#`` line comments.  Recognized forms (keywords are case-insensitive):
+A definitions file is UTF-8 text made of ``.``-terminated statements.
+Recognized forms (keywords are case-insensitive):
 
     There name X patterns "p1", "p2", has r1, r2.
     Name X patterns "p".
@@ -9,25 +9,23 @@ A definitions file is UTF-8 text made of ``.``-terminated statements with
 
 where X is a bare name or a quoted string, and T is an atomic type
 (word, time, number, money) or a quoted composite pattern.
+
+A statement's tokens are names (runs of ASCII letters, digits, ``_`` and
+``-``), strings quoted with ``'`` or ``"`` (typographic quotes fold to
+these; a string may span lines) and optional separating commas.  Space
+and ``#`` comments up to the end of the line only separate tokens; any
+other character is an error.  A ``.`` ends a statement, whose line is
+that of its first token.  A ``patterns`` section takes strings and a
+``has`` section names; a section ends at the next ``patterns`` or ``has``
+or at the end of its statement, and must hold at least one item.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .patterns import (
-    ATOMIC_TYPES,
-    _QUOTE_FOLD,
-    PatternNode,
-    PatternSyntaxError,
-    TypeRef,
-    list_variables,
-    parse_pattern,
-)
-
-_NAME_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
-)
+from . import patterns as pat
 
 
 class DefinitionError(ValueError):
@@ -43,189 +41,116 @@ class ThingDefinition:
     """A named thing: its textual patterns, role slots and role types."""
 
     name: str
-    patterns: list[PatternNode] = field(default_factory=list)
+    patterns: list[pat.PatternNode] = field(default_factory=list)
     roles: list[str] = field(default_factory=list)
-    role_types: dict[str, TypeRef] = field(default_factory=dict)
+    role_types: dict[str, pat.TypeRef] = field(default_factory=dict)
 
 
 # statement tokens: ("word", text) | ("str", content) | ("comma", ",")
 _Tok = tuple[str, str]
 
+# one match per token, told apart by Match.lastindex: a string quoted with
+# " (1) or ' (2), a name (3), a comma (4), a full stop (5) or any other
+# character (6), an unterminated quote included; space and comments match
+# no group
+_STATEMENT_TOKEN = re.compile(r"""\s+|#[^\n]*|"([^"]*)"|'([^']*)'|([A-Za-z0-9_-]+)|(,)|(\.)|(.)""")
+_KIND = {1: "str", 2: "str", 3: "word", 4: "comma"}
+
 
 def _split_statements(source: str) -> list[tuple[list[_Tok], int]]:
-    text = source.translate(_QUOTE_FOLD)
+    """The statements of ``source``, each as its tokens and its line."""
+    text = source.translate(pat._QUOTE_FOLD)
     statements: list[tuple[list[_Tok], int]] = []
     current: list[_Tok] = []
-    line = 1
-    stmt_line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in ("'", '"'):
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise DefinitionError("unterminated quote", line)
-            if not current:
-                stmt_line = line
-            current.append(("str", text[i + 1 : end]))
-            line += text.count("\n", i, end)
-            i = end + 1
-        elif ch == ".":
+    line, counted = 1, 0  # the line of text[counted]
+    for found in _STATEMENT_TOKEN.finditer(text):
+        group = found.lastindex
+        if group is None:
+            continue
+        start = found.start()
+        line += text.count("\n", counted, start)
+        counted = start
+        if group == 6:
+            char = found[6]
+            fault = "unterminated quote" if char in "'\"" else f"unexpected character {char!r}"
+            raise DefinitionError(fault, line)
+        if group == 5:
             if current:
                 statements.append((current, stmt_line))
                 current = []
-            i += 1
-        elif ch == ",":
-            if not current:
-                stmt_line = line
-            current.append(("comma", ","))
-            i += 1
-        elif ch in _NAME_CHARS:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            if not current:
-                stmt_line = line
-            current.append(("word", text[i:j]))
-            i = j
-        else:
-            raise DefinitionError(f"unexpected character {ch!r}", line)
+            continue
+        if not current:
+            stmt_line = line
+        current.append((_KIND[group], found[group]))
     if current:
         raise DefinitionError("statement not terminated with '.'", stmt_line)
     return statements
 
 
-def _parse_pattern_string(text: str, line: int, owner: str) -> PatternNode:
+def _parse_pattern_string(text: str, line: int, owner: str) -> pat.PatternNode:
     try:
-        return parse_pattern(text)
-    except PatternSyntaxError as exc:
+        return pat.parse_pattern(text)
+    except pat.PatternSyntaxError as exc:
         raise DefinitionError(f"bad pattern for {owner!r}: {exc}", line) from exc
 
 
-class _Statement:
-    def __init__(self, tokens: list[_Tok], line: int):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise DefinitionError("unexpected end of statement", self.line)
-        self.pos += 1
-        return tok
-
-    def skip_commas(self) -> None:
-        while self.peek() and self.peek()[0] == "comma":
-            self.pos += 1
-
-    def keyword(self) -> str | None:
-        tok = self.peek()
-        if tok and tok[0] == "word":
-            return tok[1].lower()
-        return None
-
-
-def _read_name(stmt: _Statement) -> str:
-    kind, value = stmt.next()
+def _read_name(tokens: list[_Tok], at: int, line: int) -> str:
+    if at >= len(tokens):
+        raise DefinitionError("unexpected end of statement", line)
+    kind, value = tokens[at]
     if kind == "comma":
-        raise DefinitionError("expected a name", stmt.line)
+        raise DefinitionError("expected a name", line)
     return value
 
 
-def _parse_there(stmt: _Statement, defs: dict[str, ThingDefinition]) -> str:
-    if stmt.keyword() != "name":
-        raise DefinitionError("expected 'name' after 'there'", stmt.line)
-    stmt.next()
-    name = _read_name(stmt)
-    definition = defs.setdefault(name, ThingDefinition(name))
-    _parse_sections(stmt, definition)
-    return name
+# the error of a section left without items, by its keyword
+_EMPTY_SECTION = {
+    "patterns": "'patterns' without any pattern string",
+    "has": "'has' without any role name",
+}
 
 
-def _parse_name(stmt: _Statement, defs: dict[str, ThingDefinition]) -> None:
-    name = _read_name(stmt)
-    if name not in defs:
-        raise DefinitionError(f"unknown thing {name!r}", stmt.line)
-    if stmt.keyword() != "patterns":
-        raise DefinitionError("expected 'patterns' in name statement", stmt.line)
-    _parse_sections(stmt, defs[name])
-
-
-def _parse_sections(stmt: _Statement, definition: ThingDefinition) -> None:
-    while True:
-        stmt.skip_commas()
-        keyword = stmt.keyword()
-        if keyword is None and stmt.peek() is None:
-            return
-        if keyword == "patterns":
-            stmt.next()
-            got = False
-            while True:
-                stmt.skip_commas()
-                tok = stmt.peek()
-                if tok is None or tok[0] != "str":
-                    break
-                stmt.next()
-                definition.patterns.append(
-                    _parse_pattern_string(tok[1], stmt.line, definition.name)
-                )
-                got = True
-            if not got:
-                raise DefinitionError("'patterns' without any pattern string", stmt.line)
-        elif keyword == "has":
-            stmt.next()
-            got = False
-            while True:
-                stmt.skip_commas()
-                tok = stmt.peek()
-                if tok is None or tok[0] != "word" or tok[1].lower() in ("patterns", "has"):
-                    break
-                stmt.next()
-                role = tok[1].lower()
-                if role not in definition.roles:
-                    definition.roles.append(role)
-                got = True
-            if not got:
-                raise DefinitionError("'has' without any role name", stmt.line)
+def _parse_sections(tokens: list[_Tok], line: int, definition: ThingDefinition) -> None:
+    """Add the ``patterns`` and ``has`` sections of ``tokens`` to ``definition``."""
+    section = empty = None  # the open section, and its keyword again while it holds no item
+    for kind, value in tokens:
+        if kind == "comma":
+            continue
+        word = value.lower() if kind == "word" else None
+        if section == "patterns" and kind == "str":
+            definition.patterns.append(_parse_pattern_string(value, line, definition.name))
+            empty = None
+        elif section == "has" and kind == "word" and word not in _EMPTY_SECTION:
+            if word not in definition.roles:
+                definition.roles.append(word)
+            empty = None
+        elif empty:
+            raise DefinitionError(_EMPTY_SECTION[empty], line)
+        elif word in _EMPTY_SECTION:
+            section = empty = word
         else:
-            raise DefinitionError(
-                f"expected 'patterns' or 'has', got {stmt.next()[1]!r}", stmt.line
-            )
+            raise DefinitionError(f"expected 'patterns' or 'has', got {value!r}", line)
+    if empty:
+        raise DefinitionError(_EMPTY_SECTION[empty], line)
 
 
-def _parse_is(stmt: _Statement, defs: dict[str, ThingDefinition]) -> None:
-    role = stmt.next()[1].lower()
-    stmt.next()  # "is"
-    kind, value = stmt.next()
-    if stmt.peek() is not None:
-        raise DefinitionError("trailing tokens after type statement", stmt.line)
+def _parse_is(tokens: list[_Tok], line: int, defs: dict[str, ThingDefinition]) -> None:
+    role = tokens[0][1].lower()
+    if len(tokens) > 3:
+        raise DefinitionError("trailing tokens after type statement", line)
+    kind, value = tokens[2]
     if kind == "str":
-        pattern = _parse_pattern_string(value, stmt.line, role)
-        if list_variables(pattern):
-            raise DefinitionError(
-                f"type pattern for {role!r} may not contain variables", stmt.line
-            )
-        type_ref = TypeRef("composite", pattern)
+        pattern = _parse_pattern_string(value, line, role)
+        if pat.list_variables(pattern):
+            raise DefinitionError(f"type pattern for {role!r} may not contain variables", line)
+        type_ref = pat.TypeRef("composite", pattern)
     else:
-        if value.lower() not in ATOMIC_TYPES:
-            raise DefinitionError(f"unknown type {value!r}", stmt.line)
-        type_ref = TypeRef(value.lower())
+        if value.lower() not in pat.ATOMIC_TYPES:
+            raise DefinitionError(f"unknown type {value!r}", line)
+        type_ref = pat.TypeRef(value.lower())
     owners = [d for d in defs.values() if role in d.roles]
     if not owners:
-        raise DefinitionError(f"role {role!r} was never declared in a 'has' list", stmt.line)
+        raise DefinitionError(f"role {role!r} was never declared in a 'has' list", line)
     for d in owners:
         d.role_types[role] = type_ref
 
@@ -238,21 +163,22 @@ def parse_definitions(source: str) -> list[ThingDefinition]:
     defs: dict[str, ThingDefinition] = {}
     there_lines: dict[str, int] = {}
     for tokens, line in _split_statements(source):
-        stmt = _Statement(tokens, line)
-        keyword = stmt.keyword()
-        if keyword == "there":
-            stmt.next()
-            there_lines.setdefault(_parse_there(stmt, defs), line)
-        elif keyword == "name":
-            stmt.next()
-            _parse_name(stmt, defs)
-        elif (
-            len(tokens) >= 3
-            and tokens[0][0] == "word"
-            and tokens[1][0] == "word"
-            and tokens[1][1].lower() == "is"
-        ):
-            _parse_is(stmt, defs)
+        words = [value.lower() if kind == "word" else None for kind, value in tokens[:3]]
+        if words[0] == "there":
+            if words[1:2] != ["name"]:
+                raise DefinitionError("expected 'name' after 'there'", line)
+            name = _read_name(tokens, 2, line)
+            there_lines.setdefault(name, line)
+            _parse_sections(tokens[3:], line, defs.setdefault(name, ThingDefinition(name)))
+        elif words[0] == "name":
+            name = _read_name(tokens, 1, line)
+            if name not in defs:
+                raise DefinitionError(f"unknown thing {name!r}", line)
+            if words[2:] != ["patterns"]:
+                raise DefinitionError("expected 'patterns' in name statement", line)
+            _parse_sections(tokens[2:], line, defs[name])
+        elif len(words) == 3 and words[0] and words[1] == "is":
+            _parse_is(tokens, line, defs)
         else:
             raise DefinitionError("unrecognized statement", line)
     for definition in defs.values():

@@ -127,6 +127,10 @@ class TimeSpec:
     def contains(self, tick: int) -> bool:
         return any(s <= tick <= e for s, e in self.intervals)
 
+    def to_json(self, store: "GraphStore") -> dict:
+        """A query's answer as JSON, like ``WeightedSet.to_json``."""
+        return {"intervals": [list(p) for p in self.intervals]}
+
     def union(self, other: "TimeSpec") -> "TimeSpec":
         return TimeSpec(self.intervals + other.intervals)
 

@@ -467,40 +467,30 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
     than ``MAX_PROCESSES`` of them raise ``ValueError`` naming the count
     before any is built.
 
-    Successors of a coincidence ``a`` can only start in
-    ``(a.start, a.end + chain_max_gap]``, so the candidates are found by
-    bisecting the coincidences sorted by start, and only those are
-    tested; the links are the same as from testing all pairs.  Each
-    maximal chain then grows from a chain start along an explicit stack."""
+    The start and gap conditions say that a successor of a coincidence
+    ``a`` starts in ``(a.start, a.end + chain_max_gap]``, so bisecting the
+    coincidences sorted by start finds exactly those, and only the shared
+    actor is left to test; the links are the same as from testing all
+    pairs.  Each maximal chain then grows from a chain start along an
+    explicit stack."""
     coins = []
     for t in store.things("coincidence"):
         span = store.times_of(t.id)
         if span:
             coins.append((t.id, span))
     actors = {cid: _coincidence_actors(store, cid) for cid, _ in coins}
-
-    def linked(a, b) -> bool:
-        (ca, sa), (cb, sb) = a, b
-        if sb.start <= sa.start:
-            return False
-        if sb.start - sa.end > config.chain_max_gap:
-            return False
-        if config.chain_requires_shared_actor and not (actors[ca] & actors[cb]):
-            return False
-        return True
-
+    shared = config.chain_requires_shared_actor
     succ: dict[int, list[int]] = {cid: [] for cid, _ in coins}
     has_pred: set[int] = set()
     by_start = sorted(coins, key=lambda c: c[1].start)
     starts = [span.start for _, span in by_start]
-    for a in coins:
-        _, span = a
+    for ca, span in coins:
         lo = bisect_right(starts, span.start)
         hi = bisect_right(starts, span.end + config.chain_max_gap)
-        for b in by_start[lo:hi]:
-            if linked(a, b):
-                succ[a[0]].append(b[0])
-                has_pred.add(b[0])
+        for cb, _ in by_start[lo:hi]:
+            if not shared or actors[ca] & actors[cb]:
+                succ[ca].append(cb)
+                has_pred.add(cb)
     # successors start strictly later, so counting from the latest start
     # back finds every successor's count done
     count: dict[int, int] = {}

@@ -974,3 +974,76 @@ def test_fuzzed_flags_exit_cleanly(data):
     assert code in (0, 1, 2), argv
     if code != 0:
         assert err.getvalue().startswith(("scenamine:", "usage:")), argv
+
+
+# -- error paths, each with its exit code and its whole message ------------------
+
+
+@pytest.mark.parametrize(
+    "body, fault",
+    [
+        ('{"things":[{"id":1,"kind":"actor","name":"a","properties":{}}],'
+         '"edges":[{"kind":"knows","from":1,"to":1}],"times":[]}', "unknown edge kind 'knows'"),
+        ('{"things":[],"edges":[],"times":[5]}', "time span entries must be objects"),
+        ('{"things":[],"edges":[],"times":[{"id":9,"intervals":{"a":1}}]}',
+         "bad intervals for 9: {'a': 1} is not a list"),
+        ('{"things":[[1,"actor"]],"edges":[],"times":[]}', "thing entries must be objects"),
+    ],
+)
+@pytest.mark.parametrize("command", [["mine"], ["query", "events_at", "--time", "1"]])
+def test_malformed_snapshot_entry_exits_one_with_its_fault(tmp_path, capsys, body, fault, command):
+    snapshot = _write(tmp_path / "snap.json", body)
+    assert main([command[0], "--snapshot", snapshot, *command[1:]]) == 1
+    assert capsys.readouterr() == ("", f"scenamine: {snapshot}: {fault}\n")
+    assert (tmp_path / "snap.json").read_text(encoding="utf-8") == body
+
+
+@pytest.mark.parametrize("argv", [["mine"], ["query", "events_at", "--time", "1"]])
+def test_command_without_snapshot_exits_one(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"scenamine: {argv[0]} requires --snapshot\n")
+
+
+def _ambiguous_snapshot(tmp_path) -> str:
+    """An actor and a role both named red, and the actor's event."""
+    store = GraphStore()
+    actor, role = store.add_thing("actor", "red"), store.add_thing("role", "red")
+    app = store.add_thing("appearance", "stoplight")
+    event = store.add_thing("event", times=TimeSpec.point(3))
+    store.add_edge(Edge("is", event, app))
+    store.add_edge(Edge("has", event, actor, role="color"))
+    return _write(tmp_path / "snap.json", store.dumps())
+
+
+@pytest.mark.parametrize(
+    "args, code, out, err",
+    [
+        (["timespan_of", "red"], 1, "", "scenamine: ambiguous thing name 'red': ids [1, 2]\n"),
+        (["timespan_of", "1"], 0, '{"intervals": [[3, 3]]}\n', ""),
+        (["timespan_of"], 1, "", "scenamine: timespan_of requires a thing argument\n"),
+        (["timespan_of", "red", "--time", "3"], 1, "", "scenamine: timespan_of does not take --time\n"),
+        (["roles_of_actor", "red"], 0, "[]\n", ""),
+        (["actors_of_role"], 1, "", "scenamine: actors_of_role requires a role argument\n"),
+        (["actors_of_role", "red"], 0, "[]\n", ""),
+        (["timespan_of2"], 1, "", "scenamine: unknown query function 'timespan_of2'; valid names: "
+         + ", ".join(sorted(queries.REGISTRY) + ["timespan_of"]) + "\n"),
+    ],
+)
+def test_query_resolves_names_and_arguments_through_one_path(tmp_path, capsys, args, code, out, err):
+    snapshot = _ambiguous_snapshot(tmp_path)
+    assert main(["query", "--snapshot", snapshot, *args]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_out_path_that_is_a_directory_exits_two_leaving_no_temp_file(tmp_path, capsys):
+    snapshot = _extract(tmp_path, STOPLIGHT_DEFS, STOPLIGHT_CORPUS)
+    before = pathlib.Path(snapshot).read_bytes()
+    out = tmp_path / "report"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["mine", "--snapshot", snapshot, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"scenamine: cannot write {out}: ") and captured.err.count("\n") == 1
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".scenamine-")]
+    assert list(out.iterdir()) == [] and pathlib.Path(snapshot).read_bytes() == before

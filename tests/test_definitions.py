@@ -237,3 +237,63 @@ def test_fuzzed_definitions_parse_or_fail_cleanly(text):
     assert code == (0 if parsed else 1)
     if code:
         assert err.startswith("scenamine:") and err.count("\n") == 1
+
+
+# one input per DefinitionError message, each failing past line 1 where the
+# message can: (text, line, message)
+_DEFINITION_ERRORS = [
+    ("There name x.\n'open", 2, "unterminated quote"),
+    ("There name x.\nThere name y;", 2, "unexpected character ';'"),
+    ("There name x.\n\nThere name\ny", 3, "statement not terminated with '.'"),
+    ('There name x.\nName x patterns "{a".', 2, "bad pattern for 'x': unclosed delimiter (byte offset 0)"),
+    ("There name x.\nThere name.", 2, "unexpected end of statement"),
+    ("There name x.\nName.", 2, "unexpected end of statement"),
+    ("There name x.\nThere name, x.", 2, "expected a name"),
+    ("There name x.\nName , x.", 2, "expected a name"),
+    ("There name x.\nThere x.", 2, "expected 'name' after 'there'"),
+    ('There name x.\nName y patterns "a".', 2, "unknown thing 'y'"),
+    ('There name x.\nName x has r.', 2, "expected 'patterns' in name statement"),
+    ('There name x.\nName x, patterns "a".', 2, "expected 'patterns' in name statement"),
+    ("There name x.\nName x.", 2, "expected 'patterns' in name statement"),
+    ("There name x.\nThere name y patterns.", 2, "'patterns' without any pattern string"),
+    ("There name x.\nThere name y has.", 2, "'has' without any role name"),
+    ('There name x.\nThere name y "a".', 2, "expected 'patterns' or 'has', got 'a'"),
+    ('There name x.\nThere name y patterns "a" Extra.', 2, "expected 'patterns' or 'has', got 'Extra'"),
+    ('There name x.\nThere name y has r "a".', 2, "expected 'patterns' or 'has', got 'a'"),
+    ('There name x has r.\nR is word money.', 2, "trailing tokens after type statement"),
+    ('There name x has r.\nR is "$y z".', 2, "type pattern for 'r' may not contain variables"),
+    ('There name x has r.\nR is gold.', 2, "unknown type 'gold'"),
+    ('There name x has r.\nR is ,.', 2, "unknown type ','"),
+    ("There name x has r.\nS is word.", 2, "role 's' was never declared in a 'has' list"),
+    ("There name x.\n\"x\" is word.", 2, "unrecognized statement"),
+    # an empty section is reported before the word that ends it
+    ("There name x.\nThere name y patterns extra.", 2, "'patterns' without any pattern string"),
+    ('There name x.\nThere name y has "a".', 2, "'has' without any role name"),
+    ('There name x.\nThere name y patterns, has r.', 2, "'patterns' without any pattern string"),
+    ('There name x.\nThere name y has, patterns "a".', 2, "'has' without any role name"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", _DEFINITION_ERRORS)
+def test_each_definition_error_names_its_line_and_fault(text, line, message):
+    with pytest.raises(DefinitionError) as caught:
+        parse_definitions(text)
+    assert caught.value.line == line
+    assert str(caught.value) == f"line {line}: {message}"
+
+
+def test_statement_tokens_and_their_lines():
+    """Names, strings in either quote, commas and comments; a string may
+    span lines, and a statement's line is that of its first token."""
+    source = (
+        "# comment, with 'quotes' and a full stop.\n"
+        "There name a-1_B patterns 'x', \"y\"\n"
+        "  has  r,,s. . There name 'two\nlines'.\n"
+        "Name 'two\nlines' patterns \"{a\".\n"
+    )
+    with pytest.raises(DefinitionError) as caught:
+        parse_definitions(source)
+    assert str(caught.value).startswith(r"line 5: bad pattern for 'two\nlines': ")
+    first, second = parse_definitions(source.rsplit("Name", 1)[0])
+    assert (first.name, first.patterns, first.roles) == ("a-1_B", [Literal("x"), Literal("y")], ["r", "s"])
+    assert second.name == "two\nlines"

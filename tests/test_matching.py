@@ -260,6 +260,19 @@ def test_randomized_matches_equal_brute_force():
     assert agreements == 250
 
 
+def test_conjunction_children_must_bind_a_variable_alike():
+    """Both children $x of ($x said $x) are one variable: a combination of
+    child matches that binds it to ann in one child and to bob in the
+    other is no match."""
+    pattern = parse_pattern("($x said $x)")
+    toks = tokenize("ann said bob said ann")
+    got = library_match_set(match_pattern(pattern, toks))
+    assert got == brute_matches(pattern, toks)
+    assert (0, 4, (("x", "ann", 4, 4),)) in got
+    # ann at 0, said at 1 and bob at 2 disagree on x
+    assert (0, 2, (("x", "bob", 2, 2),)) not in got
+
+
 _LOOKAHEAD_ALPHABET = ["a", "b", "c", "the", "an"]
 _SIBLING_KINDS = ["literal", "variable", "any", "seq", "and"]
 

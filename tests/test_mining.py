@@ -1,5 +1,6 @@
 """Mining stages against worked examples and brute-force oracles."""
 
+import dataclasses
 import functools
 import gc
 import inspect
@@ -914,6 +915,25 @@ def test_trigger_counting_matches_hand_computation():
         s.id for s in store.things("situation") if "smashed" in (s.name or "")
     )
     assert shifted[smashed_sit] == pytest.approx(1.0)
+
+
+def test_trigger_candidate_below_support_is_dropped():
+    """A bird sings before the branch step in two toy runs only: it shifts
+    the branch distribution as the toy does, but its two processes are
+    below min_support 3, so it is no trigger.  With min_support 2 in the
+    trigger stage alone it would be one."""
+    store = _toy_window_store()
+    defs = parse_definitions('There name bird-sings patterns "bird sings".')
+    for run in (0, 3):
+        extract_events(store, defs, Document("bird sings", f"run{run}", run * 10))
+    cfg = MiningConfig(min_support=3, fork_epsilon=0.5)
+    report = run_pipeline(store, cfg)
+    (bird,) = store.find_by_name("appearance", "bird-sings")
+    assert store.thing(report.triggers[0].thing).name == "toy-thrown"
+    assert bird not in {t.thing for t in report.triggers}
+    lowered = differentiate_triggers(store, report.model, report.forks, dataclasses.replace(cfg, min_support=2))
+    (candidate,) = [t for t in lowered if t.thing == bird]
+    assert candidate.support == 2 and candidate.score >= cfg.trigger_min_shift
 
 
 # -- the pipeline ----------------------------------------------------------------
