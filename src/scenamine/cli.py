@@ -263,7 +263,7 @@ def cmd_query(args) -> int:
     if arg_kind is None and args.argument is not None:
         _fail(f"{name} does not take a thing argument; give a window with --time", EXIT_DOMAIN)
     if arg_kind is not None and not args.argument:
-        _fail(f"{name} requires a {arg_kind} argument", EXIT_DOMAIN)
+        _fail(f"{name} requires {_with_article(arg_kind)} argument", EXIT_DOMAIN)
     try:
         call_args = [] if arg_kind is None else [_resolve_thing(store, arg_kind, args.argument)]
         if args.event_id is not None:

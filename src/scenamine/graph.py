@@ -1,16 +1,20 @@
 """In-memory typed graph of things, relationships and time spans.
 
 Nodes carry a kind, an optional name and scalar properties.  Edges are
-immutable named tuples: inheritance (``is``), possession (``has`` with a
-role name), association with time (``times``) and set membership
-(``member`` with a set kind of ``and``, ``seq`` or ``any``; ``seq``
-members carry a contiguous order).  Time spans are normalized interval
-sets over an integer tick axis.
+inheritance (``is``), possession (``has`` with a role name), association
+with time (``times``) and set membership (``member`` with a set kind of
+``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
+The store holds each edge as the plain tuple (kind, src, dst, role,
+set_kind, order) of atomic values, which the cyclic collector stops
+tracking at its first pass.  ``Edge`` exists only at the API: a named
+tuple that equals and hashes like that plain tuple, which ``add_edge``
+takes as well and ``edges``, ``out_edges`` and ``in_edges`` hand out.
+Time spans are normalized interval sets over an integer tick axis.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role, set kind and seq
 order and keeps the endpoints whose node kind is ``node_kind``;
-``neighbors`` wraps those ids in a ``WeightedSet``.  Only a caller that
-needs each edge's role reads ``out_edges``/``in_edges``.  Three read
+``neighbors`` wraps those ids in a ``WeightedSet``.  ``bindings`` gives
+the (role, end) pairs of a thing's ``has`` edges.  Three read
 indexes are built lazily, each on its first call, and any write drops them.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
@@ -46,6 +50,7 @@ import gc
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
@@ -89,16 +94,17 @@ class TimeSpec:
 
     def __post_init__(self):
         intervals = self.intervals
+        if len(intervals) == 1:  # most spans: one valid interval, nothing to sort or merge
+            pair = intervals[0]
+            if type(pair) in (tuple, list) and len(pair) == 2:
+                start, end = pair
+                if type(start) is int and type(end) is int and start <= end:
+                    object.__setattr__(self, "intervals", ((start, end),))
+                    return
         for pair in intervals:
             if not (type(pair) in (tuple, list) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
                 raise GraphError(f"{pair!r} is not a pair of integers")
-        if len(intervals) == 1:  # most spans: one interval, nothing to sort or merge
-            start, end = intervals[0]
-            if start > end:
-                raise GraphError(f"bad interval [{start}, {end}]")
-            object.__setattr__(self, "intervals", ((start, end),))
-            return
         merged: list[list[int]] = []
         for start, end in sorted(tuple(p) for p in intervals):
             if start > end:
@@ -147,7 +153,8 @@ class TimeSpec:
 
 
 class Edge(NamedTuple):
-    """One relationship; an immutable tuple, so equal edges hash equal."""
+    """One relationship as the API hands it out; it equals and hashes like
+    the plain tuple of its fields, which is how the store holds it."""
 
     kind: str
     src: int
@@ -245,6 +252,9 @@ _encode_properties = _properties_encoder()
 # the empty answer of ``neighbors``, shared: no WeightedSet changes in place
 _NOTHING = WeightedSet()
 
+# a stored edge tuple as an ``Edge``, through no Python-level call
+_as_edge = partial(tuple.__new__, Edge)
+
 
 class GraphStore:
     """Single-writer, multi-reader store of things, edges and time spans."""
@@ -253,9 +263,10 @@ class GraphStore:
         self._things: dict[int, ThingNode] = {}
         self._by_kind: dict[str, list[ThingNode]] = {}  # each list sorted by id
         self._times: dict[int, TimeSpec] = {}
-        self._out: dict[int, list[Edge]] = {}
-        self._in: dict[int, list[Edge]] = {}
-        self._edge_set: set[Edge] = set()
+        # each edge as the exact tuple (kind, src, dst, role, set_kind, order)
+        self._out: dict[int, list[tuple]] = {}
+        self._in: dict[int, list[tuple]] = {}
+        self._edge_set: set[tuple] = set()
         self._by_name: dict[tuple[str, str], list[int]] = {}
         self._seq: dict[int, list[int]] = {}  # each node's seq members in order
         self._mined: set[int] = set()  # things whose properties name an origin
@@ -285,7 +296,7 @@ class GraphStore:
         if times is not None:
             spec_id, self._next_id = self._next_id, self._next_id + 1
             self._times[spec_id] = times
-            self.add_edge(Edge("times", thing_id, spec_id))
+            self.add_edge(("times", thing_id, spec_id, None, None, None))
         return thing_id
 
     def _put_thing(self, thing_id: int, kind: str, name: str | None, properties: dict) -> None:
@@ -311,13 +322,14 @@ class GraphStore:
         if "origin" in properties:
             self._mined.add(thing_id)
 
-    def add_edge(self, edge: Edge) -> None:
-        """Check one edge and add it; a repeat is a no-op, a seq member without an order gets the next."""
+    def add_edge(self, edge: Edge | tuple) -> None:
+        """Check one edge, an ``Edge`` or the plain tuple of its fields, and hold it as that tuple;
+        a repeat is a no-op, a seq member without an order gets the next."""
         kind, src, dst, role, set_kind, order = edge
         if not (type(kind) is str and type(src) is int and type(dst) is int
                 and (role is None or type(role) is str) and (set_kind is None or type(set_kind) is str)
                 and (order is None or type(order) is int)):
-            raise _edge_type_error(edge)
+            raise _edge_type_error(Edge(kind, src, dst, role, set_kind, order))
         self._intervals = self._is = self._holders = None
         if kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {kind!r}")
@@ -338,11 +350,13 @@ class GraphStore:
                 seq = self._seq.setdefault(src, [])
                 if order is None:
                     order = len(seq)
-                    edge = edge._replace(order=order)
+                    edge = (kind, src, dst, role, set_kind, order)
         # the checks above set each field the kind carries, so any other is one it does not
         present = (role is not None) + (set_kind is not None) + (order is not None)
         if present and present != len(_EDGE_EXTRAS.get((kind, set_kind), ())):
-            raise GraphError(f"{edge} carries a field its kind does not")
+            raise GraphError(f"{Edge(kind, src, dst, role, set_kind, order)} carries a field its kind does not")
+        if type(edge) is not tuple:  # an Edge: held as the exact tuple
+            edge = (kind, src, dst, role, set_kind, order)
         if edge in self._edge_set:
             return
         if seq is not None and order != len(seq):
@@ -378,16 +392,16 @@ class GraphStore:
         if not mined:
             return
         things = [t for t in self.things() if t.id not in mined]
-        edges = [e for e in self.edges() if e.src not in mined and e.dst not in mined]
-        dropped = {e.dst for m in mined for e in self._out[m] if e.kind == "times"}
-        dropped -= {e.dst for e in edges if e.kind == "times"}
+        edges = [e for src, out in self._out.items() if src not in mined for e in out if e[2] not in mined]
+        dropped = {e[2] for m in mined for e in self._out[m] if e[0] == "times"}
+        dropped -= {e[2] for e in edges if e[0] == "times"}
         times = {i: span for i, span in self._times.items() if i not in dropped}
         GraphStore.__init__(self)
         self._times.update(times)
         for t in things:
             self._put_thing(t.id, t.kind, t.name, t.properties)
         for e in edges:
-            self.add_edge(e if e.order is None else e._replace(order=None))
+            self.add_edge(e if e[5] is None else e[:5] + (None,))
         self._next_id = self._first_free_id()
 
     def _first_free_id(self) -> int:
@@ -411,21 +425,26 @@ class GraphStore:
         return list(self._by_kind.get(kind, ()))
 
     def edges(self) -> list[Edge]:
-        return [e for edges in self._out.values() for e in edges]
+        return [_as_edge(e) for edges in self._out.values() for e in edges]
 
     def out_edges(self, thing_id: int) -> list[Edge]:
-        self.thing(thing_id)
-        return list(self._out[thing_id])
+        return list(map(_as_edge, self._out[self.thing(thing_id).id]))
 
     def in_edges(self, thing_id: int) -> list[Edge]:
-        self.thing(thing_id)
-        return list(self._in[thing_id])
+        return list(map(_as_edge, self._in[self.thing(thing_id).id]))
+
+    def bindings(self, thing_id: int, node_kind: str) -> list[tuple[str, int]]:
+        """(role, end) of each ``has`` edge out of a thing whose end is of
+        ``node_kind``, in edge order."""
+        things = self._things
+        return [(role, dst) for kind, _, dst, role, _, _ in self._out[self.thing(thing_id).id]
+                if kind == "has" and things[dst].kind == node_kind]
 
     def times_of(self, thing_id: int) -> TimeSpec | None:
         spec: TimeSpec | None = None
-        for edge in self._out[self.thing(thing_id).id]:
-            if edge.kind == "times":
-                ts = self._times[edge.dst]
+        for e in self._out[self.thing(thing_id).id]:  # (kind, src, dst, ...)
+            if e[0] == "times":
+                ts = self._times[e[2]]
                 spec = ts if spec is None else spec.union(ts)
         return spec
 
@@ -447,15 +466,15 @@ class GraphStore:
         edges = self._out[thing_id] if out else self._in[thing_id]
         things = self._things
         ends = []
-        for e in edges:
+        for e in edges:  # (kind, src, dst, role, set_kind, order)
             if (
-                (kind is None or e.kind == kind)
-                and e.kind != "times"
-                and (role is None or e.role == role)
-                and (set_kind is None or e.set_kind == set_kind)
-                and (order is None or e.order == order)
+                (kind is None or e[0] == kind)
+                and e[0] != "times"
+                and (role is None or e[3] == role)
+                and (set_kind is None or e[4] == set_kind)
+                and (order is None or e[5] == order)
             ):
-                other = e.dst if out else e.src
+                other = e[2] if out else e[1]
                 if node_kind is None or things[other].kind == node_kind:
                     ends.append(other)
         return sorted(set(ends)) if len(ends) > 1 else ends
@@ -472,10 +491,11 @@ class GraphStore:
             raise GraphError(f"bad interval [{lo}, {hi}]")
         if self._intervals is None:
             entries = sorted(
-                (start, end, e.src)
-                for e in self.edges()
-                if e.kind == "times"
-                for start, end in self._times[e.dst].intervals
+                (start, end, src)
+                for edges in self._out.values()
+                for kind, src, dst, _, _, _ in edges
+                if kind == "times"
+                for start, end in self._times[dst].intervals
             )
             reach = accumulate((end for _, end, _ in entries), max)
             self._intervals = ([s for s, _, _ in entries], list(reach), entries)
@@ -490,10 +510,11 @@ class GraphStore:
             raise GraphError(f"bad direction {direction!r}")
         if self._is is None:
             self._is = {"out": {}, "in": {}}
-            for e in self.edges():
-                if e.kind == "is":
-                    self._is["out"].setdefault(e.src, []).append(e.dst)
-                    self._is["in"].setdefault(e.dst, []).append(e.src)
+            for edges in self._out.values():
+                for kind, src, dst, _, _, _ in edges:
+                    if kind == "is":
+                        self._is["out"].setdefault(src, []).append(dst)
+                        self._is["in"].setdefault(dst, []).append(src)
         return self._is[direction]
 
     def seq_holders(self) -> dict[int, list[int]]:
@@ -569,34 +590,33 @@ class GraphStore:
             if not isinstance(items, list):
                 raise SnapshotError(f"snapshot {section} must be a list")
         store = cls()
-        add_edge = store.add_edge
+        things, times, put_thing, add_edge = store._things, store._times, store._put_thing, store.add_edge
         try:
             for item in raw["things"]:
                 if not isinstance(item, dict) or item.keys() != _THING_FIELDS:
                     raise _fields_error(item, _THING_FIELDS, "thing")
                 thing_id = item["id"]
-                if type(thing_id) is not int or thing_id in store._things:
+                if type(thing_id) is not int or thing_id in things:
                     raise SnapshotError(f"bad or duplicate thing id {thing_id!r}")
-                store._put_thing(thing_id, item["kind"], item["name"], item["properties"])
+                put_thing(thing_id, item["kind"], item["name"], item["properties"])
             for item in raw["times"]:
                 if not isinstance(item, dict) or item.keys() != _TIME_SPAN_FIELDS:
                     raise _fields_error(item, _TIME_SPAN_FIELDS, "time span")
                 spec_id = item["id"]
-                if type(spec_id) is not int or spec_id in store._times or spec_id in store._things:
+                if type(spec_id) is not int or spec_id in times or spec_id in things:
                     raise SnapshotError(f"bad or duplicate time span id {spec_id!r}")
                 intervals = item["intervals"]
                 if type(intervals) is not list:
                     raise SnapshotError(f"bad intervals for {spec_id}: {intervals!r} is not a list")
                 try:
-                    store._times[spec_id] = TimeSpec(intervals)
+                    times[spec_id] = TimeSpec(intervals)
                 except GraphError as exc:
                     raise SnapshotError(f"bad intervals for {spec_id}: {exc}") from exc
             for item in raw["edges"]:
                 if not isinstance(item, dict):
                     raise SnapshotError("edge entries must be objects")
-                get = item.get  # an Edge without the named tuple's Python-level __new__
-                edge = tuple.__new__(Edge, (get("kind"), get("from"), get("to"), get("role"),
-                                            get("set_kind"), get("order")))
+                get = item.get
+                edge = (get("kind"), get("from"), get("to"), get("role"), get("set_kind"), get("order"))
                 add_edge(edge)
                 # add_edge refused a field the kind does not carry and the lack
                 # of one it needs, a seq order aside, so the entry holds exactly

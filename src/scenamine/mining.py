@@ -216,9 +216,8 @@ def differentiate_actors(
     for event in store.things("event"):
         start = store.times_of(event.id).start
         roles_here: dict[str, set[int]] = {}
-        for e in store.out_edges(event.id):
-            if e.kind == "has" and store.thing(e.dst).kind == "actor":
-                roles_here.setdefault(e.role, set()).add(e.dst)
+        for role, actor in store.bindings(event.id, "actor"):
+            roles_here.setdefault(role, set()).add(actor)
         for app in _direct_appearances(store, event.id):
             for role, actors in roles_here.items():
                 filled[(app, role)] = filled.get((app, role), 0) + 1

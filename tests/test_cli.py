@@ -1025,6 +1025,9 @@ def _ambiguous_snapshot(tmp_path) -> str:
         (["roles_of_actor", "red"], 0, "[]\n", ""),
         (["actors_of_role"], 1, "", "scenamine: actors_of_role requires a role argument\n"),
         (["actors_of_role", "red"], 0, "[]\n", ""),
+        (["roles_of_actor"], 1, "", "scenamine: roles_of_actor requires an actor argument\n"),
+        (["roles_of_appearance"], 1, "", "scenamine: roles_of_appearance requires an appearance argument\n"),
+        (["actors_of_event"], 1, "", "scenamine: actors_of_event requires an event argument\n"),
         (["timespan_of2"], 1, "", "scenamine: unknown query function 'timespan_of2'; valid names: "
          + ", ".join(sorted(queries.REGISTRY) + ["timespan_of"]) + "\n"),
     ],

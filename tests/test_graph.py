@@ -671,6 +671,35 @@ def test_edge_is_an_immutable_value():
     assert GraphStore.loads(store.dumps()).edges() == store.edges()
 
 
+@pytest.mark.parametrize("built", ["live", "loaded"])
+def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_out_as_edges(built):
+    """The store holds each edge as an exact tuple of atomic values, which a
+    collection untracks, and hands it out as an ``Edge`` that equals and
+    hashes like that tuple."""
+    store = _random_store(random.Random(13), nodes=100)
+    if built == "loaded":
+        store = GraphStore.loads(store.dumps())
+    gc.collect()
+    stored = [*store._edge_set, *(e for edges in (*store._out.values(), *store._in.values()) for e in edges)]
+    assert stored and all(type(e) is tuple and not gc.is_tracked(e) for e in stored)
+    listed = store.edges()
+    assert sorted(listed) == sorted(store._edge_set)
+    for thing in store.things():
+        assert store.out_edges(thing.id) == store._out[thing.id]
+        assert store.in_edges(thing.id) == store._in[thing.id]
+        listed += store.out_edges(thing.id) + store.in_edges(thing.id)
+    for edge in listed:
+        assert type(edge) is Edge
+        plain = tuple(edge)
+        assert edge == plain and hash(edge) == hash(plain)
+        assert edge == (edge.kind, edge.src, edge.dst, edge.role, edge.set_kind, edge.order)
+        assert Edge(*plain) in store.edges()
+    dumped = store.dumps()
+    for edge in listed:
+        store.add_edge(edge)
+    assert store.dumps() == dumped and sorted(store.edges()) == sorted(set(listed))
+
+
 def test_load_rejects_seq_members_out_of_order():
     body = _snapshot(
         [_node(2, "process"), _node(3, "coincidence"), _node(4, "coincidence")],
