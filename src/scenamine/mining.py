@@ -10,10 +10,14 @@ layer alone: ``run_pipeline`` first drops every node an earlier run built
 tagged with the ``origin`` stage; nothing mined is looked up and reused.
 So mining a graph again, with any settings and after any new events,
 gives the report and graph that one run over its events gives.  Stages
-write only what a query, a later stage or the report reads: role scoping
-and actor differentiation write nothing.  Chains, scenarios and forks may
-be of any length; no stage recurses once per step, chains grow from chain
-starts only, and ``MAX_PROCESSES`` is the only bound on chaining.
+write only what a query, a later stage or the report reads, each mined
+edge once, as a plain tuple; role scoping and actor differentiation write
+nothing.  A run reads each event's span, appearances and actors once, into
+one ``FactTable``; the stage that makes a coincidence, situation or process
+adds its facts there as plain data, and later stages read them there, not
+from the graph.  Chains, scenarios and forks may be of any length; no stage
+recurses once per step, chains grow from chain starts only, and
+``MAX_PROCESSES`` is the only bound on chaining.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from . import patterns as pat
-from .graph import Edge, GraphStore, TimeSpec
+from .graph import GraphStore, TimeSpec
 from .tokens import ascii_norms, tokenize
 
 
@@ -175,8 +180,50 @@ class MiningReport:
 # -- shared helpers ---------------------------------------------------------
 
 
-def _direct_appearances(store: GraphStore, event_id: int) -> list[int]:
-    return store.neighbor_ids(event_id, "is", node_kind="appearance")
+class FactTable:
+    """The facts one mining run reads, each read from the store at most
+    once, on first use.  A stage that makes facts of a kind adds its own
+    to the table, which then already holds what the store held before it.
+    No stage adds an edge out of an event, so the event facts hold for
+    the whole run.  A stage called without a table reads a fresh one."""
+
+    def __init__(self, store: GraphStore):
+        self.store = store
+
+    @cached_property
+    def events(self) -> dict[int, tuple[TimeSpec, list[int], list[tuple[str, int]]]]:
+        """Event -> (span, direct appearances, (role, actor) bindings)."""
+        store = self.store
+        return {e.id: (store.times_of(e.id), store.neighbor_ids(e.id, "is", node_kind="appearance"),
+                       store.bindings(e.id, "actor")) for e in store.things("event")}
+
+    @cached_property
+    def coincidences(self) -> dict[int, tuple[TimeSpec | None, list[int]]]:
+        """Coincidence -> (span, events); ``cluster_events`` adds its own."""
+        store = self.store
+        return {c.id: (store.times_of(c.id), store.neighbor_ids(c.id, "member", set_kind="and", node_kind="event"))
+                for c in store.things("coincidence")}
+
+    @cached_property
+    def situations(self) -> dict[int, tuple[frozenset[int], list[int]]]:
+        """Situation -> (items, the coincidences that are it); ``unify_situations`` adds its own."""
+        store = self.store
+        return {s.id: (frozenset(store.member_children(s.id, "and")),
+                       store.neighbor_ids(s.id, "is", "in", node_kind="coincidence")) for s in store.things("situation")}
+
+    @cached_property
+    def situations_of(self) -> dict[int, list[int]]:
+        """Coincidence -> its situations in id order; ``unify_situations`` adds its own."""
+        out: dict[int, list[int]] = {}
+        for sid, (_, holders) in sorted(self.situations.items()):
+            for cid in holders:
+                out.setdefault(cid, []).append(sid)
+        return out
+
+    @cached_property
+    def processes(self) -> dict[int, list[int]]:
+        """Process -> its coincidences in order; ``chain_coincidences`` adds its own."""
+        return {p.id: self.store.member_children(p.id, "seq") for p in self.store.things("process")}
 
 
 class _UnionFind:
@@ -205,7 +252,7 @@ class _UnionFind:
 
 
 def differentiate_actors(
-    store: GraphStore,
+    store: GraphStore, facts: FactTable | None = None
 ) -> tuple[list[ActorFrequency], dict[tuple[int, str], int]]:
     """Relative fill frequencies per (actor, role, appearance) and the most
     probable actor per (appearance, role), from the one walk over the
@@ -213,12 +260,12 @@ def differentiate_actors(
     counts: dict[tuple[int, str], Counter] = {}
     filled: dict[tuple[int, str], int] = {}
     first_seen: dict[tuple[int, str, int], int] = {}
-    for event in store.things("event"):
-        start = store.times_of(event.id).start
+    for span, apps, bindings in (facts or FactTable(store)).events.values():
+        start = span.start
         roles_here: dict[str, set[int]] = {}
-        for role, actor in store.bindings(event.id, "actor"):
+        for role, actor in bindings:
             roles_here.setdefault(role, set()).add(actor)
-        for app in _direct_appearances(store, event.id):
+        for app in apps:
             for role, actors in roles_here.items():
                 filled[(app, role)] = filled.get((app, role), 0) + 1
                 bucket = counts.setdefault((app, role), Counter())
@@ -233,8 +280,7 @@ def differentiate_actors(
         total = filled[(app, role)]
         entries = []
         for actor, count in counts[(app, role)].items():
-            node = store.thing(actor)
-            entries.append((-count, first_seen[(app, role, actor)], node.name or "", actor))
+            entries.append((-count, first_seen[(app, role, actor)], store.thing(actor).name or "", actor))
             rows.append(ActorFrequency(app, role, actor, count, count / total))
         entries.sort()
         best[(app, role)] = entries[0][3]
@@ -266,7 +312,7 @@ def _norms(text: str) -> tuple[str, ...]:
 
 
 def unify_appearances(
-    store: GraphStore, min_support: int
+    store: GraphStore, min_support: int, facts: FactTable | None = None
 ) -> list[tuple[str, int, dict[str, list[str]]]]:
     """Anti-unify event texts of equal token length that share anchor
     tokens; materialize each generalization covering enough events as a
@@ -282,7 +328,9 @@ def unify_appearances(
     its (column, token) buckets when that is another event, which yields
     the same components in time linear in the tokens.  A length group with
     fewer events than ``min_support`` is skipped whole: none of its
-    components could reach support."""
+    components could reach support.  Each ``is`` edge is written once per
+    component, and none starts at an event."""
+    events = (facts or FactTable(store)).events
     by_len: dict[int, list[tuple[int, tuple[str, ...]]]] = {}
     for event in store.things("event"):
         text = event.properties.get("text")
@@ -320,15 +368,12 @@ def unify_appearances(
                     slots[var] = col
             pattern = children[0] if len(children) == 1 else pat.SeqSet(tuple(children))
             name = pat.render_pattern(pattern)
-            app_id = store.add_thing(
-                "appearance", name, {"origin": "unify_appearances", "pattern": name}
-            )
+            app_id = store.add_thing("appearance", name, {"origin": "unify_appearances", "pattern": name})
             for var in slots:
                 role_id = store.find_or_create("role", var, {"origin": "unify_appearances"})
-                store.add_edge(Edge("has", app_id, role_id, role=var))
-            for event_id in component:
-                for specific in _direct_appearances(store, event_id):
-                    store.add_edge(Edge("is", specific, app_id))
+                store.add_edge(("has", app_id, role_id, var, None, None))
+            for specific in dict.fromkeys(a for e in component for a in events[e][1]):
+                store.add_edge(("is", specific, app_id, None, None, None))
             made.append((name, len(component), slots))
     return made
 
@@ -336,7 +381,7 @@ def unify_appearances(
 # -- stage 4: event clustering -------------------------------------------------
 
 
-def cluster_events(store: GraphStore, window: int) -> dict[str, int]:
+def cluster_events(store: GraphStore, window: int, facts: FactTable | None = None) -> dict[str, int]:
     """Group events whose time spans overlap (after widening by the
     window) into coincidences; isolated events become singleton
     coincidences.
@@ -346,12 +391,13 @@ def cluster_events(store: GraphStore, window: int) -> dict[str, int]:
     ``max(window, 1) - 1`` ticks, the intervals are sorted by start, and
     one sweep joins each interval to the run it starts inside; the
     groups are the same as from comparing all pairs of events."""
-    events = [(t.id, store.times_of(t.id)) for t in store.things("event")]
-    uf = _UnionFind([e for e, _ in events])
+    facts = facts or FactTable(store)
+    events, coincidences = facts.events, facts.coincidences
+    uf = _UnionFind(events)
     reach = max(window, 1) - 1
     intervals = sorted(
         (start, end + reach, event_id)
-        for event_id, span in events
+        for event_id, (span, _, _) in events.items()
         for start, end in span.intervals
     )
     run_event, run_end = None, None
@@ -361,31 +407,17 @@ def cluster_events(store: GraphStore, window: int) -> dict[str, int]:
             run_end = max(run_end, end)
         else:
             run_event, run_end = event_id, end
-    times = dict(events)
     for component in uf.groups():
-        span = TimeSpec(tuple(p for e in component for p in times[e].intervals))
-        cid = store.add_thing(
-            "coincidence",
-            f"c[{','.join(map(str, component))}]",
-            properties={"origin": "cluster_events"},
-            times=span,
-        )
+        span = TimeSpec(tuple(p for e in component for p in events[e][0].intervals))
+        name = f"c[{','.join(map(str, component))}]"
+        cid = store.add_thing("coincidence", name, {"origin": "cluster_events"}, span)
         for event_id in component:
-            store.add_edge(Edge("member", cid, event_id, set_kind="and"))
+            store.add_edge(("member", cid, event_id, None, "and", None))
+        coincidences[cid] = (span, component)
     return {"coincidences": len(store.things("coincidence"))}
 
 
 # -- stage 5: situation unification ---------------------------------------------
-
-
-def _coincidence_itemsets(store: GraphStore) -> list[tuple[int, frozenset[int]]]:
-    out = []
-    for c in store.things("coincidence"):
-        items = set()
-        for event_id in store.member_children(c.id, "and"):
-            items.update(_direct_appearances(store, event_id))
-        out.append((c.id, frozenset(items)))
-    return out
 
 
 # Closed itemsets can still be exponentially many (the 17-of-18 subsets
@@ -425,32 +457,30 @@ def _closed_itemsets(
     return closed
 
 
-def unify_situations(store: GraphStore, min_support: int) -> dict[str, int]:
+def unify_situations(store: GraphStore, min_support: int, facts: FactTable | None = None) -> dict[str, int]:
     """Materialize each closed frequent combination of appearance classes
     across coincidences (``_closed_itemsets``) as a situation, with an
     ``is`` edge from each coincidence holding it.  More than
     ``MAX_SITUATIONS`` raise ``ValueError`` before any is built."""
-    itemsets = _coincidence_itemsets(store)
-    closed = _closed_itemsets([items for _, items in itemsets], min_support)
+    facts = facts or FactTable(store)
+    events, situations, situations_of = facts.events, facts.situations, facts.situations_of
+    coincidences = list(facts.coincidences)
+    rows = [frozenset(a for e in members for a in events[e][1]) for _, members in facts.coincidences.values()]
+    closed = _closed_itemsets(rows, min_support)
     for s in sorted(closed, key=lambda s: (len(s), sorted(s))):
         ids = sorted(s)
         label = "{" + ", ".join(sorted(store.thing(i).name or str(i) for i in ids)) + "}"
         sid = store.add_thing("situation", label, {"origin": "unify_situations"})
         for i in ids:
-            store.add_edge(Edge("member", sid, i, set_kind="and"))
-        for r in closed[s]:
-            store.add_edge(Edge("is", itemsets[r][0], sid))
+            store.add_edge(("member", sid, i, None, "and", None))
+        situations[sid] = (s, [coincidences[r] for r in closed[s]])
+        for cid in situations[sid][1]:
+            store.add_edge(("is", cid, sid, None, None, None))
+            situations_of.setdefault(cid, []).append(sid)
     return {"situations": len(store.things("situation"))}
 
 
 # -- stage 6: coincidence chaining -----------------------------------------------
-
-
-def _coincidence_actors(store: GraphStore, cid: int) -> set[int]:
-    actors: set[int] = set()
-    for event_id in store.member_children(cid, "and"):
-        actors.update(store.neighbor_ids(event_id, "has", node_kind="actor"))
-    return actors
 
 
 # The number of maximal chains can grow like the Fibonacci numbers in the
@@ -459,7 +489,7 @@ def _coincidence_actors(store: GraphStore, cid: int) -> set[int]:
 MAX_PROCESSES = 100_000
 
 
-def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int]:
+def chain_coincidences(store: GraphStore, config: MiningConfig, facts: FactTable | None = None) -> dict[str, int]:
     """Chain coincidences into processes: strictly increasing start times,
     bounded gaps, and (optionally) a shared actor between neighbours.
     Every maximal chain of length two or more becomes a process; more
@@ -472,12 +502,12 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
     actor is left to test; the links are the same as from testing all
     pairs.  Each maximal chain then grows from a chain start along an
     explicit stack."""
-    coins = []
-    for t in store.things("coincidence"):
-        span = store.times_of(t.id)
+    facts = facts or FactTable(store)
+    coins, actors = [], {}
+    for cid, (span, members) in facts.coincidences.items():
         if span:
-            coins.append((t.id, span))
-    actors = {cid: _coincidence_actors(store, cid) for cid, _ in coins}
+            coins.append((cid, span))
+            actors[cid] = {actor for e in members for _, actor in facts.events[e][2]}
     shared = config.chain_requires_shared_actor
     succ: dict[int, list[int]] = {cid: [] for cid, _ in coins}
     has_pred: set[int] = set()
@@ -497,9 +527,7 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
         count[cid] = sum(count[n] for n in succ[cid]) or 1
     total = sum(count[cid] for cid, _ in coins if cid not in has_pred and succ[cid])
     if total > MAX_PROCESSES:
-        raise ValueError(
-            f"{total} maximal chains exceed the limit of {MAX_PROCESSES} processes"
-        )
+        raise ValueError(f"{total} maximal chains exceed the limit of {MAX_PROCESSES} processes")
     chains = []
     stack = [(cid,) for cid, _ in coins if cid not in has_pred and succ[cid]]
     while stack:
@@ -508,11 +536,13 @@ def chain_coincidences(store: GraphStore, config: MiningConfig) -> dict[str, int
             stack.extend(path + (nxt,) for nxt in succ[path[-1]])
         else:
             chains.append(path)
+    processes = facts.processes
     for path in sorted(chains):
         name = f"p[{','.join(map(str, path))}]"
         pid = store.add_thing("process", name, {"origin": "chain_coincidences"})
         for cid in path:
-            store.add_edge(Edge("member", pid, cid, set_kind="seq"))
+            store.add_edge(("member", pid, cid, None, "seq", None))
+        processes[pid] = list(path)
     return {"processes": len(store.things("process"))}
 
 
@@ -533,36 +563,26 @@ def _walk_tree(root: TreeNode, min_support: int) -> Iterator[tuple[list[int], Tr
                 stack.append((path + [sid], node.children[sid]))
 
 
-def _situation_rank(store: GraphStore, sid: int) -> tuple[int, int, int]:
-    size = len(store.member_children(sid, "and"))
-    support = len(store.neighbor_ids(sid, "is", "in", node_kind="coincidence"))
-    return (-size, -support, sid)
-
-
 def unify_scenarios(
-    store: GraphStore, min_support: int
+    store: GraphStore, min_support: int, facts: FactTable | None = None
 ) -> tuple[ScenarioModel, dict[str, int]]:
     """Lift each process to its situation sequence, grow a prefix tree
     over all sequences, and materialize every frequent prefix as a
-    scenario covering its processes."""
-    rank: dict[int, tuple[int, int, int]] = {
-        t.id: _situation_rank(store, t.id) for t in store.things("situation")
-    }
+    scenario covering its processes.  A coincidence lifts to its largest
+    situation, then the one most coincidences are, then the first."""
+    facts = facts or FactTable(store)
+    rank = {sid: (-len(items), -len(holders), sid) for sid, (items, holders) in facts.situations.items()}
     root = TreeNode(None)
     lifted_all: dict[int, LiftedProcess] = {}
-    for proc in store.things("process"):
-        coins = store.member_children(proc.id, "seq")
-        steps: list[tuple[int, int]] = []
-        for cid in coins:
-            sits = store.neighbor_ids(cid, "is", node_kind="situation")
-            if sits:
-                steps.append((cid, min(sits, key=lambda s: rank[s])))
-        lifted_all[proc.id] = LiftedProcess(proc.id, coins, steps)
+    for pid, coins in facts.processes.items():
+        steps = [(cid, min(facts.situations_of[cid], key=rank.__getitem__))
+                 for cid in coins if cid in facts.situations_of]
+        lifted_all[pid] = LiftedProcess(pid, coins, steps)
         node = root
-        node.processes.append(proc.id)
+        node.processes.append(pid)
         for sid in (s for _, s in steps):
             node = node.children.setdefault(sid, TreeNode(sid))
-            node.processes.append(proc.id)
+            node.processes.append(pid)
 
     scenarios: list[tuple[list[int], int]] = []
     for path, node in _walk_tree(root, min_support):
@@ -572,9 +592,9 @@ def unify_scenarios(
         label = " -> ".join(store.thing(s).name or str(s) for s in path)
         scenario_id = store.add_thing("scenario", label, {"origin": "unify_scenarios"})
         for s in path:
-            store.add_edge(Edge("member", scenario_id, s, set_kind="seq"))
+            store.add_edge(("member", scenario_id, s, None, "seq", None))
         for pid in node.processes:
-            store.add_edge(Edge("is", pid, scenario_id))
+            store.add_edge(("is", pid, scenario_id, None, None, None))
     model = ScenarioModel(root, lifted_all, scenarios)
     return model, {"scenarios": len(store.things("scenario"))}
 
@@ -589,9 +609,7 @@ def detect_forks(model: ScenarioModel, fork_epsilon: float) -> list[Fork]:
     for path, node in _walk_tree(model.root, 1):
         if len(node.children) >= 2:
             total = sum(len(child.processes) for child in node.children.values())
-            branches = [
-                (sid, len(node.children[sid].processes) / total) for sid in sorted(node.children)
-            ]
+            branches = [(sid, len(node.children[sid].processes) / total) for sid in sorted(node.children)]
             probs = [p for _, p in branches]
             if max(probs) - min(probs) <= fork_epsilon:
                 forks.append(Fork(tuple(path), branches, node))
@@ -606,14 +624,13 @@ def differentiate_triggers(
     model: ScenarioModel,
     forks: list[Fork],
     config: MiningConfig,
+    facts: FactTable | None = None,
 ) -> list[Trigger]:
     """For each fork, find appearances or situations that occur before the
     branch step — as events left out of the lifted situations or as
     co-present situations — and shift the branch distribution."""
-    sit_items = {
-        t.id: frozenset(store.member_children(t.id, "and"))
-        for t in store.things("situation")
-    }
+    facts = facts or FactTable(store)
+    sit_items = {sid: items for sid, (items, _) in facts.situations.items()}
     triggers: list[Trigger] = []
     for fork_index, fork in enumerate(forks):
         branch_ids = [sid for sid, _ in fork.branches]
@@ -632,11 +649,11 @@ def differentiate_triggers(
             for cid in lp.coincidences[:cutoff]:
                 lifted_sid = step_situation.get(cid)
                 covered = sit_items.get(lifted_sid, frozenset())
-                for event_id in store.member_children(cid, "and"):
-                    for app in _direct_appearances(store, event_id):
+                for event_id in facts.coincidences[cid][1]:
+                    for app in facts.events[event_id][1]:
                         if app not in covered:
                             presence.setdefault(app, set()).add(pid)
-                for sid in store.neighbor_ids(cid, "is", node_kind="situation"):
+                for sid in facts.situations_of.get(cid, ()):
                     if sid != lifted_sid:
                         presence.setdefault(sid, set()).add(pid)
         found = []
@@ -644,23 +661,11 @@ def differentiate_triggers(
             support = len(pids)
             if support < config.min_support:
                 continue
-            shifted = [
-                sum(1 for pid in pids if branch_of[pid] == sid) / support
-                for sid in branch_ids
-            ]
+            shifted = [sum(1 for pid in pids if branch_of[pid] == sid) / support for sid in branch_ids]
             score = max(abs(s - b) for s, b in zip(shifted, base))
             if score >= config.trigger_min_shift:
-                found.append(
-                    Trigger(fork_index, thing_id, score, support, list(base), shifted)
-                )
-        found.sort(
-            key=lambda t: (
-                -t.score,
-                -t.support,
-                store.thing(t.thing).name or "",
-                t.thing,
-            )
-        )
+                found.append(Trigger(fork_index, thing_id, score, support, list(base), shifted))
+        found.sort(key=lambda t: (-t.score, -t.support, store.thing(t.thing).name or "", t.thing))
         triggers.extend(found)
     return triggers
 
@@ -677,40 +682,27 @@ def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> Minin
     cfg = config or MiningConfig()
     cfg.validate()
     store.drop_mined()
+    facts = FactTable(store)
     stages: dict[str, dict[str, int]] = {}
 
-    def run(name: str, fn, *args):
+    def run(stage, *args):
         try:
-            return fn(*args)
+            return stage(*args)
         except Exception as exc:  # noqa: BLE001 - report which stage died
-            raise MiningStageError(name, exc) from exc
+            raise MiningStageError(stage.__name__, exc) from exc
 
-    rows, best = run("differentiate_actors", differentiate_actors, store)
-    domains = run("scope_roles", scope_roles, rows)
+    rows, best = run(differentiate_actors, store, facts)
+    domains = run(scope_roles, rows)
     stages["scope_roles"] = {"domains": len(domains), "members": len(rows)}
     stages["differentiate_actors"] = {"rows": len(rows)}
-    made = run("unify_appearances", unify_appearances, store, cfg.min_support)
-    stages["unify_appearances"] = {
-        "generalizations": len(made),
-        "covered_events": sum(n for _, n, _ in made),
-    }
-    stages["cluster_events"] = run(
-        "cluster_events", cluster_events, store, cfg.coincidence_window
-    )
-    stages["unify_situations"] = run(
-        "unify_situations", unify_situations, store, cfg.min_support
-    )
-    stages["chain_coincidences"] = run(
-        "chain_coincidences", chain_coincidences, store, cfg
-    )
-    model, scenario_stats = run(
-        "unify_scenarios", unify_scenarios, store, cfg.min_support
-    )
-    stages["unify_scenarios"] = scenario_stats
-    forks = run("detect_forks", detect_forks, model, cfg.fork_epsilon)
+    made = run(unify_appearances, store, cfg.min_support, facts)
+    stages["unify_appearances"] = {"generalizations": len(made), "covered_events": sum(n for _, n, _ in made)}
+    stages["cluster_events"] = run(cluster_events, store, cfg.coincidence_window, facts)
+    stages["unify_situations"] = run(unify_situations, store, cfg.min_support, facts)
+    stages["chain_coincidences"] = run(chain_coincidences, store, cfg, facts)
+    model, stages["unify_scenarios"] = run(unify_scenarios, store, cfg.min_support, facts)
+    forks = run(detect_forks, model, cfg.fork_epsilon)
     stages["detect_forks"] = {"forks": len(forks)}
-    triggers = run(
-        "differentiate_triggers", differentiate_triggers, store, model, forks, cfg
-    )
+    triggers = run(differentiate_triggers, store, model, forks, cfg, facts)
     stages["differentiate_triggers"] = {"triggers": len(triggers)}
     return MiningReport(cfg, stages, rows, best, model, forks, triggers)

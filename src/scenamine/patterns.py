@@ -37,6 +37,9 @@ _CLOSE = {"}": "{", ")": "(", "]": "["}
 # count, since the parser folds them to ASCII ones
 _STRUCTURAL = set("{}()[]$'\"").union(map(chr, _QUOTE_FOLD))
 _VAR_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# the deepest nesting of collections a pattern may have; the renderer and
+# the matcher recurse once per level
+MAX_NESTING = 100
 
 
 class PatternSyntaxError(ValueError):
@@ -172,7 +175,8 @@ def parse_pattern(source: str) -> PatternNode:
 
     A single top-level element is returned directly; several top-level
     elements become a sequence.  Raises PatternSyntaxError on unbalanced
-    delimiters, empty collections and bare ``$``.
+    delimiters, empty collections, bare ``$`` and nesting deeper than
+    ``MAX_NESTING`` levels.
     """
     text = source.translate(_QUOTE_FOLD)
     if not text.strip():
@@ -186,6 +190,8 @@ def parse_pattern(source: str) -> PatternNode:
         if ch.isspace():
             i += 1
         elif ch in _OPEN:
+            if len(stack) > MAX_NESTING:
+                raise PatternSyntaxError(f"nesting deeper than {MAX_NESTING} levels", source, i)
             stack.append((_OPEN[ch], [], i))
             i += 1
         elif ch in _CLOSE:

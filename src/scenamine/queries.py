@@ -7,8 +7,9 @@ inverse: x is in f(y) exactly when y is in g(x).  One walk serves them
 all: ``_reach`` goes level by level over ``GraphStore.is_links`` from a
 sequence of starts, one for a lookup and every live event for
 ``appearances_at``, so a window pays for each shared generalization once.
-The time-window queries read ``GraphStore.alive``, and ``processes_at``
-reads the holders of the live things from ``GraphStore.seq_holders``.
+The time-window queries read ``GraphStore.alive``; ``processes_at`` reads
+the holders of the live things from ``GraphStore.seq_holders``, and
+``coincidences_at`` with an event tests only the coincidences holding it.
 """
 
 from __future__ import annotations
@@ -160,12 +161,13 @@ def events_of_coincidence(store: GraphStore, coincidence_id: int) -> WeightedSet
 
 
 def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> WeightedSet:
-    """Coincidences alive at the given time, optionally containing an event."""
-    return WeightedSet.crisp(
-        c
-        for c in _alive(store, time, "coincidence")
-        if event_id is None or event_id in events_of_coincidence(store, c)
-    )
+    """Coincidences alive at the given time, optionally containing an event:
+    then those holding it, read off its own ``member`` edges, that are live."""
+    if event_id is None:
+        return WeightedSet.crisp(_alive(store, time, "coincidence"))
+    is_event = event_id in store and store.thing(event_id).kind == "event"
+    holders = coincidences_of_event(store, event_id).ids() if is_event else []
+    return WeightedSet.crisp(c for c in holders if _time_matches(store, c, time))
 
 
 # -- scenarios and processes -------------------------------------------------

@@ -21,6 +21,7 @@ from scenamine.definitions import parse_definitions
 from scenamine.graph import Edge, GraphStore, SnapshotError, TimeSpec
 from scenamine.matching import Document, extract_events
 from scenamine.mining import MiningConfig, run_pipeline
+from scenamine.patterns import MAX_NESTING
 
 SANCTIONS_DEFS = (
     'There name sanctions patterns "{obama trump} {forced suggested} '
@@ -112,6 +113,23 @@ def test_name_only_definition_with_a_bad_pattern_name_exits_one(tmp_path, capsys
     code = main(["extract", "--definitions", defs_path, "--corpus", corpus_path])
     assert code == 1
     assert "defs.txt: line 1: bad pattern for '(a'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("brackets", ["{}", "()", "[]"])
+def test_pattern_nesting_at_the_bound_extracts_and_above_it_exits_one(tmp_path, capsys, brackets):
+    def defs(depth):
+        pattern = brackets[0] * depth + "$who waves" + brackets[1] * depth
+        return f'# one wave\nThere name wave patterns "{pattern}", has who.\n'
+
+    corpus = '{"time": 1, "source": "s", "text": "ann waves"}\n'
+    _extract(tmp_path, defs(MAX_NESTING), corpus)
+    assert json.loads(capsys.readouterr().out)["per_definition"]["wave"] >= 1
+    defs_path = _write(tmp_path / "deep.txt", defs(MAX_NESTING + 1))
+    code = main(["extract", "--definitions", defs_path, "--corpus", str(tmp_path / "corpus.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"deep.txt: line 2: bad pattern for 'wave': nesting deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
 
 
 def test_mine_empty_snapshot(tmp_path, capsys):

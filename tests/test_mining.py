@@ -1115,6 +1115,127 @@ def test_a_role_mining_creates_is_dropped_with_the_mined_layer():
     assert _report_and_snapshot(store, MiningConfig()) == first
 
 
+# -- the facts a run hands from stage to stage -------------------------------------
+
+
+def _crosswalk_store() -> GraphStore:
+    store = GraphStore()
+    extract_events(store, parse_definitions(CROSSWALK_DEFINITIONS), *_crosswalk_docs())
+    return store
+
+
+def _stages_alone(store, cfg):
+    """The nine stages in ``run_pipeline``'s order, each called with only its
+    public arguments, so each reads the facts it needs from the store."""
+    store.drop_mined()
+    scope_roles(differentiate_actors(store)[0])
+    unify_appearances(store, cfg.min_support)
+    cluster_events(store, cfg.coincidence_window)
+    unify_situations(store, cfg.min_support)
+    chain_coincidences(store, cfg)
+    model, _ = unify_scenarios(store, cfg.min_support)
+    forks = detect_forks(model, cfg.fork_epsilon)
+    return model, forks, differentiate_triggers(store, model, forks, cfg)
+
+
+def _assert_stages_alone_equal_the_pipeline(store, cfg):
+    alone = GraphStore.loads(store.dumps())
+    report = run_pipeline(store, cfg)
+    model, forks, triggers = _stages_alone(alone, cfg)
+    same_snapshot = alone.dumps() == store.dumps()  # a bare == makes pytest diff two long texts
+    assert same_snapshot
+    assert model.scenarios == report.model.scenarios
+    assert model.lifted == report.model.lifted
+    assert [(f.prefix, f.branches) for f in forks] == [(f.prefix, f.branches) for f in report.forks]
+    assert triggers == report.triggers
+    return report
+
+
+def test_stages_called_alone_equal_the_pipeline_on_the_crosswalk():
+    report = _assert_stages_alone_equal_the_pipeline(
+        _crosswalk_store(), MiningConfig(min_support=CROSSWALK_MIN_SUPPORT)
+    )
+    assert report.model.scenarios and report.forks and report.triggers
+
+
+def test_stages_called_alone_equal_the_pipeline_on_random_corpora():
+    """Small crosswalk-like corpora: in each run someone approaches, waits,
+    may run on red with either step, and then crosses or falls, far more
+    often falls after running on red."""
+    defs = parse_definitions(
+        'There name approach patterns "$who approaches", has who. '
+        'There name wait patterns "$who waits", has who. '
+        'There name run patterns "$who runs on red", has who. '
+        'There name cross patterns "$who crosses", has who. '
+        'There name fall patterns "$who falls", has who.'
+    )
+    rng = random.Random(808)
+    forked = triggered = 0
+    for case in range(60):
+        store = GraphStore()
+        tick = 0
+        for run in range(rng.randint(0, 16)):
+            who = rng.choice(["ann", "bob", "cy", "dee"])
+            red = rng.random() < 0.5
+            docs = [(0, f"{who} approaches"), (1, f"{who} waits")]
+            if red:
+                docs.append((rng.randint(0, 1), f"{who} runs on red"))
+            docs.append((2, f"{who} {'falls' if rng.random() < (0.9 if red else 0.2) else 'crosses'}"))
+            for offset, text in docs:
+                extract_events(store, defs, Document(text, f"run{run}", tick + offset))
+            tick += rng.randint(4, 9)
+        cfg = MiningConfig(
+            coincidence_window=rng.randint(0, 1),
+            chain_max_gap=rng.randint(1, 2),
+            chain_requires_shared_actor=rng.random() < 0.7,
+            min_support=rng.randint(2, 4),
+            fork_epsilon=rng.choice([0.2, 0.5, 1.0]),
+            trigger_min_shift=rng.choice([0.1, 0.2, 0.5]),
+        )
+        report = _assert_stages_alone_equal_the_pipeline(store, cfg)
+        forked += bool(report.forks)
+        triggered += bool(report.triggers)
+    assert forked >= 30 and triggered >= 5
+
+
+@pytest.mark.parametrize("store", [_crosswalk_store, _toy_window_store], ids=["crosswalk", "toy-window"])
+def test_appearance_unification_leaves_every_event_alone(store):
+    """A run reads each event's facts once, before appearance unification,
+    and later stages read them after it.  That holds because the stage links
+    the appearances of its events to each generalization, never an event:
+    every event's direct appearances and out-edges stay as they were, and
+    no later stage changes them either."""
+    store = store()
+
+    def event_facts():
+        return {
+            e.id: (store.neighbor_ids(e.id, "is", node_kind="appearance"), store.out_edges(e.id))
+            for e in store.things("event")
+        }
+
+    before = event_facts()
+    assert unify_appearances(store, 2)
+    assert event_facts() == before
+    run_pipeline(store, MiningConfig(min_support=2))
+    assert store.things("process") and event_facts() == before
+
+
+def test_a_run_reads_each_event_once_and_no_mined_fact_back(monkeypatch):
+    store = _crosswalk_store()
+    calls = dict.fromkeys(("neighbor_ids", "times_of", "member_children"), 0)
+    for name in calls:
+        read = getattr(GraphStore, name)
+
+        def counted(*args, _read=read, _name=name, **kwargs):
+            calls[_name] += 1
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(GraphStore, name, counted)
+    run_pipeline(store, MiningConfig(min_support=CROSSWALK_MIN_SUPPORT))
+    events = len(store.things("event"))
+    assert calls == {"neighbor_ids": events, "times_of": events, "member_children": 0}
+
+
 def test_stage_failure_names_stage():
     store = GraphStore()
     app = store.add_thing("appearance", "a")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenamine.patterns import (
+    MAX_NESTING,
     AndSet,
     AnySet,
     Literal,
@@ -118,6 +119,18 @@ def test_error_reports_byte_offset():
     with pytest.raises(PatternSyntaxError) as err:
         parse_pattern("abc $")
     assert err.value.offset == 4
+
+
+@pytest.mark.parametrize("brackets", ["{}", "()", "[]"])
+def test_nesting_is_bounded_where_the_collection_opens(brackets):
+    def nested(depth):
+        return "a " + brackets[0] * depth + "b $x" + brackets[1] * depth
+
+    deepest = parse_pattern(nested(MAX_NESTING))
+    assert parse_pattern(render_pattern(deepest)) == deepest
+    with pytest.raises(PatternSyntaxError) as err:
+        parse_pattern(nested(MAX_NESTING + 1))
+    assert str(err.value) == f"nesting deeper than {MAX_NESTING} levels (byte offset {2 + MAX_NESTING})"
 
 
 def test_render_anyset():

@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import add_coincidence, add_event, random_query_store
 from oracles import tickset_union
@@ -501,6 +503,20 @@ def test_coincidences_at_an_event_on_layered_graphs():
                 if thing.kind != "event":
                     assert expected == []
             assert queries.coincidences_at(store, time, event_id=unknown).ids() == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(-5, 205), width=st.sampled_from([0, 1, 3, 40]))
+def test_coincidences_at_an_event_equals_filtering_every_live_coincidence(seed, start, width):
+    # the earlier definition: every live coincidence, kept when its events hold the id
+    store = random_query_store(random.Random(seed))
+    events_of = {c.id: queries.events_of_coincidence(store, c.id) for c in store.things("coincidence")}
+    ids = range(-1, max(t.id for t in store.things()) + 3)  # every thing, unknown ids and time spans
+    for time in (None, start, (start, start + width)):
+        live = queries.coincidences_at(store, time).ids()
+        for thing_id in ids:
+            expected = [c for c in live if thing_id in events_of[c]]
+            assert queries.coincidences_at(store, time, event_id=thing_id).ids() == expected
 
 
 # -- the is index behind the inheritance walks ---------------------------------
