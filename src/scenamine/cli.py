@@ -71,7 +71,7 @@ def _load_config_file(path: str | None) -> dict:
     raw = _read_text(path)
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
+    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
         _fail(f"bad config file {path}: {exc}", EXIT_DOMAIN)
     if not isinstance(data, dict):
         _fail(f"bad config file {path}: expected an object", EXIT_DOMAIN)
@@ -227,7 +227,11 @@ def _resolve_thing(store: GraphStore, kind: str, value: str) -> int:
     """A thing id of the kind, or the one thing of the kind with that name;
     the kind "thing" takes any kind."""
     if value.isdecimal():
-        node = store.thing(int(value))  # raises GraphError when unknown
+        try:
+            thing_id = int(value)
+        except ValueError:  # past int()'s digit limit, which bounds a snapshot's ids too
+            _fail(f"unknown thing {value[:10]}... ({len(value)} digits)", EXIT_DOMAIN)
+        node = store.thing(thing_id)  # raises GraphError when unknown
         if kind not in ("thing", node.kind):
             _fail(f"thing {node.id} is {_with_article(node.kind)}, not {_with_article(kind)}", EXIT_DOMAIN)
         return node.id

@@ -582,7 +582,7 @@ class GraphStore:
     def _load(cls, data: str) -> "GraphStore":
         try:
             raw = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
+        except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         if not isinstance(raw, dict) or set(raw) != {"things", "edges", "times"}:
             raise SnapshotError("snapshot must have exactly things/edges/times")

@@ -520,7 +520,7 @@ def time_to_tick(value, granularity: int = 1):
 def parse_corpus_line(line: str, line_no: int, granularity: int = 1) -> Document:
     try:
         raw = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
+    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
         raise CorpusError(f"invalid JSON: {exc}", line_no) from exc
     if not isinstance(raw, dict):
         raise CorpusError("document must be a JSON object", line_no)

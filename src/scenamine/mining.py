@@ -4,8 +4,9 @@ The pipeline runs actor differentiation (the one walk over the events'
 actor bindings), role scoping over its rows, appearance unification,
 event clustering, situation unification, coincidence chaining, scenario
 unification, fork detection and trigger differentiation, in that order;
-the report lists role scoping first.  Mining is a function of the extracted
-layer alone: ``run_pipeline`` first drops every node an earlier run built
+``MiningReport.stages`` lists role scoping first, the JSON report (keys
+sorted) by name.  Mining is a function of the extracted layer alone:
+``run_pipeline`` first drops every node an earlier run built
 (``GraphStore.drop_mined``), and each stage then only creates nodes, each
 tagged with the ``origin`` stage; nothing mined is looked up and reused.
 So mining a graph again, with any settings and after any new events,

@@ -1,15 +1,18 @@
 """Functional-set queries over the graph.
 
 Every function returns a WeightedSet; crisp graph facts come back with
-weight 1.0.  Lookups across inheritance follow ``is`` chains in both
-directions, so each specific/abstract pair of functions is mutually
-inverse: x is in f(y) exactly when y is in g(x).  One walk serves them
-all: ``_reach`` goes level by level over ``GraphStore.is_links`` from a
-sequence of starts, one for a lookup and every live event for
-``appearances_at``, so a window pays for each shared generalization once.
-The time-window queries read ``GraphStore.alive``; ``processes_at`` reads
-the holders of the live things from ``GraphStore.seq_holders``, and
-``coincidences_at`` with an event tests only the coincidences holding it.
+weight 1.0.  Fourteen of them are lookups made from one table of seven
+inverse pairs: a row names the kinds at the two ends of a relation (an
+``is`` walk, ``has`` edges or ``and`` member edges) and the docstrings of
+the lookup along it and the one back, so x is in f(y) exactly when y is
+in g(x) by construction.  Lookups across inheritance follow ``is`` chains;
+one walk serves them all: ``_reach`` goes level by level over
+``GraphStore.is_links`` from a sequence of starts, one for a lookup and
+every live event for ``appearances_at``, so a window pays for each shared
+generalization once.  The filtered and time-window queries are written
+out.  They read ``GraphStore.alive``; ``processes_at`` reads the holders of
+the live things from ``GraphStore.seq_holders``, and ``coincidences_at``
+with an event tests only the coincidences holding it.
 """
 
 from __future__ import annotations
@@ -63,40 +66,66 @@ def _alive(store: GraphStore, time, kind: str | None = None) -> list[int]:
     return [i for i in store.alive(lo, hi) if kind is None or store.thing(i).kind == kind]
 
 
-# -- actors and roles -----------------------------------------------------
+# -- the inverse pairs --------------------------------------------------------
+
+# name -> (function, kind of the positional argument or None for a time query,
+#          the filter keywords it takes); the command line passes each listed
+#          keyword from its flag (--time, --role, --order, --event for event_id)
+#          and rejects any other.  The table below and the module's end fill it.
+REGISTRY: dict[str, tuple] = {}
 
 
-def actors_of_role(store: GraphStore, role_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """All actors playing the given role."""
-    return _reach(store, [role_id], "in", "actor", hop_weight)
+def _lookup(name: str, doc: str, edge: str, set_kind: str | None, direction: str, kind: str):
+    """A lookup from one thing to the things of ``kind`` over ``edge`` edges
+    in ``direction``: an ``is`` walk by ``_reach``, else the thing's own edges."""
+    if edge == "is":
+        def lookup(store: GraphStore, thing_id: int, hop_weight: float = 1.0) -> WeightedSet:
+            return _reach(store, [thing_id], direction, kind, hop_weight)
+    else:
+        def lookup(store: GraphStore, thing_id: int) -> WeightedSet:
+            return store.neighbors(thing_id, edge, direction, set_kind=set_kind, node_kind=kind)
+    lookup.__name__ = lookup.__qualname__ = name
+    lookup.__doc__ = doc
+    return lookup
 
 
-def roles_of_actor(store: GraphStore, actor_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """All roles the given actor plays."""
-    return _reach(store, [actor_id], "out", "role", hop_weight)
+def _plural(kind: str) -> str:
+    return kind + ("es" if kind.endswith("s") else "s")
 
 
-def roles_of_appearance(store: GraphStore, appearance_id: int) -> WeightedSet:
-    """The role slots of an appearance, read off its possession edges."""
-    return store.neighbors(appearance_id, "has", "out", node_kind="role")
+def _pair(src: str, edge: str, dst: str, out_doc: str, in_doc: str, set_kind: str | None = None):
+    """The lookups ``<dst>s_of_<src>``, out along the edges, and
+    ``<src>s_of_<dst>``, back along them, entered in ``REGISTRY``."""
+    out = _lookup(f"{_plural(dst)}_of_{src}", out_doc, edge, set_kind, "out", dst)
+    back = _lookup(f"{_plural(src)}_of_{dst}", in_doc, edge, set_kind, "in", src)
+    REGISTRY[out.__name__] = (out, src, ())
+    REGISTRY[back.__name__] = (back, dst, ())
+    return out, back
 
 
-def appearances_of_role(store: GraphStore, role_id: int) -> WeightedSet:
-    """All appearances that include the given role slot."""
-    return store.neighbors(role_id, "has", "in", node_kind="appearance")
+# source kind, edge kind, destination kind, the docstring out, the docstring back
+roles_of_actor, actors_of_role = _pair(
+    "actor", "is", "role", "All roles the given actor plays.", "All actors playing the given role.")
+roles_of_appearance, appearances_of_role = _pair(
+    "appearance", "has", "role", "The role slots of an appearance, read off its possession edges.",
+    "All appearances that include the given role slot.")
+appearances_of_event, events_of_appearance = _pair(
+    "event", "is", "appearance", "Appearances the event instantiates, through inheritance chains.",
+    "Events instantiating the appearance, through inheritance chains.")
+appearances_of_situation, situations_of_appearance = _pair(
+    "situation", "member", "appearance", "The appearances combined by a situation.",
+    "Situations whose combination includes the appearance.", set_kind="and")
+situations_of_coincidence, coincidences_of_situation = _pair(
+    "coincidence", "is", "situation", "Situations generalizing the coincidence.",
+    "Coincidences generalized by the situation.")
+events_of_coincidence, coincidences_of_event = _pair(
+    "coincidence", "member", "event", "The events a coincidence is made of.",
+    "Coincidences that include the event.", set_kind="and")
+scenarios_of_process, processes_of_scenario = _pair(
+    "process", "is", "scenario", "Scenarios generalizing the process.", "Processes implementing the scenario.")
 
 
-# -- events and appearances ------------------------------------------------
-
-
-def appearances_of_event(store: GraphStore, event_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """Appearances the event instantiates, through inheritance chains."""
-    return _reach(store, [event_id], "out", "appearance", hop_weight)
-
-
-def events_of_appearance(store: GraphStore, appearance_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """Events instantiating the appearance, through inheritance chains."""
-    return _reach(store, [appearance_id], "in", "event", hop_weight)
+# -- events, actors and coincidences -------------------------------------------
 
 
 def events_at(store: GraphStore, time) -> WeightedSet:
@@ -127,39 +156,6 @@ def events_of_actor(store: GraphStore, actor_id: int, role: str | None = None, t
     )
 
 
-# -- situations and coincidences -------------------------------------------
-
-
-def situations_of_appearance(store: GraphStore, appearance_id: int) -> WeightedSet:
-    """Situations whose combination includes the appearance."""
-    return store.neighbors(appearance_id, "member", "in", set_kind="and", node_kind="situation")
-
-
-def appearances_of_situation(store: GraphStore, situation_id: int) -> WeightedSet:
-    """The appearances combined by a situation."""
-    return store.neighbors(situation_id, "member", "out", set_kind="and", node_kind="appearance")
-
-
-def situations_of_coincidence(store: GraphStore, coincidence_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """Situations generalizing the coincidence."""
-    return _reach(store, [coincidence_id], "out", "situation", hop_weight)
-
-
-def coincidences_of_situation(store: GraphStore, situation_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """Coincidences generalized by the situation."""
-    return _reach(store, [situation_id], "in", "coincidence", hop_weight)
-
-
-def coincidences_of_event(store: GraphStore, event_id: int) -> WeightedSet:
-    """Coincidences that include the event."""
-    return store.neighbors(event_id, "member", "in", set_kind="and", node_kind="coincidence")
-
-
-def events_of_coincidence(store: GraphStore, coincidence_id: int) -> WeightedSet:
-    """The events a coincidence is made of."""
-    return store.neighbors(coincidence_id, "member", "out", set_kind="and", node_kind="event")
-
-
 def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> WeightedSet:
     """Coincidences alive at the given time, optionally containing an event:
     then those holding it, read off its own ``member`` edges, that are live."""
@@ -187,16 +183,6 @@ def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | Non
     if order is not None:
         members = members[order : order + 1] if order >= 0 else []
     return WeightedSet.crisp(m for m in members if store.thing(m).kind == "situation")
-
-
-def processes_of_scenario(store: GraphStore, scenario_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """Processes implementing the scenario."""
-    return _reach(store, [scenario_id], "in", "process", hop_weight)
-
-
-def scenarios_of_process(store: GraphStore, process_id: int, hop_weight: float = 1.0) -> WeightedSet:
-    """Scenarios generalizing the process."""
-    return _reach(store, [process_id], "out", "scenario", hop_weight)
 
 
 def processes_at(store: GraphStore, time) -> WeightedSet:
@@ -248,35 +234,15 @@ def timespan_of(store: GraphStore, thing_id: int) -> TimeSpec:
     return TimeSpec(tuple(pair for span in spans if span for pair in span.intervals))
 
 
-# -- registry for the command line ------------------------------------------
-
-# name -> (function, kind of the positional argument or None for a time query,
-#          the filter keywords it takes); the command line passes each listed
-#          keyword from its flag (--time, --role, --order, --event for event_id)
-#          and rejects any other filter flag
-REGISTRY = {
-    "actors_of_role": (actors_of_role, "role", ()),
-    "roles_of_actor": (roles_of_actor, "actor", ()),
-    "roles_of_appearance": (roles_of_appearance, "appearance", ()),
-    "appearances_of_role": (appearances_of_role, "role", ()),
-    "appearances_of_event": (appearances_of_event, "event", ()),
-    "events_of_appearance": (events_of_appearance, "appearance", ()),
+REGISTRY.update({
     "events_at": (events_at, None, ("time",)),
     "appearances_at": (appearances_at, None, ("time",)),
     "actors_of_event": (actors_of_event, "event", ("role", "time")),
     "events_of_actor": (events_of_actor, "actor", ("role", "time")),
-    "situations_of_appearance": (situations_of_appearance, "appearance", ()),
-    "appearances_of_situation": (appearances_of_situation, "situation", ()),
-    "situations_of_coincidence": (situations_of_coincidence, "coincidence", ()),
-    "coincidences_of_situation": (coincidences_of_situation, "situation", ()),
-    "coincidences_of_event": (coincidences_of_event, "event", ()),
-    "events_of_coincidence": (events_of_coincidence, "coincidence", ()),
     "coincidences_at": (coincidences_at, None, ("time", "event_id")),
     "scenarios_of_situation": (scenarios_of_situation, "situation", ("order",)),
     "situations_of_scenario": (situations_of_scenario, "scenario", ("order",)),
-    "processes_of_scenario": (processes_of_scenario, "scenario", ()),
-    "scenarios_of_process": (scenarios_of_process, "process", ()),
     "processes_at": (processes_at, None, ("time",)),
     "processes_of_coincidence": (processes_of_coincidence, "coincidence", ("time",)),
     "coincidences_of_process": (coincidences_of_process, "process", ("time",)),
-}
+})

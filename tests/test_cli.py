@@ -243,6 +243,36 @@ def test_deeply_nested_config_exits_one_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"scenamine: bad config file {config_path}: ")
 
 
+# one digit past the default limit of int() and json.loads (Python 3.10.7 on),
+# which raise a plain ValueError for it
+_LONG_INT = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("long.json", '{"things":[{"id":%s,"kind":"actor","name":"a","properties":{}}],"edges":[],"times":[]}',
+         ["query", "--snapshot", "{file}", "events_at", "--time", "1"]),
+        ("long.jsonl", '{"time": %s, "source": "cam", "text": "light turned red"}\n',
+         ["extract", "--definitions", "{defs}", "--corpus", "{file}"]),
+        ("long-config.json", '{"mining": {"min_support": %s}}',
+         ["mine", "--snapshot", "{snapshot}", "--config", "{file}"]),
+        (None, None, ["query", "--snapshot", "{snapshot}", "timespan_of", _LONG_INT]),
+        (None, None, ["query", "--snapshot", "{snapshot}", "coincidences_at", "--event", _LONG_INT]),
+    ],
+    ids=["snapshot-id", "corpus-time", "config-min_support", "timespan_of", "event-flag"],
+)
+def test_an_int_past_the_digit_limit_exits_one_naming_its_source(tmp_path, capsys, name, text, argv):
+    snapshot = _stoplight_snapshot(tmp_path)
+    path = _write(tmp_path / name, text % _LONG_INT) if name else None
+    argv = [arg.format(file=path, defs=tmp_path / "defs.txt", snapshot=snapshot) for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("scenamine: ") and (path or _LONG_INT[:10]) in err
+
+
 def test_mine_untimed_event_exits_one_naming_it(tmp_path, capsys):
     snapshot = _write(
         tmp_path / "snap.json",

@@ -1,5 +1,6 @@
 """Query algebra: functional sets, inverse pairs, scoping, time spans."""
 
+import inspect
 import random
 
 import networkx as nx
@@ -234,6 +235,85 @@ def test_inverse_pairs_on_random_graphs():
                 assert got == expected
                 for member in got:
                     assert node.id in fwd(store, member)
+
+
+# (source kind, edge kind, set kind, destination kind, the lookup out along
+#  the edges, the lookup back)
+EDGE_PAIRS = [
+    ("appearance", "has", None, "role", queries.roles_of_appearance, queries.appearances_of_role),
+    ("situation", "member", "and", "appearance", queries.appearances_of_situation, queries.situations_of_appearance),
+    ("coincidence", "member", "and", "event", queries.events_of_coincidence, queries.coincidences_of_event),
+]
+
+
+@pytest.mark.parametrize("src_kind, edge_kind, set_kind, dst_kind, out, back", EDGE_PAIRS)
+def test_edge_pairs_match_the_edge_list_on_random_graphs(src_kind, edge_kind, set_kind, dst_kind, out, back):
+    store = random_query_store(random.Random(5))
+    kind = {t.id: t.kind for t in store.things()}
+    links = {
+        (e.src, e.dst)
+        for e in store.edges()
+        if e.kind == edge_kind and (e.set_kind, kind[e.src], kind[e.dst]) == (set_kind, src_kind, dst_kind)
+    }
+    assert links
+    for node in store.things(src_kind):
+        got = out(store, node.id)
+        assert list(got) == [(d, 1.0) for d in sorted(d for s, d in links if s == node.id)]
+        for member in got.ids():
+            assert node.id in back(store, member)
+    for node in store.things(dst_kind):
+        got = back(store, node.id)
+        assert list(got) == [(s, 1.0) for s in sorted(s for s, d in links if d == node.id)]
+        for member in got.ids():
+            assert node.id in out(store, member)
+
+
+# name -> (kind of the positional argument, the filter keywords it takes)
+REGISTRY_ROWS = {
+    "roles_of_actor": ("actor", ()),
+    "actors_of_role": ("role", ()),
+    "roles_of_appearance": ("appearance", ()),
+    "appearances_of_role": ("role", ()),
+    "appearances_of_event": ("event", ()),
+    "events_of_appearance": ("appearance", ()),
+    "appearances_of_situation": ("situation", ()),
+    "situations_of_appearance": ("appearance", ()),
+    "situations_of_coincidence": ("coincidence", ()),
+    "coincidences_of_situation": ("situation", ()),
+    "events_of_coincidence": ("coincidence", ()),
+    "coincidences_of_event": ("event", ()),
+    "scenarios_of_process": ("process", ()),
+    "processes_of_scenario": ("scenario", ()),
+    "events_at": (None, ("time",)),
+    "appearances_at": (None, ("time",)),
+    "actors_of_event": ("event", ("role", "time")),
+    "events_of_actor": ("actor", ("role", "time")),
+    "coincidences_at": (None, ("time", "event_id")),
+    "scenarios_of_situation": ("situation", ("order",)),
+    "situations_of_scenario": ("scenario", ("order",)),
+    "processes_at": (None, ("time",)),
+    "processes_of_coincidence": ("coincidence", ("time",)),
+    "coincidences_of_process": ("process", ("time",)),
+}
+
+IS_LOOKUPS = {fn.__name__ for _, fwd, _, back in PAIRS for fn in (fwd, back)}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_ROWS))
+def test_registry_row_is_the_module_function_of_its_name(name):
+    fn, arg_kind, filters = queries.REGISTRY[name]
+    assert getattr(queries, name) is fn
+    assert fn.__name__ == fn.__qualname__ == name
+    assert (arg_kind, filters) == REGISTRY_ROWS[name]
+    assert fn.__doc__.strip()
+    params = list(inspect.signature(fn).parameters)
+    assert params[0] == "store" and set(filters) <= set(params)
+    assert ("hop_weight" in params) == (name in IS_LOOKUPS)
+
+
+def test_registry_holds_exactly_the_pinned_rows():
+    assert set(queries.REGISTRY) == set(REGISTRY_ROWS)
+    assert len(IS_LOOKUPS) == 8
 
 
 def test_scoped_inverse_on_random_graphs():
