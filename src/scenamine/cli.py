@@ -18,7 +18,7 @@ import tempfile
 
 from . import queries
 from .definitions import DefinitionError, parse_definitions
-from .graph import KINDS, GraphError, GraphStore, SnapshotError
+from .graph import KINDS, GraphError, GraphStore, SnapshotError, read_json
 from .matching import CorpusError, check_granularity, extract_events, read_corpus
 from .mining import MiningConfig, MiningStageError, run_pipeline
 
@@ -70,7 +70,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     raw = _read_text(path)
     try:
-        data = json.loads(raw)
+        data = read_json(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
         _fail(f"bad config file {path}: {exc}", EXIT_DOMAIN)
     if not isinstance(data, dict):

@@ -13,9 +13,13 @@ Time spans are normalized interval sets over an integer tick axis.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role, set kind and seq
 order and keeps the endpoints whose node kind is ``node_kind``;
-``neighbors`` wraps those ids in a ``WeightedSet``.  ``bindings`` gives
-the (role, end) pairs of a thing's ``has`` edges.  Three read
-indexes are built lazily, each on its first call, and any write drops them.
+``neighbors`` wraps those ids in a ``WeightedSet``.  Into a thing, it
+and ``in_edges`` read only the E edges, from the in-edge index, edge
+kind -> {thing: the edges into it}.  ``bindings`` gives the (role, end)
+pairs of a thing's ``has`` edges.  ``kind_ids`` reads the kind index,
+each kind's things by id, which ``things`` reads too: a kind test is one
+lookup.  Four read indexes, the in-edge index among them, are built
+lazily, each on its first call, and any new edge drops them.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
 bisections bound the candidates, so a time-window query costs log n plus
@@ -48,11 +52,12 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 KINDS = frozenset(
     {
@@ -261,11 +266,10 @@ class GraphStore:
 
     def __init__(self):
         self._things: dict[int, ThingNode] = {}
-        self._by_kind: dict[str, list[ThingNode]] = {}  # each list sorted by id
+        self._by_kind: dict[str, dict[int, ThingNode]] = {}  # the kind index: id -> thing, in id order
         self._times: dict[int, TimeSpec] = {}
         # each edge as the exact tuple (kind, src, dst, role, set_kind, order)
         self._out: dict[int, list[tuple]] = {}
-        self._in: dict[int, list[tuple]] = {}
         self._edge_set: set[tuple] = set()
         self._by_name: dict[tuple[str, str], list[int]] = {}
         self._seq: dict[int, list[int]] = {}  # each node's seq members in order
@@ -274,6 +278,7 @@ class GraphStore:
         self._intervals: tuple | None = None  # starts, running max of ends, entries
         self._is: dict | None = None  # direction -> {thing: its is endpoints}
         self._holders: dict | None = None  # thing -> the nodes holding it in seq
+        self._into: dict | None = None  # edge kind -> {thing: the edges into it}
 
     # -- construction -------------------------------------------------
 
@@ -314,9 +319,8 @@ class GraphStore:
                 raise GraphError(f"thing {thing_id} property {key!r} is not a scalar")
         node = ThingNode(thing_id, kind, name, properties)
         self._things[thing_id] = node
-        self._by_kind.setdefault(kind, []).append(node)
+        self._by_kind.setdefault(kind, {})[thing_id] = node
         self._out[thing_id] = []
-        self._in[thing_id] = []
         if name is not None:
             self._by_name.setdefault((kind, name), []).append(thing_id)
         if "origin" in properties:
@@ -330,7 +334,7 @@ class GraphStore:
                 and (role is None or type(role) is str) and (set_kind is None or type(set_kind) is str)
                 and (order is None or type(order) is int)):
             raise _edge_type_error(Edge(kind, src, dst, role, set_kind, order))
-        self._intervals = self._is = self._holders = None
+        self._intervals = self._is = self._holders = self._into = None
         if kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {kind!r}")
         if src not in self._things:
@@ -366,8 +370,6 @@ class GraphStore:
             )
         self._edge_set.add(edge)
         self._out[src].append(edge)
-        if kind != "times":
-            self._in[dst].append(edge)
         if seq is not None:
             seq.append(dst)
 
@@ -422,7 +424,12 @@ class GraphStore:
         """Things of one kind, or all things, in id order."""
         if kind is None:
             return sorted(self._things.values(), key=lambda t: t.id)
-        return list(self._by_kind.get(kind, ()))
+        return list(self._by_kind.get(kind, {}).values())
+
+    def kind_ids(self, kind: str) -> KeysView[int]:
+        """The ids of the things of a kind from the kind index, a set-like
+        view for membership tests."""
+        return self._by_kind.get(kind, {}).keys()
 
     def edges(self) -> list[Edge]:
         return [_as_edge(e) for edges in self._out.values() for e in edges]
@@ -431,7 +438,10 @@ class GraphStore:
         return list(map(_as_edge, self._out[self.thing(thing_id).id]))
 
     def in_edges(self, thing_id: int) -> list[Edge]:
-        return list(map(_as_edge, self._in[self.thing(thing_id).id]))
+        """The edges into a thing, from the in-edge index: ``is``, then ``has``, then
+        ``member`` edges, each kind's by source in store order, then in edge order."""
+        thing_id, into = self.thing(thing_id).id, self._into or self._index_into()
+        return [_as_edge(e) for ends in into.values() for e in ends.get(thing_id, ())]
 
     def bindings(self, thing_id: int, node_kind: str) -> list[tuple[str, int]]:
         """(role, end) of each ``has`` edge out of a thing whose end is of
@@ -463,7 +473,8 @@ class GraphStore:
         if direction not in ("out", "in"):
             raise GraphError(f"bad direction {direction!r}")
         out = direction == "out"
-        edges = self._out[thing_id] if out else self._in[thing_id]
+        edges = (self._out[thing_id] if out else self.in_edges(thing_id) if kind is None
+                 else (self._into or self._index_into()).get(kind, {}).get(thing_id, ()))
         things = self._things
         ends = []
         for e in edges:  # (kind, src, dst, role, set_kind, order)
@@ -516,6 +527,15 @@ class GraphStore:
                         self._is["out"].setdefault(src, []).append(dst)
                         self._is["in"].setdefault(dst, []).append(src)
         return self._is[direction]
+
+    def _index_into(self) -> dict[str, dict[int, list[tuple]]]:
+        """Build the in-edge index (see ``in_edges``) in one pass over the out-edges."""
+        self._into = into = {"is": {}, "has": {}, "member": {}}
+        for edges in self._out.values():
+            for e in edges:
+                if e[0] != "times":
+                    into[e[0]].setdefault(e[2], []).append(e)
+        return into
 
     def seq_holders(self) -> dict[int, list[int]]:
         """The seq-holder index: a thing mapped to the nodes that hold it as a
@@ -581,7 +601,7 @@ class GraphStore:
     @classmethod
     def _load(cls, data: str) -> "GraphStore":
         try:
-            raw = json.loads(data)
+            raw = read_json(data)
         except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         if not isinstance(raw, dict) or set(raw) != {"things", "edges", "times"}:
@@ -628,11 +648,11 @@ class GraphStore:
             raise
         except GraphError as exc:
             raise SnapshotError(str(exc)) from exc
-        for nodes in store._by_kind.values():
-            nodes.sort(key=lambda t: t.id)
+        for kind, nodes in store._by_kind.items():
+            store._by_kind[kind] = dict(sorted(nodes.items()))
         for event in store._by_kind.get("event", ()):
-            if not store.times_of(event.id):
-                raise SnapshotError(f"event {event.id} has no time span")
+            if not store.times_of(event):
+                raise SnapshotError(f"event {event} has no time span")
         store._next_id = store._first_free_id()
         return store
 
@@ -647,6 +667,16 @@ _THING_FIELDS = frozenset({"id", "kind", "name", "properties"})
 _TIME_SPAN_FIELDS = frozenset({"id", "intervals"})
 _PLAIN_EDGE_FIELDS = frozenset({"kind", "from", "to"})
 _EDGE_FIELDS = {pair: _PLAIN_EDGE_FIELDS.union(extras) for pair, extras in _EDGE_EXTRAS.items()}
+
+
+def read_json(text: str):
+    """``json.loads``, naming an integer past Python's digit limit in words of its own."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int()'s digit limit (Python 3.10.7 on), whose text names an interpreter setting
+        raise ValueError(f"an integer of more than {sys.get_int_max_str_digits():,} digits") from None
 
 
 def _edge_type_error(edge: Edge) -> GraphError:

@@ -35,7 +35,6 @@ each definition once per call and tokenizes each document once.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from typing import Mapping, Sequence
 
 from . import patterns as pat
 from .definitions import ThingDefinition
-from .graph import Edge, GraphStore, TimeSpec
+from .graph import Edge, GraphStore, TimeSpec, read_json
 from .tokens import NUMBER, PUNCT, WORD, Token, tokenize  # noqa: F401 (re-export)
 
 ARTICLES = {"a", "an", "the"}
@@ -519,7 +518,7 @@ def time_to_tick(value, granularity: int = 1):
 
 def parse_corpus_line(line: str, line_no: int, granularity: int = 1) -> Document:
     try:
-        raw = json.loads(line)
+        raw = read_json(line)
     except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
         raise CorpusError(f"invalid JSON: {exc}", line_no) from exc
     if not isinstance(raw, dict):

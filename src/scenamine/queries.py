@@ -12,7 +12,8 @@ every live event for ``appearances_at``, so a window pays for each shared
 generalization once.  The filtered and time-window queries are written
 out.  They read ``GraphStore.alive``; ``processes_at`` reads the holders of
 the live things from ``GraphStore.seq_holders``, and ``coincidences_at``
-with an event tests only the coincidences holding it.
+with an event tests only the coincidences holding it.  Every test of a
+thing's kind is one lookup in ``GraphStore.kind_ids``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_
         raise GraphError(f"hop weight {hop_weight} outside [0, 1]")
     for start in starts:
         store.thing(start)
-    links = store.is_links(direction)
+    links, wanted = store.is_links(direction), store.kind_ids(kind)
     seen, level = set(starts), starts
     found: dict[int, float] = {}
     weight = 1.0
@@ -43,7 +44,7 @@ def _reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_
                 if other not in seen:
                     seen.add(other)
                     reached.append(other)
-                    if store.thing(other).kind == kind:
+                    if other in wanted:
                         found[other] = weight
         level = reached
     if hop_weight == 1.0:
@@ -63,7 +64,8 @@ def _alive(store: GraphStore, time, kind: str | None = None) -> list[int]:
     if time is None:
         return [t.id for t in store.things(kind)]
     lo, hi = (time, time) if isinstance(time, int) else time
-    return [i for i in store.alive(lo, hi) if kind is None or store.thing(i).kind == kind]
+    wanted = store.kind_ids(kind) if kind else None
+    return [i for i in store.alive(lo, hi) if wanted is None or i in wanted]
 
 
 # -- the inverse pairs --------------------------------------------------------
@@ -161,8 +163,7 @@ def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> Wei
     then those holding it, read off its own ``member`` edges, that are live."""
     if event_id is None:
         return WeightedSet.crisp(_alive(store, time, "coincidence"))
-    is_event = event_id in store and store.thing(event_id).kind == "event"
-    holders = coincidences_of_event(store, event_id).ids() if is_event else []
+    holders = coincidences_of_event(store, event_id).ids() if event_id in store.kind_ids("event") else []
     return WeightedSet.crisp(c for c in holders if _time_matches(store, c, time))
 
 
@@ -182,7 +183,8 @@ def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | Non
     members = store.member_children(scenario_id, "seq")
     if order is not None:
         members = members[order : order + 1] if order >= 0 else []
-    return WeightedSet.crisp(m for m in members if store.thing(m).kind == "situation")
+    situations = store.kind_ids("situation")
+    return WeightedSet.crisp(m for m in members if m in situations)
 
 
 def processes_at(store: GraphStore, time) -> WeightedSet:
@@ -190,13 +192,8 @@ def processes_at(store: GraphStore, time) -> WeightedSet:
     holding a live seq member, as that span only joins intervals that touch."""
     if time is None:
         return WeightedSet.crisp(_alive(store, None, "process"))
-    holders = store.seq_holders()
-    return WeightedSet.crisp(sorted({
-        p
-        for m in _alive(store, time)
-        for p in holders.get(m, ())
-        if store.thing(p).kind == "process"
-    }))
+    holders, processes = store.seq_holders(), store.kind_ids("process")
+    return WeightedSet.crisp(sorted({p for m in _alive(store, time) for p in holders.get(m, ()) if p in processes}))
 
 
 def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) -> WeightedSet:
@@ -209,10 +206,9 @@ def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) 
 
 def coincidences_of_process(store: GraphStore, process_id: int, time=None) -> WeightedSet:
     """The coincidences of a process in order, filtered by their own times."""
+    coincidences = store.kind_ids("coincidence")
     return WeightedSet.crisp(
-        c
-        for c in store.member_children(process_id, "seq")
-        if store.thing(c).kind == "coincidence" and _time_matches(store, c, time)
+        c for c in store.member_children(process_id, "seq") if c in coincidences and _time_matches(store, c, time)
     )
 
 

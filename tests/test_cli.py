@@ -273,6 +273,30 @@ def test_an_int_past_the_digit_limit_exits_one_naming_its_source(tmp_path, capsy
     assert err.startswith("scenamine: ") and (path or _LONG_INT[:10]) in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no integer digit limit")
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("long.json", '{"things":[{"id":%s,"kind":"actor","name":"a","properties":{}}],"edges":[],"times":[]}',
+         ["query", "--snapshot", "{file}", "events_at", "--time", "1"]),
+        ("long.jsonl", '{"time": %s, "source": "cam", "text": "light turned red"}\n',
+         ["extract", "--definitions", "{defs}", "--corpus", "{file}"]),
+        ("long-config.json", '{"mining": {"min_support": %s}}',
+         ["mine", "--snapshot", "{snapshot}", "--config", "{file}"]),
+    ],
+    ids=["snapshot", "corpus", "config"],
+)
+def test_an_int_past_the_digit_limit_is_named_without_the_interpreter_setting(tmp_path, capsys, name, text, argv):
+    snapshot = _stoplight_snapshot(tmp_path)
+    path = _write(tmp_path / name, text % _LONG_INT)
+    argv = [arg.format(file=path, defs=tmp_path / "defs.txt", snapshot=snapshot) for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"an integer of more than {sys.get_int_max_str_digits():,} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_mine_untimed_event_exits_one_naming_it(tmp_path, capsys):
     snapshot = _write(
         tmp_path / "snap.json",

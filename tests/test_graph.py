@@ -24,6 +24,7 @@ from scenamine.graph import (
     TimeSpec,
     WeightedSet,
 )
+from scenamine.queries import _reach
 
 
 def test_add_thing_returns_fresh_ids():
@@ -679,14 +680,17 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
     store = _random_store(random.Random(13), nodes=100)
     if built == "loaded":
         store = GraphStore.loads(store.dumps())
+    store.in_edges(store.things()[0].id)  # builds the in-edge index
     gc.collect()
-    stored = [*store._edge_set, *(e for edges in (*store._out.values(), *store._in.values()) for e in edges)]
+    into = [e for ends in store._into.values() for edges in ends.values() for e in edges]
+    assert sorted(into) == sorted(e for e in store._edge_set if e[0] != "times")
+    stored = [*store._edge_set, *(e for edges in store._out.values() for e in edges), *into]
     assert stored and all(type(e) is tuple and not gc.is_tracked(e) for e in stored)
     listed = store.edges()
     assert sorted(listed) == sorted(store._edge_set)
     for thing in store.things():
         assert store.out_edges(thing.id) == store._out[thing.id]
-        assert store.in_edges(thing.id) == store._in[thing.id]
+        assert store.in_edges(thing.id) == [e for ends in store._into.values() for e in ends.get(thing.id, ())]
         listed += store.out_edges(thing.id) + store.in_edges(thing.id)
     for edge in listed:
         assert type(edge) is Edge
@@ -698,6 +702,90 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
     for edge in listed:
         store.add_edge(edge)
     assert store.dumps() == dumped and sorted(store.edges()) == sorted(set(listed))
+
+
+def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_weight: float):
+    """``queries._reach`` as a walk that reads each reached thing's kind off
+    its node, not from the kind index: the oracle of the walk."""
+    links = store.is_links(direction)
+    seen, level, found, weight = set(starts), starts, {}, 1.0
+    while level:
+        weight *= hop_weight
+        reached = []
+        for node in level:
+            for other in links.get(node, ()):
+                if other not in seen:
+                    seen.add(other)
+                    reached.append(other)
+                    if store.thing(other).kind == kind:
+                        found[other] = weight
+        level = reached
+    return sorted(found.items())
+
+
+_STEP_KINDS = ["actor", "event", "generic", "process"]
+# (operation, two picks among the things, an edge kind, a thing kind, a flag):
+# writes come more often than reads, and dropping the mined things least often
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["edge", "thing", "read", "edge", "thing", "read", "edge", "drop_mined"]),
+              st.integers(0, 30), st.integers(0, 30), st.sampled_from(["is", "has", "and", "any", "seq"]),
+              st.sampled_from(_STEP_KINDS), st.booleans()),
+    min_size=20,
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_STEPS)
+def test_in_direction_reads_match_a_scan_of_the_edges_between_writes(steps):
+    """Writes interleaved with reads: every in-direction read equals a scan
+    of ``edges()``, so each new edge dropped the in-edge index that a read
+    before it built, and the kind index holds every thing of its kind; the
+    ``is`` walk equals the per-node walk."""
+    store = GraphStore()
+    for op, a, b, edge_kind, thing_kind, flag in steps:
+        nodes = [t.id for t in store.things()]
+        if op == "thing":
+            store.add_thing(thing_kind, properties={"origin": "test"} if flag else None,
+                            times=TimeSpec.point(len(nodes)) if thing_kind == "event" else None)
+        elif op == "drop_mined":
+            store.drop_mined()
+        elif op == "edge" and nodes:
+            src, dst = nodes[a % len(nodes)], nodes[b % len(nodes)]
+            if edge_kind == "is":
+                store.add_edge(Edge("is", src, dst))
+            elif edge_kind == "has":
+                store.add_edge(Edge("has", src, dst, role="r0" if flag else "r1"))
+            else:
+                store.add_edge(Edge("member", src, dst, set_kind=edge_kind))
+        elif op == "read" and nodes:
+            node, start = nodes[a % len(nodes)], nodes[b % len(nodes)]
+            into = [e for e in store.edges() if e.dst == node and e.kind != "times"]
+            assert len(store.in_edges(node)) == len(into) and set(store.in_edges(node)) == set(into)
+            for kind in (None, "is", "has", "member", "times"):
+                for role in (None, "r0"):
+                    for set_kind in (None, "and", "seq", "any"):
+                        for node_kind in (None, *_STEP_KINDS):
+                            for order in (None, 0, 1):
+                                expected = sorted({
+                                    e.src for e in into
+                                    if (kind is None or e.kind == kind) and (role is None or e.role == role)
+                                    and (set_kind is None or e.set_kind == set_kind)
+                                    and (order is None or e.order == order)
+                                    and (node_kind is None or store.thing(e.src).kind == node_kind)
+                                })
+                                got = store.neighbor_ids(node, kind, "in", role, set_kind, node_kind, order)
+                                assert got == expected, (node, kind, role, set_kind, node_kind, order)
+                            got = store.neighbors(node, kind, "in", role, set_kind, node_kind)
+                            assert got.ids() == store.neighbor_ids(node, kind, "in", role, set_kind, node_kind)
+            for kind in _STEP_KINDS:
+                assert store.kind_ids(kind) == {t.id for t in store.things(kind)}
+            for direction in ("out", "in"):
+                for kind in _STEP_KINDS:
+                    for starts in ([start], [node, start], nodes[: len(nodes) // 2]):
+                        for hop_weight in (0.0, 0.5, 0.9):
+                            got = _reach(store, starts, direction, kind, hop_weight).pairs()
+                            assert got == _per_node_reach(store, starts, direction, kind, hop_weight)
 
 
 def test_load_rejects_seq_members_out_of_order():
