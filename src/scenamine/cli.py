@@ -71,7 +71,7 @@ def _load_config_file(path: str | None) -> dict:
     raw = _read_text(path)
     try:
         data = read_json(raw)
-    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
+    except ValueError as exc:
         _fail(f"bad config file {path}: {exc}", EXIT_DOMAIN)
     if not isinstance(data, dict):
         _fail(f"bad config file {path}: expected an object", EXIT_DOMAIN)

@@ -23,14 +23,14 @@ lazily, each on its first call, and any new edge drops them.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
 bisections bound the candidates, so a time-window query costs log n plus
-those, not a scan of every thing.  ``is_links`` reads one index of each
-thing's ``is`` endpoints in each direction, so an inheritance walk costs
-the things it reaches, not their other edges.  ``seq_holders`` maps each
-``seq`` member to the nodes that hold it.  The whole store
-round-trips through a JSON snapshot, which ``dumps`` writes as text in
-one pass: the ASCII bytes ``json.dumps`` with sorted keys gives, with no
-tree built for it.  Only names, ``has`` roles and properties are free
-text and escaped; ids, ticks and kinds are checked ints and known words.
+those, not a scan of every thing.  ``is_links`` reads one index of each thing's
+``is`` endpoints in each direction and ``is_split`` it split by kind, so an
+inheritance walk visits only the things it reaches with ``is`` ends of their
+own.  ``seq_holders`` maps each ``seq`` member to the nodes that hold it.  The
+whole store round-trips through a JSON snapshot, which ``dumps`` writes as text
+in one pass: the ASCII bytes ``json.dumps`` with sorted keys gives, with no
+tree built for it.  Only names, ``has`` roles and properties are free text and
+escaped; ids, ticks and kinds are checked ints and known words.
 One path checks both live construction and a load: ``_put_thing`` a
 thing, ``add_edge`` an edge's field types and fields (one table says
 which fields each kind carries: a ``has`` role, a ``member`` set kind, a
@@ -57,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import Iterable, Iterator, KeysView, NamedTuple
+from typing import Callable, Iterable, Iterator, KeysView, NamedTuple
 
 KINDS = frozenset(
     {
@@ -254,8 +254,8 @@ def _properties_encoder():
 
 _encode_properties = _properties_encoder()
 
-# the empty answer of ``neighbors``, shared: no WeightedSet changes in place
-_NOTHING = WeightedSet()
+# the empty answer of ``neighbors`` and of an index lookup, shared: neither changes in place
+_NOTHING, _EMPTY = WeightedSet(), {}
 
 # a stored edge tuple as an ``Edge``, through no Python-level call
 _as_edge = partial(tuple.__new__, Edge)
@@ -276,7 +276,7 @@ class GraphStore:
         self._mined: set[int] = set()  # things whose properties name an origin
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
-        self._is: dict | None = None  # direction -> {thing: its is endpoints}
+        self._is: dict | None = None  # direction -> {thing: its is endpoints}; (direction, kind) -> its split
         self._holders: dict | None = None  # thing -> the nodes holding it in seq
         self._into: dict | None = None  # edge kind -> {thing: the edges into it}
 
@@ -429,7 +429,7 @@ class GraphStore:
     def kind_ids(self, kind: str) -> KeysView[int]:
         """The ids of the things of a kind from the kind index, a set-like
         view for membership tests."""
-        return self._by_kind.get(kind, {}).keys()
+        return self._by_kind.get(kind, _EMPTY).keys()
 
     def edges(self) -> list[Edge]:
         return [_as_edge(e) for edges in self._out.values() for e in edges]
@@ -474,7 +474,7 @@ class GraphStore:
             raise GraphError(f"bad direction {direction!r}")
         out = direction == "out"
         edges = (self._out[thing_id] if out else self.in_edges(thing_id) if kind is None
-                 else (self._into or self._index_into()).get(kind, {}).get(thing_id, ()))
+                 else (self._into or self._index_into()).get(kind, _EMPTY).get(thing_id, ()))
         things = self._things
         ends = []
         for e in edges:  # (kind, src, dst, role, set_kind, order)
@@ -527,6 +527,25 @@ class GraphStore:
                         self._is["out"].setdefault(src, []).append(dst)
                         self._is["in"].setdefault(dst, []).append(src)
         return self._is[direction]
+
+    def is_split(self, direction: str, kind: str) -> tuple[dict, Callable[[int], tuple]]:
+        """The ``is`` index of a direction split for a kind, kept and dropped with it: thing ->
+        ({inner end, one with ``is`` ends of its own: whether it is of ``kind``}, {leaf end
+        of ``kind``: 1.0} in id order) for each thing split so far, and ``_split`` to add one."""
+        try:
+            return self._is[direction, kind]
+        except (TypeError, KeyError):  # no is index yet, or not split for the kind yet
+            entries: dict[int, tuple] = {}
+            self._is[direction, kind] = pair = entries, partial(self._split, self.is_links(direction), kind, entries)
+            return pair
+
+    def _split(self, links: dict, kind: str, entries: dict, thing_id: int) -> tuple:
+        """Check a thing exists, split its ends in ``links`` for ``kind``, keep its entry and return it."""
+        wanted, ends = self._by_kind.get(kind, _EMPTY), links.get(self.thing(thing_id).id, ())
+        inner = {end: end in wanted for end in ends if end in links}
+        leaves = sorted([end for end in ends if end in wanted and end not in links])
+        entries[thing_id] = entry = (inner or _EMPTY, dict.fromkeys(leaves, 1.0) or _EMPTY)
+        return entry
 
     def _index_into(self) -> dict[str, dict[int, list[tuple]]]:
         """Build the in-edge index (see ``in_edges``) in one pass over the out-edges."""
@@ -601,9 +620,9 @@ class GraphStore:
     @classmethod
     def _load(cls, data: str) -> "GraphStore":
         try:
-            raw = read_json(data)
-        except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
-            raise SnapshotError(f"malformed snapshot: {exc}") from exc
+            raw = read_json(data, "malformed snapshot: ")
+        except ValueError as exc:
+            raise SnapshotError(str(exc)) from exc
         if not isinstance(raw, dict) or set(raw) != {"things", "edges", "times"}:
             raise SnapshotError("snapshot must have exactly things/edges/times")
         for section, items in raw.items():
@@ -669,12 +688,12 @@ _PLAIN_EDGE_FIELDS = frozenset({"kind", "from", "to"})
 _EDGE_FIELDS = {pair: _PLAIN_EDGE_FIELDS.union(extras) for pair, extras in _EDGE_EXTRAS.items()}
 
 
-def read_json(text: str):
-    """``json.loads``, naming an integer past Python's digit limit in words of its own."""
+def read_json(text: str, fault: str = ""):
+    """``json.loads`` raising ValueError: headed by ``fault`` for bad JSON or deep nesting, plain for a long int."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
-        raise
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{fault}{exc}") from exc
     except ValueError:  # int()'s digit limit (Python 3.10.7 on), whose text names an interpreter setting
         raise ValueError(f"an integer of more than {sys.get_int_max_str_digits():,} digits") from None
 

@@ -518,9 +518,9 @@ def time_to_tick(value, granularity: int = 1):
 
 def parse_corpus_line(line: str, line_no: int, granularity: int = 1) -> Document:
     try:
-        raw = read_json(line)
-    except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int; deep nesting
-        raise CorpusError(f"invalid JSON: {exc}", line_no) from exc
+        raw = read_json(line, "invalid JSON: ")
+    except ValueError as exc:
+        raise CorpusError(str(exc), line_no) from exc
     if not isinstance(raw, dict):
         raise CorpusError("document must be a JSON object", line_no)
     missing = {"time", "source", "text"} - set(raw)

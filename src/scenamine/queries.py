@@ -7,13 +7,13 @@ inverse pairs: a row names the kinds at the two ends of a relation (an
 the lookup along it and the one back, so x is in f(y) exactly when y is
 in g(x) by construction.  Lookups across inheritance follow ``is`` chains;
 one walk serves them all: ``_reach`` goes level by level over
-``GraphStore.is_links`` from a sequence of starts, one for a lookup and
+``GraphStore.is_split`` from a sequence of starts, one for a lookup and
 every live event for ``appearances_at``, so a window pays for each shared
 generalization once.  The filtered and time-window queries are written
 out.  They read ``GraphStore.alive``; ``processes_at`` reads the holders of
 the live things from ``GraphStore.seq_holders``, and ``coincidences_at``
-with an event tests only the coincidences holding it.  Every test of a
-thing's kind is one lookup in ``GraphStore.kind_ids``.
+with an event tests only the coincidences holding it.  Every other test of
+a thing's kind is one lookup in ``GraphStore.kind_ids``.
 """
 
 from __future__ import annotations
@@ -22,31 +22,42 @@ from .graph import GraphError, GraphStore, TimeSpec, WeightedSet
 
 
 def _reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
-    """Things of a kind reachable over ``is`` edges from any of ``starts``, in
-    id order, by one level-by-level walk over ``GraphStore.is_links``: it reads
-    only the things it reaches and passes through those of other kinds, and a
-    start never enters the answer.  A thing first reached at level d weighs
-    hop_weight ** d, its largest weight since 0 <= hop_weight <= 1 (1.0 keeps
-    everything crisp)."""
+    """Things of a kind reachable over ``is`` edges from any of ``starts``, in id
+    order, by one level-by-level walk over ``GraphStore.is_split``: it visits the
+    inner ends it reaches, passing through those of other kinds, and takes each
+    visited thing's leaf ends of the kind whole; a start never enters the answer.
+    A thing first reached at level d weighs hop_weight ** d, its largest weight
+    since 0 <= hop_weight <= 1 (1.0 keeps everything crisp)."""
     if not 0.0 <= hop_weight <= 1.0:
         raise GraphError(f"hop weight {hop_weight} outside [0, 1]")
-    for start in starts:
-        store.thing(start)
-    links, wanted = store.is_links(direction), store.kind_ids(kind)
+    entries, split = store.is_split(direction, kind)
     seen, level = set(starts), starts
-    found: dict[int, float] = {}
+    found, groups = {}, []  # reached inner things of the kind: weight; {leaf end of the kind: weight} per visit
     weight = 1.0
     while level:
         weight *= hop_weight
         reached = []
         for node in level:
-            for other in links.get(node, ()):
+            inner, leaves = entries.get(node) or split(node)  # splitting checks it is a thing
+            if leaves:
+                groups.append(leaves if hop_weight == 1.0 else dict.fromkeys(leaves, weight))
+            for other in inner:
                 if other not in seen:
                     seen.add(other)
                     reached.append(other)
-                    if other in wanted:
+                    if inner[other]:
                         found[other] = weight
         level = reached
+    if groups:
+        if hop_weight == 1.0 and len(groups) == 1 and not found and len(starts) == 1:
+            return WeightedSet.crisp(groups[0])  # the one group is the answer, in id order
+        leaves = {}
+        for group in reversed(groups):  # a leaf keeps the weight of the first level to reach it
+            leaves.update(group)
+        if not leaves.keys().isdisjoint(seen):  # no leaf is visited, so only starts are in both
+            for start in seen.intersection(leaves):
+                del leaves[start]
+        found.update(leaves)
     if hop_weight == 1.0:
         return WeightedSet.crisp(sorted(found))
     return WeightedSet(sorted(found.items()))

@@ -297,6 +297,37 @@ def test_an_int_past_the_digit_limit_is_named_without_the_interpreter_setting(tm
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no integer digit limit")
+@pytest.mark.parametrize(
+    "name, text, argv, fault",
+    [
+        ("long.json", '{"things":[{"id":%s,"kind":"actor","name":"a","properties":{}}],"edges":[],"times":[]}',
+         ["query", "--snapshot", "{file}", "events_at", "--time", "1"], "{file}: {limit}"),
+        ("long.jsonl", SANCTIONS_DOC + '{"time": %s, "source": "cam", "text": "light turned red"}\n',
+         ["extract", "--definitions", "{defs}", "--corpus", "{file}"], "{file}: line 2: {limit}"),
+        ("broken.json", '{"things":[{"id" %s,"kind":"actor","name":"a","properties":{}}],"edges":[],"times":[]}',
+         ["query", "--snapshot", "{file}", "events_at", "--time", "1"], "{file}: malformed snapshot: "),
+        ("broken.jsonl", SANCTIONS_DOC + '{"time" %s, "source": "cam", "text": "light turned red"}\n',
+         ["extract", "--definitions", "{defs}", "--corpus", "{file}"], "{file}: line 2: invalid JSON: "),
+    ],
+    ids=["snapshot", "corpus", "broken-snapshot", "broken-corpus"],
+)
+def test_an_int_past_the_digit_limit_is_well_formed_json_and_broken_json_is_named_so(
+        tmp_path, capsys, name, text, argv, fault):
+    """Well-formed JSON with an integer past the limit is not called invalid
+    or malformed; JSON broken before such an integer still is, with the line
+    that holds it."""
+    defs = _write(tmp_path / "defs.txt", SANCTIONS_DEFS)
+    path = _write(tmp_path / name, text % _LONG_INT)
+    argv = [arg.format(file=path, defs=defs) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    limit = f"an integer of more than {sys.get_int_max_str_digits():,} digits"
+    expected = "scenamine: " + fault.format(file=path, limit=limit)
+    assert err == expected + "\n" if "{limit}" in fault else err.startswith(expected), err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_mine_untimed_event_exits_one_naming_it(tmp_path, capsys):
     snapshot = _write(
         tmp_path / "snap.json",

@@ -788,6 +788,111 @@ def test_in_direction_reads_match_a_scan_of_the_edges_between_writes(steps):
                             assert got == _per_node_reach(store, starts, direction, kind, hop_weight)
 
 
+def test_a_start_without_is_ends_reached_as_a_leaf_from_another_start_stays_out():
+    store = GraphStore()
+    role, other = store.add_thing("role", "r"), store.add_thing("role", "q")
+    actor = store.add_thing("actor")
+    for dst in (role, other):
+        store.add_edge(Edge("is", actor, dst))
+    assert store.is_links("out").get(role) is None  # a leaf end of the actor
+    assert _reach(store, [actor, role], "out", "role").pairs() == [(other, 1.0)]
+    assert _reach(store, [role, actor], "out", "role").pairs() == [(other, 1.0)]
+    assert _reach(store, [actor], "out", "role").ids() == [role, other]
+    assert _reach(store, [role], "out", "role").pairs() == []
+
+
+def test_a_leaf_reached_at_depth_one_and_two_keeps_the_weight_of_depth_one():
+    store = GraphStore()
+    event = store.add_thing("event", times=TimeSpec.point(1))
+    direct, general = store.add_thing("appearance", "direct"), store.add_thing("appearance", "general")
+    store.add_edge(Edge("is", event, direct))
+    store.add_edge(Edge("is", direct, general))
+    store.add_edge(Edge("is", event, general))
+    expected = [(direct, 0.5), (general, 0.5)]
+    assert _reach(store, [event], "out", "appearance", 0.5).pairs() == expected
+    assert _per_node_reach(store, [event], "out", "appearance", 0.5) == expected
+    # and through a thing of another kind, which the walk passes through
+    generic = store.add_thing("generic")
+    deep = store.add_thing("appearance", "deep")
+    store.add_edge(Edge("is", event, generic))
+    store.add_edge(Edge("is", generic, deep))
+    store.add_edge(Edge("is", generic, general))
+    expected = [(direct, 0.5), (general, 0.5), (deep, 0.25)]
+    assert _reach(store, [event], "out", "appearance", 0.5).pairs() == sorted(expected)
+    assert _reach(store, [event], "out", "appearance").pairs() == [(direct, 1.0), (general, 1.0), (deep, 1.0)]
+
+
+def test_a_cycle_through_inner_things_ends_and_keeps_each_member_once():
+    store = GraphStore()
+    ring = [store.add_thing("situation", f"s{n}") for n in range(4)]
+    for src, dst in zip(ring, ring[1:] + ring[:1]):
+        store.add_edge(Edge("is", src, dst))
+    side = store.add_thing("generic")
+    leaf = store.add_thing("situation", "leaf")
+    store.add_edge(Edge("is", ring[2], side))
+    store.add_edge(Edge("is", side, ring[0]))
+    store.add_edge(Edge("is", ring[1], leaf))
+    for start in ring:
+        for hop_weight in (1.0, 0.5):
+            got = _reach(store, [start], "out", "situation", hop_weight).pairs()
+            assert got == _per_node_reach(store, [start], "out", "situation", hop_weight)
+            assert [m for m, _ in got] == sorted(set(ring + [leaf]) - {start})
+    assert _reach(store, ring, "in", "situation").ids() == []
+    assert _reach(store, [leaf], "in", "situation").ids() == ring
+
+
+def test_a_lookup_sees_a_new_is_edge_and_a_drop_of_the_mined_things():
+    store = GraphStore()
+    role = store.add_thing("role", "r")
+    actors = [store.add_thing("actor", f"a{n}") for n in range(3)]
+    for actor in actors[:2]:
+        store.add_edge(Edge("is", actor, role))
+    assert _reach(store, [role], "in", "actor").ids() == actors[:2]
+    assert _reach(store, [actors[2]], "out", "role").ids() == []
+    store.add_edge(Edge("is", actors[2], role))
+    assert _reach(store, [role], "in", "actor").ids() == actors
+    assert _reach(store, [actors[2]], "out", "role").ids() == [role]
+    mined = store.add_thing("actor", "m", properties={"origin": "test"})
+    store.add_edge(Edge("is", mined, role))
+    assert _reach(store, [role], "in", "actor").ids() == actors + [mined]
+    store.drop_mined()
+    assert _reach(store, [role], "in", "actor").ids() == actors
+    with pytest.raises(GraphError, match=f"unknown thing {mined}"):
+        _reach(store, [mined], "out", "role")
+
+
+# a random store: (thing kinds, then is edges as index pairs into them);
+# some things get no edge at all
+_IS_GRAPHS = st.lists(st.sampled_from(["actor", "role", "generic"]), min_size=2, max_size=12).flatmap(
+    lambda kinds: st.tuples(
+        st.just(kinds),
+        st.lists(st.tuples(st.integers(0, len(kinds) - 1), st.integers(0, len(kinds) - 1)), max_size=20),
+        st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=5),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_IS_GRAPHS)
+def test_a_walk_from_many_starts_equals_the_per_node_walk(graph):
+    """Multi-start walks on random ``is`` graphs, some starts with no ends at
+    all, equal the per-node walk in both directions, for every kind and
+    several hop weights, and again after an edge is added."""
+    kinds, edges, picks = graph
+    store = GraphStore()
+    things = [store.add_thing(kind) for kind in kinds]
+    for src, dst in edges:
+        store.add_edge(Edge("is", things[src], things[dst]))
+    starts = [things[i] for i in picks]
+    for _ in range(2):
+        for direction in ("out", "in"):
+            for kind in ("actor", "role", "generic", "event"):
+                for hop_weight in (1.0, 0.5, 0.0):
+                    got = _reach(store, starts, direction, kind, hop_weight).pairs()
+                    assert got == _per_node_reach(store, starts, direction, kind, hop_weight)
+        store.add_edge(Edge("is", things[-1], things[0]))
+
+
 def test_load_rejects_seq_members_out_of_order():
     body = _snapshot(
         [_node(2, "process"), _node(3, "coincidence"), _node(4, "coincidence")],
