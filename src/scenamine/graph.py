@@ -18,19 +18,21 @@ and ``in_edges`` read only the E edges, from the in-edge index, edge
 kind -> {thing: the edges into it}.  ``bindings`` gives the (role, end)
 pairs of a thing's ``has`` edges.  ``kind_ids`` reads the kind index,
 each kind's things by id, which ``things`` reads too: a kind test is one
-lookup.  Four read indexes, the in-edge index among them, are built
-lazily, each on its first call, and any new edge drops them.
+lookup.  Three read indexes, the in-edge index among them, are built
+lazily, each on its first call; the split ``is`` ends below are built a
+thing at a time; any new edge drops them all.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
 bisections bound the candidates, so a time-window query costs log n plus
-those, not a scan of every thing.  ``is_links`` reads one index of each thing's
-``is`` endpoints in each direction and ``is_split`` it split by kind, so an
-inheritance walk visits only the things it reaches with ``is`` ends of their
-own.  ``seq_holders`` maps each ``seq`` member to the nodes that hold it.  The
-whole store round-trips through a JSON snapshot, which ``dumps`` writes as text
-in one pass: the ASCII bytes ``json.dumps`` with sorted keys gives, with no
-tree built for it.  Only names, ``has`` roles and properties are free text and
-escaped; ids, ticks and kinds are checked ints and known words.
+those, not a scan of every thing.  ``is_split`` splits a thing's ``is``
+ends by direction and kind on a walk's first visit, from its own edges or
+the in-edge index, so an inheritance walk visits only the things it
+reaches with ``is`` ends of their own.  ``seq_holders`` maps each ``seq``
+member to the nodes that hold it.  The whole store round-trips through a
+JSON snapshot, which ``dumps`` writes as text in one pass: the ASCII
+bytes ``json.dumps`` with sorted keys gives, with no tree built for it.
+Only names, ``has`` roles and properties are free text and escaped; ids,
+ticks and kinds are checked ints and known words.
 One path checks both live construction and a load: ``_put_thing`` a
 thing, ``add_edge`` an edge's field types and fields (one table says
 which fields each kind carries: a ``has`` role, a ``member`` set kind, a
@@ -57,6 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, KeysView, NamedTuple
 
 KINDS = frozenset(
@@ -257,8 +260,8 @@ _encode_properties = _properties_encoder()
 # the empty answer of ``neighbors`` and of an index lookup, shared: neither changes in place
 _NOTHING, _EMPTY = WeightedSet(), {}
 
-# a stored edge tuple as an ``Edge``, through no Python-level call
-_as_edge = partial(tuple.__new__, Edge)
+# a stored edge tuple as an ``Edge``, and its kind and source, each through no Python-level call
+_as_edge, _kind_of, _src_of = partial(tuple.__new__, Edge), itemgetter(0), itemgetter(1)
 
 
 class GraphStore:
@@ -276,7 +279,7 @@ class GraphStore:
         self._mined: set[int] = set()  # things whose properties name an origin
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
-        self._is: dict | None = None  # direction -> {thing: its is endpoints}; (direction, kind) -> its split
+        self._is: dict | None = None  # (direction, kind) -> the is ends split for it (see is_split)
         self._holders: dict | None = None  # thing -> the nodes holding it in seq
         self._into: dict | None = None  # edge kind -> {thing: the edges into it}
 
@@ -514,36 +517,32 @@ class GraphStore:
         hits = entries[bisect_left(reach, lo) : bisect_right(starts, hi)]
         return sorted({thing for _, end, thing in hits if end >= lo})
 
-    def is_links(self, direction: str) -> dict[int, list[int]]:
-        """The ``is`` index: "out" maps a thing to what it is, "in" to the
-        things that are it; things without any are absent.  Read only."""
-        if direction not in ("out", "in"):
-            raise GraphError(f"bad direction {direction!r}")
-        if self._is is None:
-            self._is = {"out": {}, "in": {}}
-            for edges in self._out.values():
-                for kind, src, dst, _, _, _ in edges:
-                    if kind == "is":
-                        self._is["out"].setdefault(src, []).append(dst)
-                        self._is["in"].setdefault(dst, []).append(src)
-        return self._is[direction]
-
     def is_split(self, direction: str, kind: str) -> tuple[dict, Callable[[int], tuple]]:
-        """The ``is`` index of a direction split for a kind, kept and dropped with it: thing ->
-        ({inner end, one with ``is`` ends of its own: whether it is of ``kind``}, {leaf end
-        of ``kind``: 1.0} in id order) for each thing split so far, and ``_split`` to add one."""
-        try:
-            return self._is[direction, kind]
-        except (TypeError, KeyError):  # no is index yet, or not split for the kind yet
+        """The ``is`` ends of a direction split for a kind: thing -> ({inner end, one with ``is``
+        ends of its own: whether it is of ``kind``}, {leaf end of ``kind``: 1.0} in id order)
+        for each thing split so far, and ``_split`` to add one."""
+        if self._is is None:
+            self._is = {}
+        pair = self._is.get((direction, kind))
+        if pair is None:
+            if direction not in ("out", "in"):
+                raise GraphError(f"bad direction {direction!r}")
             entries: dict[int, tuple] = {}
-            self._is[direction, kind] = pair = entries, partial(self._split, self.is_links(direction), kind, entries)
-            return pair
+            self._is[direction, kind] = pair = entries, partial(self._split, direction, kind, entries)
+        return pair
 
-    def _split(self, links: dict, kind: str, entries: dict, thing_id: int) -> tuple:
-        """Check a thing exists, split its ends in ``links`` for ``kind``, keep its entry and return it."""
-        wanted, ends = self._by_kind.get(kind, _EMPTY), links.get(self.thing(thing_id).id, ())
-        inner = {end: end in wanted for end in ends if end in links}
-        leaves = sorted([end for end in ends if end in wanted and end not in links])
+    def _split(self, direction: str, kind: str, entries: dict, thing_id: int) -> tuple:
+        """Check a thing exists, split its ``is`` ends for ``kind``, keep its entry and return it.  An end
+        is inner when it has ``is`` ends too: out, among its own edges; in, as a key of the in-edge index."""
+        wanted, out = self._by_kind.get(kind, _EMPTY), self._out
+        if direction == "out":
+            ends = [e[2] for e in out[self.thing(thing_id).id] if e[0] == "is"]
+            inner = {end: end in wanted for end in ends if "is" in map(_kind_of, out[end])}
+        else:
+            into = (self._into or self._index_into())["is"]
+            ends = list(map(_src_of, into.get(self.thing(thing_id).id, ())))
+            inner = {end: end in wanted for end in ends if end in into}
+        leaves = sorted([end for end in ends if end in wanted and end not in inner])
         entries[thing_id] = entry = (inner or _EMPTY, dict.fromkeys(leaves, 1.0) or _EMPTY)
         return entry
 

@@ -6,14 +6,14 @@ inverse pairs: a row names the kinds at the two ends of a relation (an
 ``is`` walk, ``has`` edges or ``and`` member edges) and the docstrings of
 the lookup along it and the one back, so x is in f(y) exactly when y is
 in g(x) by construction.  Lookups across inheritance follow ``is`` chains;
-one walk serves them all: ``_reach`` goes level by level over
-``GraphStore.is_split`` from a sequence of starts, one for a lookup and
-every live event for ``appearances_at``, so a window pays for each shared
-generalization once.  The filtered and time-window queries are written
-out.  They read ``GraphStore.alive``; ``processes_at`` reads the holders of
-the live things from ``GraphStore.seq_holders``, and ``coincidences_at``
-with an event tests only the coincidences holding it.  Every other test of
-a thing's kind is one lookup in ``GraphStore.kind_ids``.
+one walk serves them all: ``_reach`` goes level by level over the ``is``
+ends ``GraphStore.is_split`` splits by kind, from a sequence of starts, one
+for a lookup and every live event for ``appearances_at``, so a window pays
+for each shared generalization once.  The filtered and time-window queries
+are written out.  They read ``GraphStore.alive``; ``processes_at`` reads
+the holders of the live things from ``GraphStore.seq_holders``, and
+``coincidences_at`` with an event tests only the coincidences holding it.
+Every other test of a thing's kind is one lookup in ``GraphStore.kind_ids``.
 """
 
 from __future__ import annotations

@@ -705,9 +705,14 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
 
 
 def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_weight: float):
-    """``queries._reach`` as a walk that reads each reached thing's kind off
-    its node, not from the kind index: the oracle of the walk."""
-    links = store.is_links(direction)
+    """``queries._reach`` as a walk over the ``is`` edges that ``edges()``
+    lists, reading each reached thing's kind off its node, not from the kind
+    index: the oracle of the walk."""
+    links = {}
+    for e in store.edges():
+        if e.kind == "is":
+            src, dst = (e.src, e.dst) if direction == "out" else (e.dst, e.src)
+            links.setdefault(src, []).append(dst)
     seen, level, found, weight = set(starts), starts, {}, 1.0
     while level:
         weight *= hop_weight
@@ -794,7 +799,7 @@ def test_a_start_without_is_ends_reached_as_a_leaf_from_another_start_stays_out(
     actor = store.add_thing("actor")
     for dst in (role, other):
         store.add_edge(Edge("is", actor, dst))
-    assert store.is_links("out").get(role) is None  # a leaf end of the actor
+    assert store.neighbor_ids(role, "is") == []  # a leaf end of the actor
     assert _reach(store, [actor, role], "out", "role").pairs() == [(other, 1.0)]
     assert _reach(store, [role, actor], "out", "role").pairs() == [(other, 1.0)]
     assert _reach(store, [actor], "out", "role").ids() == [role, other]
@@ -859,6 +864,19 @@ def test_a_lookup_sees_a_new_is_edge_and_a_drop_of_the_mined_things():
     assert _reach(store, [role], "in", "actor").ids() == actors
     with pytest.raises(GraphError, match=f"unknown thing {mined}"):
         _reach(store, [mined], "out", "role")
+
+
+def test_a_bad_direction_is_refused_before_and_after_a_walk():
+    store = GraphStore()
+    role = store.add_thing("role", "r")
+    actor = store.add_thing("actor")
+    store.add_edge(Edge("is", actor, role))
+    for _ in range(2):
+        for read in (lambda: store.is_split("up", "role"), lambda: _reach(store, [actor], "up", "role"),
+                     lambda: store.neighbor_ids(actor, direction="up")):
+            with pytest.raises(GraphError, match=re.escape("bad direction 'up'")):
+                read()
+        assert _reach(store, [actor], "out", "role").ids() == [role]  # a split index exists from here on
 
 
 # a random store: (thing kinds, then is edges as index pairs into them);
