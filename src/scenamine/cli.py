@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -46,12 +47,21 @@ def _read_text(path: str) -> str:
 
 
 def _write_atomic(path: str, data: str) -> None:
+    """Write through a temporary file and a rename.  The file keeps the
+    permission bits it had; a new one gets ``open``'s, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scenamine-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fp:
                 fp.write(data)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -1,7 +1,7 @@
 """Scenario mining: nine analyses from extracted events to triggers.
 
 The pipeline runs actor differentiation (the one walk over the events'
-actor bindings), role scoping over its rows, appearance unification,
+actor bindings), role scoping over its counts, appearance unification,
 event clustering, situation unification, coincidence chaining, scenario
 unification, fork detection and trigger differentiation, in that order;
 ``MiningReport.stages`` lists role scoping first, the JSON report (keys
@@ -78,18 +78,6 @@ class MiningConfig:
 
 
 @dataclass
-class ActorFrequency:
-    """How often an actor fills a role of an appearance, relative to all
-    events of that appearance in which the role is filled."""
-
-    appearance: int
-    role: str
-    actor: int
-    count: int
-    frequency: float
-
-
-@dataclass
 class TreeNode:
     """Prefix-tree node: a situation step and the processes that pass
     through (their number is the node's traversal count)."""
@@ -142,7 +130,6 @@ class Trigger:
 class MiningReport:
     config: MiningConfig
     stages: dict[str, dict[str, int]]
-    actor_frequencies: list[ActorFrequency]
     typical_actors: dict[tuple[int, str], int]
     model: ScenarioModel
     forks: list[Fork]
@@ -254,13 +241,14 @@ class _UnionFind:
 
 def differentiate_actors(
     store: GraphStore, facts: FactTable | None = None
-) -> tuple[list[ActorFrequency], dict[tuple[int, str], int]]:
-    """Relative fill frequencies per (actor, role, appearance) and the most
-    probable actor per (appearance, role), from the one walk over the
-    events' actor bindings."""
+) -> tuple[dict[tuple[int, str], Counter], dict[tuple[int, str], int]]:
+    """From the one walk over the events' actor bindings: per (appearance,
+    role), how many events each actor fills it in, in the order first
+    filled, and the most probable actor.  That is the actor with the most
+    events; a tie goes to the one that filled the role at the earliest
+    start, then to the first by name, then by id."""
     counts: dict[tuple[int, str], Counter] = {}
-    filled: dict[tuple[int, str], int] = {}
-    first_seen: dict[tuple[int, str, int], int] = {}
+    first_seen: dict[tuple[int, str], dict[int, int]] = {}
     for span, apps, bindings in (facts or FactTable(store)).events.values():
         start = span.start
         roles_here: dict[str, set[int]] = {}
@@ -268,37 +256,29 @@ def differentiate_actors(
             roles_here.setdefault(role, set()).add(actor)
         for app in apps:
             for role, actors in roles_here.items():
-                filled[(app, role)] = filled.get((app, role), 0) + 1
-                bucket = counts.setdefault((app, role), Counter())
+                pair = (app, role)
+                if pair not in counts:
+                    counts[pair], first_seen[pair] = Counter(), {}
+                bucket, seen = counts[pair], first_seen[pair]
                 for actor in actors:
                     bucket[actor] += 1
-                    seen = first_seen.get((app, role, actor))
-                    if seen is None or start < seen:
-                        first_seen[(app, role, actor)] = start
-    rows: list[ActorFrequency] = []
+                    if seen.setdefault(actor, start) > start:
+                        seen[actor] = start
     best: dict[tuple[int, str], int] = {}
-    for (app, role) in sorted(counts):
-        total = filled[(app, role)]
-        entries = []
-        for actor, count in counts[(app, role)].items():
-            entries.append((-count, first_seen[(app, role, actor)], store.thing(actor).name or "", actor))
-            rows.append(ActorFrequency(app, role, actor, count, count / total))
-        entries.sort()
-        best[(app, role)] = entries[0][3]
-    rows.sort(key=lambda r: (r.appearance, r.role, -r.count, store.thing(r.actor).name or "", r.actor))
-    return rows, best
+    for pair, bucket in counts.items():
+        top, seen = max(bucket.values()), first_seen[pair]
+        best[pair] = min((actor for actor, n in bucket.items() if n == top),
+                         key=lambda actor: (seen[actor], store.thing(actor).name or "", actor))
+    return counts, best
 
 
 # -- stage 2: role scoping ---------------------------------------------------
 
 
-def scope_roles(rows: list[ActorFrequency]) -> dict[tuple[int, str], list[int]]:
+def scope_roles(counts: dict[tuple[int, str], Counter]) -> dict[tuple[int, str], list[int]]:
     """The alternative-actor domain of every (appearance, role) pair that
-    ``differentiate_actors`` found filled, as sorted actor ids."""
-    domains: dict[tuple[int, str], list[int]] = {}
-    for row in rows:
-        domains.setdefault((row.appearance, row.role), []).append(row.actor)
-    return {pair: sorted(domains[pair]) for pair in sorted(domains)}
+    ``differentiate_actors`` counted filled: its distinct actors, sorted."""
+    return {pair: sorted(counts[pair]) for pair in sorted(counts)}
 
 
 # -- stage 3: appearance unification ------------------------------------------
@@ -692,10 +672,11 @@ def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> Minin
         except Exception as exc:  # noqa: BLE001 - report which stage died
             raise MiningStageError(stage.__name__, exc) from exc
 
-    rows, best = run(differentiate_actors, store, facts)
-    domains = run(scope_roles, rows)
-    stages["scope_roles"] = {"domains": len(domains), "members": len(rows)}
-    stages["differentiate_actors"] = {"rows": len(rows)}
+    counts, best = run(differentiate_actors, store, facts)
+    domains = run(scope_roles, counts)
+    members = sum(map(len, domains.values()))
+    stages["scope_roles"] = {"domains": len(domains), "members": members}
+    stages["differentiate_actors"] = {"rows": members}
     made = run(unify_appearances, store, cfg.min_support, facts)
     stages["unify_appearances"] = {"generalizations": len(made), "covered_events": sum(n for _, n, _ in made)}
     stages["cluster_events"] = run(cluster_events, store, cfg.coincidence_window, facts)
@@ -706,4 +687,4 @@ def run_pipeline(store: GraphStore, config: MiningConfig | None = None) -> Minin
     stages["detect_forks"] = {"forks": len(forks)}
     triggers = run(differentiate_triggers, store, model, forks, cfg, facts)
     stages["differentiate_triggers"] = {"triggers": len(triggers)}
-    return MiningReport(cfg, stages, rows, best, model, forks, triggers)
+    return MiningReport(cfg, stages, best, model, forks, triggers)

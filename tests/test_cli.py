@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -645,6 +646,24 @@ def test_run_whose_mining_fails_leaves_the_snapshot_alone(tmp_path, capsys, monk
         assert not snapshot.exists()
     else:
         assert snapshot.read_text() == before
+
+
+@pytest.mark.skipif(os.name != "posix", reason="permission bits are POSIX")
+def test_run_writes_new_files_with_open_modes_and_keeps_old_ones(tmp_path, capsys):
+    """A new file gets 0o666 less the umask, as ``open`` gives it; a file
+    written over keeps its permission bits; no temporary file is left."""
+    snapshot, out = tmp_path / "snap.json", tmp_path / "report.json"
+    out.write_text("old report")
+    out.chmod(0o664)
+    umask = os.umask(0o027)
+    try:
+        assert main(["run", *_stoplight_inputs(tmp_path), "--snapshot", str(snapshot), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(snapshot.stat().st_mode) == 0o640
+    assert stat.S_IMODE(out.stat().st_mode) == 0o664
+    assert json.loads(out.read_text())["stages"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "defs.txt", "report.json", "snap.json"]
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import hashlib
 import inspect
 import json
 import random
@@ -121,10 +122,12 @@ def _cleaning_store():
 
 def test_differentiate_actors_mother_two_thirds():
     store = _cleaning_store()
-    rows, best = differentiate_actors(store)
+    counts, best = differentiate_actors(store)
     (app,) = store.find_by_name("appearance", "cleaning")
-    by_actor = {store.thing(r.actor).name: r.frequency for r in rows}
-    assert by_actor == {"mother": pytest.approx(2 / 3), "father": pytest.approx(1 / 3)}
+    assert list(counts) == [(app, "cleaner")]
+    by_actor = {store.thing(a).name: n for a, n in counts[(app, "cleaner")].items()}
+    assert by_actor == {"mother": 2, "father": 1}  # out of 3 events
+    assert len(list(store.things("event"))) == 3
     assert store.thing(best[(app, "cleaner")]).name == "mother"
 
 
@@ -132,8 +135,11 @@ def test_differentiate_single_event():
     store = GraphStore()
     defs = parse_definitions('There name x patterns "saw $who", has who.')
     extract_events(store, defs, Document("saw mary", "u", 1))
-    rows, _ = differentiate_actors(store)
-    assert len(rows) == 1 and rows[0].frequency == 1.0
+    (app,) = store.find_by_name("appearance", "x")
+    (mary,) = store.find_by_name("actor", "mary")
+    counts, best = differentiate_actors(store)
+    assert counts == {(app, "who"): {mary: 1}}
+    assert best == {(app, "who"): mary}
 
 
 def test_differentiate_tie_breaks_on_first_occurrence():
@@ -152,21 +158,78 @@ def test_differentiate_matches_counting_oracle():
     store = GraphStore()
     apps = [store.add_thing("appearance", f"a{i}") for i in range(3)]
     actors = [store.add_thing("actor", f"x{i}") for i in range(5)]
-    counts: dict = {}
-    filled: dict = {}
+    expected: dict = {}
     for n in range(60):
         app = rng.choice(apps)
         actor = rng.choice(actors)
         add_event(store, app, n, actors={"r": actor})
-        counts[(app, actor)] = counts.get((app, actor), 0) + 1
-        filled[app] = filled.get(app, 0) + 1
-    rows, _ = differentiate_actors(store)
-    assert len(rows) == len(counts)
-    for row in rows:
-        assert row.count == counts[(row.appearance, row.actor)]
-        assert row.frequency == pytest.approx(
-            counts[(row.appearance, row.actor)] / filled[row.appearance]
-        )
+        expected[(app, actor)] = expected.get((app, actor), 0) + 1
+    counts, _ = differentiate_actors(store)
+    assert {(app, actor): n for (app, _), bucket in counts.items() for actor, n in bucket.items()} == expected
+
+
+def test_differentiate_and_scope_match_loops_over_random_worlds():
+    """Events with one or two appearances and one to three roles, where an
+    actor may fill two roles of one event or be named twice for one role,
+    against plain loops over the event list.  Equal counts go to the
+    earliest start, then the first name, then the lowest id; the worlds
+    are built so that each of the three decides some pair."""
+    roles = ["r1", "r2", "r3"]
+    decided_by: set[str] = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        store = GraphStore()
+        apps = [store.add_thing("appearance", f"app{i}") for i in range(3)]
+        # few names and ticks, so that counts, starts and names all tie
+        actors = [store.add_thing("actor", rng.choice(["ann", "bob", "cy"])) for _ in range(6)]
+        world = []  # (event, start, appearances, bindings with repeats)
+        for _ in range(rng.randint(5, 25)):
+            tick = rng.randint(0, 6)
+            event_apps = sorted(rng.sample(apps, rng.randint(1, 2)))
+            bound = {role: rng.choice(actors) for role in rng.sample(roles, rng.randint(1, 3))}
+            if len(bound) > 1 and rng.random() < 0.5:  # one actor fills two roles
+                first, second = rng.sample(sorted(bound), 2)
+                bound[second] = bound[first]
+            event = add_event(store, event_apps[0], tick, actors=bound)
+            for app in event_apps[1:]:
+                store.add_edge(Edge("is", event, app))
+            bindings = list(bound.items())
+            if rng.random() < 0.3:  # an actor named twice for one role
+                bindings.append(rng.choice(bindings))
+            world.append((event, tick, event_apps, bindings))
+
+        expected: dict = {}
+        first_start: dict = {}
+        for app in apps:
+            for role in roles:
+                for actor in actors:
+                    ticks = [tick for _, tick, event_apps, bindings in world
+                             if app in event_apps and (role, actor) in bindings]
+                    if ticks:
+                        expected.setdefault((app, role), {})[actor] = len(ticks)
+                        first_start[(app, role, actor)] = min(ticks)
+        expected_best = {}
+        for (app, role), filled in expected.items():
+            tied = [a for a in filled if filled[a] == max(filled.values())]
+            for level, key in (("start", lambda a: first_start[(app, role, a)]),
+                               ("name", lambda a: store.thing(a).name),
+                               ("id", lambda a: a)):
+                if len(tied) > 1:
+                    kept = [a for a in tied if key(a) == min(map(key, tied))]
+                    if len(kept) < len(tied):
+                        decided_by.add(level)
+                    tied = kept
+            expected_best[(app, role)] = tied[0]
+        expected_domains = [(pair, sorted(filled)) for pair, filled in sorted(expected.items())]
+
+        facts = mining.FactTable(store)
+        facts.events = {event: (TimeSpec.point(tick), event_apps, bindings)
+                        for event, tick, event_apps, bindings in world}
+        for counts, best in (differentiate_actors(store), differentiate_actors(store, facts)):
+            assert counts == expected
+            assert best == expected_best
+            assert list(scope_roles(counts).items()) == expected_domains
+    assert decided_by == {"start", "name", "id"}
 
 
 # -- appearance unification -----------------------------------------------------
@@ -1025,6 +1088,17 @@ def test_mined_snapshot_holds_no_domain_set_or_key():
     _, snapshot = _crosswalk_mined_at_once()
     things = json.loads(snapshot)["things"]
     assert [t for t in things if t["kind"] == "generic" or "key" in t["properties"]] == []
+
+
+def test_crosswalk_mining_is_pinned():
+    """The mined crosswalk report and snapshot, byte for byte as they were
+    while actor differentiation still built one row per (appearance, role,
+    actor).  The digests hold on Python 3.10 to 3.13 under any hash seed."""
+    report, snapshot = _crosswalk_mined_at_once()
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in (report, snapshot)] == [
+        "7a9880da6a74c7087dfef71cdec571df61461b4eb352118c40671eeeeadeda04",
+        "4be83913e29c4fa2db81aba7d7ef35f986119ea22e0e3e47ff73e74d3ddc5bcb",
+    ]
 
 
 def _three_red_lights() -> list[Document]:
