@@ -20,7 +20,7 @@ import tempfile
 from . import queries
 from .definitions import DefinitionError, parse_definitions
 from .graph import KINDS, GraphError, GraphStore, SnapshotError, read_json
-from .matching import CorpusError, check_granularity, extract_events, read_corpus
+from .matching import CorpusError, MatchLimitError, check_granularity, extract_events, read_corpus
 from .mining import MiningConfig, MiningStageError, run_pipeline
 
 EXIT_OK = 0
@@ -148,12 +148,12 @@ def _do_extract(args, file_cfg) -> tuple[GraphStore, list, int, list[int]]:
     except DefinitionError as exc:
         _fail(f"{definitions_path}: {exc}", EXIT_DOMAIN)
     corpus_text = _read_text(corpus_path)
+    store = GraphStore()
     try:
         docs = read_corpus(corpus_text.splitlines(), granularity)
-    except CorpusError as exc:
+        return store, definitions, len(docs), extract_events(store, definitions, *docs)
+    except (CorpusError, MatchLimitError) as exc:
         _fail(f"{corpus_path}: {exc}", EXIT_DOMAIN)
-    store = GraphStore()
-    return store, definitions, len(docs), extract_events(store, definitions, *docs)
 
 
 def cmd_extract(args) -> int:

@@ -6,28 +6,27 @@ alternative set matches where any child matches, each alternative giving
 its own match; a conjunctive set matches the smallest token window
 covering one match of every child, in any order.  A variable consumes
 the shortest non-empty span that lets the rest of the pattern match,
-with every feasible span enumerated.
+with every feasible span enumerated.  Past the articles a typed variable
+drops, a ``word`` or ``number`` spans 1 token, ``money`` 2, ``time`` 1
+to 5 and a composite without variables what its pattern spans; other
+variables and conjunctions have no greatest width.
 
-Inside a sequence a variable looks ahead: its spans are tried only at
-ends where the next sibling can start, and when that sibling is a
-literal the candidate ends come straight from the positions of the
-literal's token.  So from each start a variable before a literal tries
-one span per later occurrence of that literal, not one per remaining
-token.  A literal child of a sequence is stepped with one token compare
-per state; every other node's matches go through one memo, keyed by
-(node, start, follower).
+From each start a variable tries only the ends within its width, and in
+a sequence only those where the next sibling can start, for a literal
+straight from the positions of its token.  A literal child of a
+sequence is stepped with one token compare per state; every other
+node's matches go through one memo, keyed by (node, start, follower).
 
 Before any search, a pattern whose required literals (the token norms
 every match contains) a document lacks is skipped.  Starts are tried
 only where a match can begin: at the positions of the pattern's first
 norms, or, for a sequence that starts with variables, back from each
-position of its anchor (the first child with first norms) by the
-widths its leading children can span under the role types.  A ``word``
-or ``number`` spans 1 token, ``money`` 2 and ``time`` 1 to 5, not
-counting the articles a typed variable drops; an untyped or composite
-variable and a conjunction have no greatest width, so then every start
-up to the last anchor position less the least width is tried.  The
-start plan is made once per pattern and type environment.
+position of its anchor (the first child with first norms) by the widths
+its leading children can span, or, when those have no bound, at every
+start up to the last anchor position less their least width.  The start
+plan is made once per pattern and type environment.  ``MatchLimitError``
+stops more than ``MAX_MATCHES`` matches of a pattern in one document, or
+child combinations of a conjunction, or partial matches of a sequence.
 
 One ``extract_events`` call covers any number of documents: it prepares
 each definition once per call and tokenizes each document once.
@@ -39,6 +38,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Mapping, Sequence
 
 from . import patterns as pat
@@ -50,6 +50,18 @@ ARTICLES = {"a", "an", "the"}
 CURRENCY = {"$", "€", "£"}
 
 TypeEnv = Mapping[str, pat.TypeRef]
+
+# the most matches of a pattern, or partial matches of its parts, in one document
+MAX_MATCHES = 100_000
+
+
+class MatchLimitError(ValueError):
+    """A pattern has more than ``MAX_MATCHES`` matches in one document."""
+
+
+def _bounded(count: int) -> None:
+    if count > MAX_MATCHES:
+        raise MatchLimitError(f"more than {MAX_MATCHES:,} matches or partial matches (matching.MAX_MATCHES)")
 
 
 @dataclass(frozen=True)
@@ -70,15 +82,6 @@ class Match:
     first: int
     last: int
     bindings: Mapping[str, Binding] = field(default_factory=dict)
-
-
-def _joined_surface(tokens: Sequence[Token], first: int, last: int) -> str:
-    parts = [tokens[first].surface]
-    for k in range(first + 1, last + 1):
-        if tokens[k].start != tokens[k - 1].end:
-            parts.append(" ")
-        parts.append(tokens[k].surface)
-    return "".join(parts)
 
 
 def strip_articles(tokens: Sequence[Token], first: int, last: int) -> tuple[int, int]:
@@ -119,11 +122,8 @@ def check_type(tokens: Sequence[Token], type_ref: pat.TypeRef, env: TypeEnv | No
         joined = "".join(t.surface for t in tokens)
         return contiguous and bool(_DATE_SHAPE.match(joined))
     if kind == "composite":
-        sub = list(tokens)
-        return any(
-            m.first == 0 and m.last == len(sub) - 1
-            for m in match_pattern(type_ref.pattern, sub, env)
-        )
+        last = len(tokens) - 1
+        return any(m.first == 0 and m.last == last for m in match_pattern(type_ref.pattern, tokens, env))
     raise ValueError(f"unknown type kind {kind!r}")
 
 
@@ -134,6 +134,7 @@ class _Engine:
         self.n = len(tokens)
         self._memo: dict[tuple[int, int, int], list] = {}
         self._and_memo: dict[int, dict[int, list]] = {}
+        self._norms = self._spaced = None  # made at the first multi-token binding
         # ascending token positions keyed by norm
         self.positions: dict[str, list[int]] = {}
         for k, token in enumerate(tokens):
@@ -164,6 +165,7 @@ class _Engine:
             # spans from i, ending only where follow (the next sibling in a
             # sequence, if any) can start
             type_ref = self.env.get(node.name.lower(), node.type_ref)
+            most = _width(node, self.env)[1]  # non-article tokens, None for no bound
             if isinstance(follow, pat.Literal):
                 # a literal can start exactly where its token occurs
                 positions = self.positions.get(follow.norm, [])
@@ -171,20 +173,17 @@ class _Engine:
                 follow = None
             else:
                 ends = range(i + 1, self.n + 1)
+            typed = type_ref.kind != "untyped"  # an untyped span always passes
             out = []
             for end in ends:
                 first, last = strip_articles(self.tokens, i, end - 1)
-                if not check_type(self.tokens[first : last + 1], type_ref, self.env):
+                if most is not None and last - first >= most:
+                    break  # past the type's width, as is every later end
+                if typed and not check_type(self.tokens[first : last + 1], type_ref, self.env):
                     continue
                 if follow is not None and not self.matches_at(follow, end):
                     continue
-                binding = Binding(
-                    _joined_surface(self.tokens, first, last),
-                    " ".join(t.norm for t in self.tokens[first : last + 1]),
-                    first,
-                    last,
-                )
-                out.append((end, {node.name: binding}))
+                out.append((end, {node.name: self._binding(first, last)}))
             return out
         if isinstance(node, pat.SeqSet):
             tokens, n = self.tokens, self.n
@@ -204,6 +203,7 @@ class _Engine:
                             merged = _merge(bound, more)
                             if merged is not None:
                                 nxt.append((end, merged))
+                        _bounded(len(nxt))
                     states = nxt
                 if not states:
                     return []
@@ -217,6 +217,18 @@ class _Engine:
             return self._and_matches(node).get(i, [])
         raise TypeError(f"not a pattern node: {node!r}")
 
+    def _binding(self, first: int, last: int) -> Binding:
+        """Tokens [first, last] as a binding, joined from per-document arrays."""
+        tokens = self.tokens
+        if first == last:
+            return Binding(tokens[first].surface, tokens[first].norm, first, last)
+        if self._norms is None:
+            self._norms = [t.norm for t in tokens]
+            # each token's surface after the space, if any, that precedes it
+            self._spaced = [""] + [" " * (a.end != b.start) + b.surface for a, b in zip(tokens, tokens[1:])]
+        surface = tokens[first].surface + "".join(self._spaced[first + 1 : last + 1])
+        return Binding(surface, " ".join(self._norms[first : last + 1]), first, last)
+
     def _and_matches(self, node: pat.AndSet) -> dict[int, list]:
         cached = self._and_memo.get(id(node))
         if cached is not None:
@@ -227,7 +239,9 @@ class _Engine:
             for start in range(self.n):
                 for end, bound in self.matches_at(child, start):
                     found.append((start, end, bound))
+                _bounded(len(found))
             per_child.append(found)
+        _bounded(prod(map(len, per_child)))
         by_start: dict[int, list] = {}
         for combo in product(*per_child):
             bound: dict | None = {}
@@ -267,7 +281,7 @@ def _match_key(first: int, last: int, bindings: Mapping[str, Binding]):
 
 
 # (least tokens, most non-article tokens) a variable of an atomic type spans;
-# any other variable spans at least one token and has no greatest width
+# an untyped one, or a composite with variables, has no greatest width
 _WIDTHS = {"word": (1, 1), "number": (1, 1), "money": (2, 2), "time": (1, 5)}
 
 
@@ -277,7 +291,10 @@ def _width(node: pat.PatternNode, env: TypeEnv) -> tuple[int, int | None]:
     if isinstance(node, pat.Literal):
         return 1, 1
     if isinstance(node, pat.Variable):
-        return _WIDTHS.get(env.get(node.name.lower(), node.type_ref).kind, (1, None))
+        type_ref = env.get(node.name.lower(), node.type_ref)
+        if type_ref.kind == "composite" and not pat.list_variables(type_ref.pattern):
+            return _width(type_ref.pattern, env)  # its matches span what the pattern does
+        return _WIDTHS.get(type_ref.kind, (1, None))
     if isinstance(node, pat.AndSet):
         return 1, None
     widths = [_width(child, env) for child in node.children]
@@ -372,6 +389,7 @@ def match_pattern(
             key = _match_key(start, end - 1, bound)
             if key not in found:
                 found[key] = Match(pattern, start, end - 1, dict(bound))
+        _bounded(len(found))
     return [found[key] for key in sorted(found)]
 
 
@@ -429,7 +447,7 @@ def extract_events(
     app_ids: dict[int, int] = {}
     role_ids: dict[str, int] = {}
     created: list[int] = []
-    for doc in docs:
+    for number, doc in enumerate(docs, 1):
         tokens = tokenize(doc.text)
         norms = {token.norm for token in tokens}
         for k, (definition, env, patterns) in enumerate(plans):
@@ -443,7 +461,12 @@ def extract_events(
             for pattern, template in patterns:
                 if not pattern.required_literals <= norms:
                     continue
-                for match in match_pattern(pattern, tokens, env):
+                try:
+                    matches = match_pattern(pattern, tokens, env)
+                except MatchLimitError as exc:
+                    where = f"definition {definition.name!r}, document {number} ({doc.source!r})"
+                    raise MatchLimitError(f"{where}: {exc}") from None
+                for match in matches:
                     if seen_keys is not None:
                         key = _match_key(match.first, match.last, match.bindings)
                         if key in seen_keys:

@@ -133,6 +133,26 @@ def test_pattern_nesting_at_the_bound_extracts_and_above_it_exits_one(tmp_path, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["extract", "run"])
+def test_matches_past_the_bound_exit_one_and_write_nothing(tmp_path, capsys, command):
+    defs_path = _write(tmp_path / "defs.txt", 'There name triple patterns "($x $y $z)", has x, y, z.\n')
+    corpus_path = _write(
+        tmp_path / "corpus.jsonl",
+        '{"time": 1, "source": "cam", "text": "a b"}\n\n'
+        '{"time": 2, "source": "feed", "text": "a b c d e f g h i j k l m n"}\n',
+    )
+    snapshot, out = tmp_path / "snap.json", tmp_path / "report.json"
+    argv = [command, "--definitions", defs_path, "--corpus", corpus_path, "--snapshot", str(snapshot)]
+    code = main(argv + (["--out", str(out)] if command == "run" else []))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"scenamine: {corpus_path}: definition 'triple', document 2 ('feed'): "
+        "more than 100,000 matches or partial matches (matching.MAX_MATCHES)\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "defs.txt"]
+
+
 def test_mine_empty_snapshot(tmp_path, capsys):
     snapshot = _extract(tmp_path, SANCTIONS_DEFS, "")
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Matcher: tokenization, typing, pattern matching, event extraction."""
 
+import bisect
 import functools
 import hashlib
 import importlib.util
@@ -529,6 +530,145 @@ def test_starts_are_tried_only_where_an_anchor_can_be_reached(monkeypatch):
     matches = match_pattern(pattern, tokenize(" ".join(words)), {"court": TypeRef("word")})
     assert starts == [0, 1, 4, 5, 9]
     assert [(m.first, m.bindings["court"].norm) for m in matches] == [(0, "court"), (1, "court")]
+
+
+# -- width-bounded ends ------------------------------------------------------
+
+# variable-free composites: one spans 2 tokens, the other 1, or 3 with an
+# article inside
+_END_COMPOSITES = ("{state federal} {bureau office}", "{bureau [x the bureau]}")
+_END_TYPES = tuple(TypeRef(kind) for kind in ("word", "number", "money", "time")) + tuple(
+    TypeRef("composite", parse_pattern(text)) for text in _END_COMPOSITES
+)
+_END_VALUES = ("ped", "3", "12.5", "$5", "€ 7", "12:30", "2024-01-15", "state bureau", "x the bureau", "office")
+
+
+def _end_document(rng: random.Random) -> str:
+    """Anchors x, each followed by an article run of 0-3 and 0-2 values,
+    with y now and then, so that a value can sit behind several articles."""
+    words = []
+    for _ in range(rng.randint(1, 2)):
+        words.append("x")
+        words += rng.choices(["a", "an", "the", "The"], k=rng.choice([0, 1, 2, 3]))
+        words += rng.choices(_END_VALUES, k=rng.randint(0, 2))
+        words += rng.choices(["y", "x"], k=rng.choice([0, 0, 1]))
+    return " ".join(words)
+
+
+def _end_pattern(rng: random.Random, place: str):
+    """x, then a typed variable $v at the end or before a variable, an
+    alternative or a literal, sometimes nested, with a random type for $v
+    and for the variable $w after it."""
+    follower = {
+        "end": [],
+        "variable": [Variable("w")],
+        "alternative": [AnySet((Literal("y"), SeqSet((Literal("the"), Variable("w")))))],
+        "literal": [Literal(rng.choice(["y", "x", "bureau"]))],
+    }[place]
+    pattern = SeqSet((Literal("x"), Variable("v"), *follower))
+    if rng.random() < 0.3:
+        pattern = AnySet((pattern, Literal("y")))
+    env = {"v": rng.choice(_END_TYPES)}
+    if rng.random() < 0.6:
+        env["w"] = rng.choice(_END_TYPES)
+    return pattern, env
+
+
+def test_width_bounded_ends_equal_typed_brute_force():
+    """A typed variable at the end, before a variable, before an
+    alternative and before a literal, under every atomic type and
+    variable-free composites, over documents with article runs: cutting
+    its ends to its type's width must not drop a match."""
+    rng = random.Random(3232)
+    places = ("end", "variable", "alternative", "literal")
+    found = {}  # (place, type of $v) -> matches found
+    behind_articles = 0
+    for trial in range(800):
+        place = places[trial % len(places)]
+        pattern, env = _end_pattern(rng, place)
+        toks = tokenize(_end_document(rng))
+        got = library_match_set(match_pattern(pattern, toks, env))
+        assert got == typed_brute_matches(pattern, toks, env), (pattern, env, toks)
+        key = (place, env["v"])
+        found[key] = found.get(key, 0) + len(got)
+        behind_articles += sum(
+            toks[lo - 1].norm in ARTICLES for _f, _l, b in got for name, _n, lo, _hi in b if name == "v"
+        )
+    assert all(found.get((place, t)) for place in places for t in _END_TYPES), found
+    assert behind_articles > 100
+
+
+def _long_document(rng: random.Random, size: int) -> tuple[list[str], list[int], int]:
+    """About ``size`` tokens of filler words with meetings (``meeting at``,
+    0-3 articles, ``12:30``) and shipments (``shipped 12 crates to``);
+    the words, the article count of each meeting and the shipments."""
+    words, articles, shipments, tokens = [], [], 0, 0
+    while tokens < size:
+        pick = rng.random()
+        if pick < 0.02:
+            runs = rng.randint(0, 3)
+            words += ["meeting", "at", *rng.choices(["a", "an", "the"], k=runs), "12:30"]
+            articles.append(runs)
+            tokens += 5 + runs
+        elif pick < 0.04:
+            words += ["shipped", "12", "crates", "to"]
+            shipments += 1
+            tokens += 4
+        else:
+            words.append(rng.choice(["ann", "bob", "cat", "dog", "elm", "fig"]))
+            tokens += 1
+    # filler after the last meeting, so that each of its time spans can end
+    return words + ["ann"] * 5, articles, shipments
+
+
+def test_typed_ends_bound_type_checks_on_a_long_document(monkeypatch):
+    calls = []
+
+    def counted(tokens, type_ref, env=None, real=matching.check_type):
+        calls.append((tokens[0].start, type_ref.kind))
+        return real(tokens, type_ref, env)
+
+    monkeypatch.setattr(matching, "check_type", counted)
+    words, articles, shipments = _long_document(random.Random(5), 5000)
+    toks = tokenize(" ".join(words))
+    assert len(toks) >= 5000 and len(articles) > 50 and shipments > 50
+
+    # each meeting holds two times: the hour 12 alone and the clock time 12:30
+    matches = match_pattern(parse_pattern("meeting at $when"), toks, {"when": TypeRef("time")})
+    assert len(matches) == 2 * len(articles)
+    meetings = [t.start for t in toks if t.norm == "meeting"]
+    per_start = {}
+    for start, kind in calls:
+        assert kind == "time"
+        at = meetings[bisect.bisect_right(meetings, start) - 1]
+        per_start[at] = per_start.get(at, 0) + 1
+    assert [per_start[at] for at in meetings] == [runs + 5 for runs in articles]
+
+    # untyped: no type check at all; each shipment ends at its own and every
+    # later "to"
+    calls.clear()
+    matches = match_pattern(parse_pattern("shipped $goods to"), toks)
+    assert calls == []
+    assert len(matches) == shipments * (shipments + 1) // 2
+
+
+def test_matches_past_the_bound_raise():
+    with pytest.raises(matching.MatchLimitError, match="100,000"):
+        match_pattern(parse_pattern("($x $y $z)"), tokenize(" ".join("abcdefghijklmn")))
+    # from the first start alone, 450 tokens split 101,025 ways
+    words = [f"w{chr(97 + k % 26)}" for k in range(450)]
+    with pytest.raises(matching.MatchLimitError):
+        match_pattern(parse_pattern("$a $b"), tokenize(" ".join(words)))
+    # under the bound the same patterns match as before
+    assert len(match_pattern(parse_pattern("$a $b"), tokenize("p q r"))) == 4
+
+
+def test_extraction_past_the_bound_names_definition_and_document():
+    (definition,) = parse_definitions('There name pair patterns "($x $y $z)", has x, y, z.')
+    docs = [Document("a b", "news://short", 1), Document(" ".join("abcdefghijklmn"), "news://long", 2)]
+    with pytest.raises(matching.MatchLimitError) as caught:
+        extract_events(GraphStore(), [definition], *docs)
+    assert str(caught.value).startswith("definition 'pair', document 2 ('news://long'): more than 100,000")
 
 
 def test_match_ordering_is_stable():
