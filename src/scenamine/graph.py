@@ -15,11 +15,12 @@ over edges of kind E": it selects edges by kind, role, set kind and seq
 order and keeps the endpoints whose node kind is ``node_kind``;
 ``neighbors`` wraps those ids in a ``WeightedSet``.  Into a thing, it
 and ``in_edges`` read only the E edges, from the in-edge index, edge
-kind -> {thing: the edges into it}.  ``bindings`` gives the (role, end)
-pairs of a thing's ``has`` edges.  ``kind_ids`` reads the kind index,
-each kind's things by id, which ``things`` reads too: a kind test is one
-lookup.  Three read indexes, the in-edge index among them, are built
-lazily, each on its first call; the split ``is`` ends below are built a
+kind -> {thing: the edges into it}, built a kind at a time, on its first
+read through ``in_index``, so an ``is`` walk builds no ``has`` or
+``member`` part.  ``bindings`` gives the (role, end) pairs of a thing's
+``has`` edges.  ``kind_ids`` reads the kind index, each kind's things by
+id, which ``things`` reads too: a kind test is one lookup.  The interval
+index is built on its first read too, the split ``is`` ends below a
 thing at a time; any new edge drops them all.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
@@ -27,10 +28,10 @@ bisections bound the candidates, so a time-window query costs log n plus
 those, not a scan of every thing.  ``is_split`` splits a thing's ``is``
 ends by direction and kind on a walk's first visit, from its own edges or
 the in-edge index, so an inheritance walk visits only the things it
-reaches with ``is`` ends of their own.  ``seq_holders`` maps each ``seq``
-member to the nodes that hold it.  The whole store round-trips through a
-JSON snapshot, which ``dumps`` writes as text in one pass: the ASCII
-bytes ``json.dumps`` with sorted keys gives, with no tree built for it.
+reaches with ``is`` ends of their own.  The whole store round-trips
+through a JSON snapshot, which ``dumps`` writes as text in one pass: the
+ASCII bytes ``json.dumps`` with sorted keys gives, with no tree built
+for it.
 Only names, ``has`` roles and properties are free text and escaped; ids,
 ticks and kinds are checked ints and known words.
 One path checks both live construction and a load: ``_put_thing`` a
@@ -77,6 +78,7 @@ KINDS = frozenset(
 )
 
 EDGE_KINDS = frozenset({"is", "has", "times", "member"})
+_INTO_KINDS = ("is", "has", "member")  # the in-edge index's kinds, in the order ``in_edges`` lists them
 SET_KINDS = frozenset({"and", "seq", "any"})
 
 
@@ -280,8 +282,7 @@ class GraphStore:
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
         self._is: dict | None = None  # (direction, kind) -> the is ends split for it (see is_split)
-        self._holders: dict | None = None  # thing -> the nodes holding it in seq
-        self._into: dict | None = None  # edge kind -> {thing: the edges into it}
+        self._into: dict | None = None  # edge kind -> {thing: the edges into it}, for each kind built so far
 
     # -- construction -------------------------------------------------
 
@@ -337,7 +338,7 @@ class GraphStore:
                 and (role is None or type(role) is str) and (set_kind is None or type(set_kind) is str)
                 and (order is None or type(order) is int)):
             raise _edge_type_error(Edge(kind, src, dst, role, set_kind, order))
-        self._intervals = self._is = self._holders = self._into = None
+        self._intervals = self._is = self._into = None
         if kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {kind!r}")
         if src not in self._things:
@@ -443,8 +444,8 @@ class GraphStore:
     def in_edges(self, thing_id: int) -> list[Edge]:
         """The edges into a thing, from the in-edge index: ``is``, then ``has``, then
         ``member`` edges, each kind's by source in store order, then in edge order."""
-        thing_id, into = self.thing(thing_id).id, self._into or self._index_into()
-        return [_as_edge(e) for ends in into.values() for e in ends.get(thing_id, ())]
+        thing_id = self.thing(thing_id).id
+        return [_as_edge(e) for kind in _INTO_KINDS for e in self.in_index(kind).get(thing_id, ())]
 
     def bindings(self, thing_id: int, node_kind: str) -> list[tuple[str, int]]:
         """(role, end) of each ``has`` edge out of a thing whose end is of
@@ -477,7 +478,7 @@ class GraphStore:
             raise GraphError(f"bad direction {direction!r}")
         out = direction == "out"
         edges = (self._out[thing_id] if out else self.in_edges(thing_id) if kind is None
-                 else (self._into or self._index_into()).get(kind, _EMPTY).get(thing_id, ()))
+                 else self.in_index(kind).get(thing_id, ()))
         things = self._things
         ends = []
         for e in edges:  # (kind, src, dst, role, set_kind, order)
@@ -539,31 +540,24 @@ class GraphStore:
             ends = [e[2] for e in out[self.thing(thing_id).id] if e[0] == "is"]
             inner = {end: end in wanted for end in ends if "is" in map(_kind_of, out[end])}
         else:
-            into = (self._into or self._index_into())["is"]
+            into = self.in_index("is")
             ends = list(map(_src_of, into.get(self.thing(thing_id).id, ())))
             inner = {end: end in wanted for end in ends if end in into}
         leaves = sorted([end for end in ends if end in wanted and end not in inner])
         entries[thing_id] = entry = (inner or _EMPTY, dict.fromkeys(leaves, 1.0) or _EMPTY)
         return entry
 
-    def _index_into(self) -> dict[str, dict[int, list[tuple]]]:
-        """Build the in-edge index (see ``in_edges``) in one pass over the out-edges."""
-        self._into = into = {"is": {}, "has": {}, "member": {}}
-        for edges in self._out.values():
-            for e in edges:
-                if e[0] != "times":
-                    into[e[0]].setdefault(e[2], []).append(e)
-        return into
-
-    def seq_holders(self) -> dict[int, list[int]]:
-        """The seq-holder index: a thing mapped to the nodes that hold it as a
-        ``seq`` member, each once; things held by none are absent.  Read only."""
-        if self._holders is None:
-            self._holders = {}
-            for holder, members in self._seq.items():
-                for member in dict.fromkeys(members):
-                    self._holders.setdefault(member, []).append(holder)
-        return self._holders
+    def in_index(self, kind: str) -> dict[int, list[tuple]]:
+        """One edge kind's part of the in-edge index (see ``in_edges``), read only: thing -> the stored edges
+        of the kind into it, built in one pass over the out-edges on its first read since the last write."""
+        into = self._into = self._into or {}
+        if kind not in into and kind in _INTO_KINDS:
+            into[kind] = index = {}
+            for edges in self._out.values():
+                for e in edges:
+                    if e[0] == kind:
+                        index.setdefault(e[2], []).append(e)
+        return into.get(kind, _EMPTY)
 
     def member_children(self, thing_id: int, set_kind: str) -> list[int]:
         """Members of a set node; seq members ordered, possibly repeating."""

@@ -16,9 +16,10 @@ edge once, as a plain tuple; role scoping and actor differentiation write
 nothing.  A run reads each event's span, appearances and actors once, into
 one ``FactTable``; the stage that makes a coincidence, situation or process
 adds its facts there as plain data, and later stages read them there, not
-from the graph.  Chains, scenarios and forks may be of any length; no stage
-recurses once per step, chains grow from chain starts only, and
-``MAX_PROCESSES`` is the only bound on chaining.
+from the graph; ``ScenarioModel.lifted`` holds only each process's steps.
+Chains, scenarios and forks may be of any length; no stage recurses once
+per step, chains grow from chain starts only, and ``MAX_PROCESSES`` is
+the only bound on chaining.
 """
 
 from __future__ import annotations
@@ -79,28 +80,20 @@ class MiningConfig:
 
 @dataclass
 class TreeNode:
-    """Prefix-tree node: a situation step and the processes that pass
-    through (their number is the node's traversal count)."""
+    """Prefix-tree node: the processes that pass through (their number is
+    the node's traversal count) and the node of each next situation step."""
 
-    situation: int | None
     processes: list[int] = field(default_factory=list)
     children: dict[int, "TreeNode"] = field(default_factory=dict)
 
 
 @dataclass
-class LiftedProcess:
-    process: int
-    coincidences: list[int]
-    lifted: list[tuple[int, int]]  # (coincidence, situation) steps in order
-
-
-@dataclass
 class ScenarioModel:
-    """Prefix tree over the situation sequences of all processes, with
-    the (path, support) of each frequent prefix in pre-order."""
+    """Prefix tree over the processes' (coincidence, situation) steps in
+    ``lifted``, and the (path, support) of each frequent prefix in pre-order."""
 
     root: TreeNode
-    lifted: dict[int, LiftedProcess]
+    lifted: dict[int, list[tuple[int, int]]]
     scenarios: list[tuple[list[int], int]]
 
 
@@ -553,16 +546,14 @@ def unify_scenarios(
     situation, then the one most coincidences are, then the first."""
     facts = facts or FactTable(store)
     rank = {sid: (-len(items), -len(holders), sid) for sid, (items, holders) in facts.situations.items()}
-    root = TreeNode(None)
-    lifted_all: dict[int, LiftedProcess] = {}
+    root, lifted = TreeNode(), {}
     for pid, coins in facts.processes.items():
-        steps = [(cid, min(facts.situations_of[cid], key=rank.__getitem__))
-                 for cid in coins if cid in facts.situations_of]
-        lifted_all[pid] = LiftedProcess(pid, coins, steps)
+        lifted[pid] = steps = [(cid, min(facts.situations_of[cid], key=rank.__getitem__))
+                               for cid in coins if cid in facts.situations_of]
         node = root
         node.processes.append(pid)
-        for sid in (s for _, s in steps):
-            node = node.children.setdefault(sid, TreeNode(sid))
+        for _, sid in steps:
+            node = node.children.setdefault(sid, TreeNode())
             node.processes.append(pid)
 
     scenarios: list[tuple[list[int], int]] = []
@@ -576,7 +567,7 @@ def unify_scenarios(
             store.add_edge(("member", scenario_id, s, None, "seq", None))
         for pid in node.processes:
             store.add_edge(("is", pid, scenario_id, None, None, None))
-    model = ScenarioModel(root, lifted_all, scenarios)
+    model = ScenarioModel(root, lifted, scenarios)
     return model, {"scenarios": len(store.things("scenario"))}
 
 
@@ -623,11 +614,9 @@ def differentiate_triggers(
         presence: dict[int, set[int]] = {}
         depth = len(fork.prefix)
         for pid in sorted(branch_of):
-            lp = model.lifted[pid]
-            step_situation = dict(lp.lifted)
-            branch_coin = lp.lifted[depth][0]
-            cutoff = lp.coincidences.index(branch_coin)
-            for cid in lp.coincidences[:cutoff]:
+            steps, coins = model.lifted[pid], facts.processes[pid]
+            step_situation = dict(steps)
+            for cid in coins[:coins.index(steps[depth][0])]:
                 lifted_sid = step_situation.get(cid)
                 covered = sit_items.get(lifted_sid, frozenset())
                 for event_id in facts.coincidences[cid][1]:

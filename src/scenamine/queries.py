@@ -11,9 +11,10 @@ ends ``GraphStore.is_split`` splits by kind, from a sequence of starts, one
 for a lookup and every live event for ``appearances_at``, so a window pays
 for each shared generalization once.  The filtered and time-window queries
 are written out.  They read ``GraphStore.alive``; ``processes_at`` reads
-the holders of the live things from ``GraphStore.seq_holders``, and
-``coincidences_at`` with an event tests only the coincidences holding it.
-Every other test of a thing's kind is one lookup in ``GraphStore.kind_ids``.
+the processes holding each live thing off its ``seq`` edges in
+``GraphStore.in_index``, and ``coincidences_at`` with an event tests only
+the coincidences holding it.  Every other test of a thing's kind is one
+lookup in ``GraphStore.kind_ids``.
 """
 
 from __future__ import annotations
@@ -203,8 +204,9 @@ def processes_at(store: GraphStore, time) -> WeightedSet:
     holding a live seq member, as that span only joins intervals that touch."""
     if time is None:
         return WeightedSet.crisp(_alive(store, None, "process"))
-    holders, processes = store.seq_holders(), store.kind_ids("process")
-    return WeightedSet.crisp(sorted({p for m in _alive(store, time) for p in holders.get(m, ()) if p in processes}))
+    into, processes = store.in_index("member"), store.kind_ids("process")
+    return WeightedSet.crisp(sorted({src for m in _alive(store, time) for _, src, _, _, set_kind, _ in into.get(m, ())
+                                     if set_kind == "seq" and src in processes}))
 
 
 def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) -> WeightedSet:

@@ -273,3 +273,62 @@ def tickset_union(list_of_intervals) -> set[int]:
     for intervals in list_of_intervals:
         out |= _tick_set(intervals)
     return out
+
+
+# -- triggers: presence before a fork's branch step ------------------------------
+
+
+def scan_trigger_presence(steps: dict, prefix: tuple, min_support: int, min_shift: float):
+    """One fork's branches, their base probabilities and its triggers, by
+    plain loops.  ``steps`` maps each process to its coincidences in order,
+    each as (the situation it lifts to or None, the things present at it).
+    A process passes the fork when its situation sequence continues past
+    ``prefix``; its branch is the next situation.  A thing is present
+    before that branch step when some coincidence ahead of the branch
+    step's one holds it.  Returns (branches in id order, base
+    probabilities, [(thing, score, support, shifted)] in thing order) for
+    every thing present before the branch step in at least
+    ``min_support`` passing processes that shifts some branch probability
+    by at least ``min_shift``."""
+    depth = len(prefix)
+    branch_of = {}
+    for process, coincidences in steps.items():
+        sequence = [situation for situation, _ in coincidences if situation is not None]
+        if len(sequence) > depth and tuple(sequence[:depth]) == tuple(prefix):
+            branch_of[process] = sequence[depth]
+    branches = sorted(set(branch_of.values()))
+    base = []
+    for branch in branches:
+        count = 0
+        for process in branch_of:
+            if branch_of[process] == branch:
+                count += 1
+        base.append(count / len(branch_of))
+    before = {}
+    for process in branch_of:
+        things, situations_seen = set(), 0
+        for situation, present in steps[process]:
+            if situation is not None:
+                if situations_seen == depth:
+                    break
+                situations_seen += 1
+            things |= set(present)
+        before[process] = things
+    candidates = set()
+    for things in before.values():
+        candidates |= things
+    found = []
+    for thing in sorted(candidates):
+        support = 0
+        per_branch = [0] * len(branches)
+        for process in branch_of:
+            if thing in before[process]:
+                support += 1
+                per_branch[branches.index(branch_of[process])] += 1
+        if support < min_support:
+            continue
+        shifted = [count / support for count in per_branch]
+        score = max(abs(s - b) for s, b in zip(shifted, base))
+        if score >= min_shift:
+            found.append((thing, score, support, shifted))
+    return branches, base, found

@@ -24,7 +24,7 @@ from scenamine.graph import (
     TimeSpec,
     WeightedSet,
 )
-from scenamine.queries import _reach
+from scenamine.queries import _reach, actors_of_role, events_of_actor
 
 
 def test_add_thing_returns_fresh_ids():
@@ -791,6 +791,49 @@ def test_in_direction_reads_match_a_scan_of_the_edges_between_writes(steps):
                         for hop_weight in (0.0, 0.5, 0.9):
                             got = _reach(store, starts, direction, kind, hop_weight).pairs()
                             assert got == _per_node_reach(store, starts, direction, kind, hop_weight)
+
+
+def _loaded_random_store() -> GraphStore:
+    return GraphStore.loads(_random_store(random.Random(17), nodes=300).dumps())
+
+
+def _scanned_in_edges(store: GraphStore, thing_id: int) -> list[Edge]:
+    """The edges into a thing as ``in_edges`` lists them, from a scan of ``edges()``."""
+    edges = store.edges()
+    return [e for kind in ("is", "has", "member") for e in edges if e.kind == kind and e.dst == thing_id]
+
+
+def test_a_first_is_walk_after_a_load_builds_only_the_is_in_edges():
+    store = _loaded_random_store()
+    actors_of_role(store, store.things("role")[0].id)
+    assert list(store._into) == ["is"]
+    assert {e[0] for ends in store._into["is"].values() for e in ends} == {"is"}
+
+
+def test_in_edges_after_a_partial_build_list_is_then_has_then_member_edges():
+    store = _loaded_random_store()
+    actors_of_role(store, store.things("role")[0].id)
+    for thing in store.things():
+        assert store.in_edges(thing.id) == _scanned_in_edges(store, thing.id)
+    assert list(store._into) == ["is", "has", "member"]
+
+
+@pytest.mark.parametrize("built", [["is"], ["has"], ["is", "has"]])
+@pytest.mark.parametrize("kind", ["is", "has", "member"])
+def test_a_new_edge_after_a_partial_build_drops_every_kind(built, kind):
+    store = _loaded_random_store()
+    role, actor = store.things("role")[0].id, store.things("actor")[0].id
+    event = store.add_thing("event", times=TimeSpec.point(0))
+    if "is" in built:
+        actors_of_role(store, role)
+    if "has" in built:
+        events_of_actor(store, actor)
+    assert list(store._into) == built
+    store.add_edge({"is": Edge("is", event, role), "has": Edge("has", event, actor, role="r9"),
+                    "member": Edge("member", role, actor, set_kind="any")}[kind])
+    assert not store._into
+    for thing in (role, actor, event):
+        assert store.in_edges(thing) == _scanned_in_edges(store, thing)
 
 
 def test_a_start_without_is_ends_reached_as_a_leaf_from_another_start_stays_out():

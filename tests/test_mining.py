@@ -27,6 +27,7 @@ from oracles import (
     frequent_prefixes,
     powerset_closed_itemsets,
     scan_forks,
+    scan_trigger_presence,
     tickset_components,
 )
 from scenamine.definitions import parse_definitions
@@ -38,6 +39,7 @@ from scenamine.tokens import tokenize
 from scenamine.mining import (
     MiningConfig,
     MiningStageError,
+    Trigger,
     chain_coincidences,
     cluster_events,
     detect_forks,
@@ -823,7 +825,7 @@ def test_lifting_picks_most_specific_situation():
     process = store.add_thing("process", "p")
     store.add_edge(Edge("member", process, coin, set_kind="seq"))
     model, _ = unify_scenarios(store, 1)
-    assert [s for _, s in model.lifted[process].lifted] == [big]
+    assert [s for _, s in model.lifted[process]] == [big]
 
 
 def test_unlifted_coincidences_are_skipped():
@@ -840,7 +842,7 @@ def test_unlifted_coincidences_are_skipped():
     for c in (c1, c2, c3):
         store.add_edge(Edge("member", process, c, set_kind="seq"))
     model, _ = unify_scenarios(store, 1)
-    assert [s for _, s in model.lifted[process].lifted] == [sit, sit]
+    assert [s for _, s in model.lifted[process]] == [sit, sit]
 
 
 # -- fork detection -------------------------------------------------------------
@@ -997,6 +999,91 @@ def test_trigger_candidate_below_support_is_dropped():
     lowered = differentiate_triggers(store, report.model, report.forks, dataclasses.replace(cfg, min_support=2))
     (candidate,) = [t for t in lowered if t.thing == bird]
     assert candidate.support == 2 and candidate.score >= cfg.trigger_min_shift
+
+
+def _random_trigger_world(rng: random.Random) -> GraphStore:
+    """Five to seven runs, 30 events at most: someone starts, goes on and
+    turns left or right, with up to two noise events at any of the three
+    steps, the branch step too; noise before the branch step makes a right
+    turn likelier."""
+    store = GraphStore()
+    apps = {name: store.add_thing("appearance", name) for name in ("start", "mid", "left", "right", "n0", "n1")}
+    actors = [store.add_thing("actor", name) for name in ("ann", "bob", "cy")]
+    tick = events = 0
+    for _ in range(rng.randint(5, 7)):
+        actor = rng.choice(actors)
+        noise = [(rng.randint(0, 2), rng.choice(["n0", "n1"])) for _ in range(rng.randint(0, 2))]
+        noise = noise[: max(0, 27 - events)]
+        early = any(offset < 2 for offset, _ in noise)
+        turn = "right" if rng.random() < (0.8 if early else 0.3) else "left"
+        for offset, name in [(0, "start"), (1, "mid"), (2, turn), *noise]:
+            event = store.add_thing("event", times=TimeSpec.point(tick + offset))
+            store.add_edge(Edge("is", event, apps[name]))
+            who = actor if name not in ("n0", "n1") or rng.random() < 0.8 else rng.choice(actors)
+            store.add_edge(Edge("has", event, who, role="who"))
+            events += 1
+        tick += rng.randint(5, 8)
+    return store
+
+
+def _presence_steps(store: GraphStore, lifted: dict) -> dict:
+    """Each process's coincidences in order as (the situation it lifts to or
+    None, the things present at it), read off ``edges()``: the appearances
+    of its events that its situation leaves out, and the other situations
+    it is."""
+    edges, kind = store.edges(), {t.id: t.kind for t in store.things()}
+
+    def ends(src, edge_kind, node_kind=None, set_kind=None):
+        return [e.dst for e in edges if e.src == src and e.kind == edge_kind
+                and (node_kind is None or kind[e.dst] == node_kind) and (set_kind is None or e.set_kind == set_kind)]
+
+    steps = {}
+    for process in store.kind_ids("process"):
+        coincidences = [e.dst for e in sorted((e for e in edges if e.src == process and e.set_kind == "seq"),
+                                              key=lambda e: e.order)]
+        situation_of = dict(lifted[process])
+        steps[process] = []
+        for coincidence in coincidences:
+            situation = situation_of.get(coincidence)
+            covered = set(ends(situation, "member", set_kind="and")) if situation is not None else set()
+            present = {app for event in ends(coincidence, "member", "event", "and")
+                       for app in ends(event, "is", "appearance") if app not in covered}
+            present |= {other for other in ends(coincidence, "is", "situation") if other != situation}
+            steps[process].append((situation, present))
+    return steps
+
+
+def test_triggers_match_a_presence_count_over_random_worlds():
+    """Every field of every trigger, and every fork's branches, equal the
+    plain-loop presence count of ``scan_trigger_presence`` over small random
+    worlds, with the situation each coincidence lifts to taken from the
+    scenario model and everything present read off the graph's edges."""
+    rng = random.Random(7)
+    forks = triggers = at_threshold = 0
+    for _ in range(40):
+        store = _random_trigger_world(rng)
+        assert len(store.things("event")) <= 30
+        cfg = MiningConfig(
+            chain_max_gap=rng.randint(1, 2),
+            chain_requires_shared_actor=rng.random() < 0.7,
+            min_support=rng.randint(2, 3),
+            fork_epsilon=rng.choice([0.5, 1.0]),
+            trigger_min_shift=rng.choice([0.1, 0.2, 0.3]),
+        )
+        report = run_pipeline(store, cfg)
+        steps = _presence_steps(store, report.model.lifted)
+        expected = []
+        for index, fork in enumerate(report.forks):
+            branches, base, found = scan_trigger_presence(steps, fork.prefix, cfg.min_support, cfg.trigger_min_shift)
+            assert fork.branches == list(zip(branches, base))
+            expected += sorted((Trigger(index, thing, score, support, base, shifted)
+                                for thing, score, support, shifted in found),
+                               key=lambda t: (-t.score, -t.support, store.thing(t.thing).name or "", t.thing))
+        assert report.triggers == expected
+        forks += len(report.forks)
+        triggers += len(expected)
+        at_threshold += sum(t.support == cfg.min_support for t in expected)
+    assert forks >= 40 and triggers >= 20 and 5 <= at_threshold < triggers, (forks, triggers, at_threshold)
 
 
 # -- the pipeline ----------------------------------------------------------------
