@@ -28,18 +28,25 @@ plan is made once per pattern and type environment.  ``MatchLimitError``
 stops more than ``MAX_MATCHES`` matches of a pattern in one document, or
 child combinations of a conjunction, or partial matches of a sequence.
 
-One ``extract_events`` call covers any number of documents: it prepares
-each definition once per call and tokenizes each document once.
+One ``extract_events`` call makes each definition's type environment
+once, and in it each pattern's start plan and each variable's type, width
+and typed flag.  Each document's tokens, norms and norm -> positions index
+are built once for the literal skip and every pattern's search; a
+``match_pattern`` call makes only its memo.  Inside the search a binding
+is its (first, end) token span and a repeated name must span equal norms;
+``Binding`` strings are built only for the matches reported.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from datetime import datetime, timezone
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from . import patterns as pat
 from .definitions import ThingDefinition
@@ -53,6 +60,7 @@ TypeEnv = Mapping[str, pat.TypeRef]
 
 # the most matches of a pattern, or partial matches of its parts, in one document
 MAX_MATCHES = 100_000
+_new = tuple.__new__
 
 
 class MatchLimitError(ValueError):
@@ -64,8 +72,7 @@ def _bounded(count: int) -> None:
         raise MatchLimitError(f"more than {MAX_MATCHES:,} matches or partial matches (matching.MAX_MATCHES)")
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """A variable's reported value: surface text and its token span."""
 
     surface: str
@@ -74,21 +81,13 @@ class Binding:
     last: int
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """One way a pattern covers tokens [first, last] with variable bindings."""
 
     pattern: pat.PatternNode
     first: int
     last: int
-    bindings: Mapping[str, Binding] = field(default_factory=dict)
-
-
-def strip_articles(tokens: Sequence[Token], first: int, last: int) -> tuple[int, int]:
-    """Drop leading article tokens from a span of more than one token."""
-    while first < last and tokens[first].norm in ARTICLES:
-        first += 1
-    return first, last
+    bindings: Mapping[str, Binding] = MappingProxyType({})
 
 
 _DATE_SHAPE = re.compile(r"^\d{4}-\d{2}-\d{2}$|^\d{1,2}:\d{2}$")
@@ -127,21 +126,43 @@ def check_type(tokens: Sequence[Token], type_ref: pat.TypeRef, env: TypeEnv | No
     raise ValueError(f"unknown type kind {kind!r}")
 
 
+class _Text(list):
+    """A document's tokens with what every pattern's search reads of them,
+    built once: each token's norm, the ascending positions of each norm
+    and, at the first multi-token binding, each token's surface after the
+    space, if any, that precedes it."""
+
+    def __init__(self, tokens: Sequence[Token]):
+        super().__init__(tokens)
+        self.norms = norms = [token.norm for token in self]
+        self.positions = positions = {}
+        for k, norm in enumerate(norms):
+            positions.setdefault(norm, []).append(k)
+        self._spaced: list[str] | None = None
+
+    def binding(self, first: int, end: int) -> Binding:
+        """Tokens [first, end) as a reported binding."""
+        if end - first == 1:
+            token = self[first]
+            return _new(Binding, (token.surface, token.norm, first, first))
+        if self._spaced is None:
+            self._spaced = [""] + [" " * (a.end != b.start) + b.surface for a, b in zip(self, self[1:])]
+        surface = self[first].surface + "".join(self._spaced[first + 1 : end])
+        return _new(Binding, (surface, " ".join(self.norms[first:end]), first, end - 1))
+
+
 class _Engine:
-    def __init__(self, tokens: Sequence[Token], env: TypeEnv):
+    def __init__(self, tokens: _Text, env: _PlannedEnv):
         self.tokens = tokens
+        self.norms = tokens.norms
         self.env = env
+        self.variables = env.variables
         self.n = len(tokens)
         self._memo: dict[tuple[int, int, int], list] = {}
         self._and_memo: dict[int, dict[int, list]] = {}
-        self._norms = self._spaced = None  # made at the first multi-token binding
-        # ascending token positions keyed by norm
-        self.positions: dict[str, list[int]] = {}
-        for k, token in enumerate(tokens):
-            self.positions.setdefault(token.norm, []).append(k)
 
-    # Results are lists of (end_exclusive, bindings-dict); bindings map
-    # variable name -> Binding and must agree on norm for repeated names.
+    # Results are lists of (end_exclusive, bindings-dict); bindings map a variable
+    # name to its token span (first, end_exclusive); a repeated name spans equal norms.
 
     def matches_at(
         self, node: pat.PatternNode, i: int, follow: pat.PatternNode | None = None
@@ -158,49 +179,49 @@ class _Engine:
         self, node: pat.PatternNode, i: int, follow: pat.PatternNode | None
     ) -> list:
         if isinstance(node, pat.Literal):
-            if i < self.n and self.tokens[i].norm == node.norm:
+            if i < self.n and self.norms[i] == node.norm:
                 return [(i + 1, {})]
             return []
         if isinstance(node, pat.Variable):
             # spans from i, ending only where follow (the next sibling in a
-            # sequence, if any) can start
-            type_ref = self.env.get(node.name.lower(), node.type_ref)
-            most = _width(node, self.env)[1]  # non-article tokens, None for no bound
+            # sequence, if any) can start; most counts non-article tokens
+            type_ref, most, typed = self.variables.get(id(node)) or self.env.variable(node)
             if isinstance(follow, pat.Literal):
                 # a literal can start exactly where its token occurs
-                positions = self.positions.get(follow.norm, [])
+                positions = self.tokens.positions.get(follow.norm, [])
                 ends = positions[bisect_right(positions, i) :]
                 follow = None
             else:
                 ends = range(i + 1, self.n + 1)
-            typed = type_ref.kind != "untyped"  # an untyped span always passes
-            out = []
+            lead, out = i, []  # a span of more than one token drops its leading articles
+            while lead < self.n and self.norms[lead] in ARTICLES:
+                lead += 1
             for end in ends:
-                first, last = strip_articles(self.tokens, i, end - 1)
-                if most is not None and last - first >= most:
+                first = lead if lead < end - 1 else end - 1
+                if most is not None and end - first > most:
                     break  # past the type's width, as is every later end
-                if typed and not check_type(self.tokens[first : last + 1], type_ref, self.env):
+                if typed and not check_type(self.tokens[first:end], type_ref, self.env):
                     continue
                 if follow is not None and not self.matches_at(follow, end):
                     continue
-                out.append((end, {node.name: self._binding(first, last)}))
+                out.append((end, {node.name: (first, end)}))
             return out
         if isinstance(node, pat.SeqSet):
-            tokens, n = self.tokens, self.n
+            norms, n = self.norms, self.n
             states = [(i, {})]
             kids = node.children
             for k, child in enumerate(kids):
                 if isinstance(child, pat.Literal):
                     # a literal step binds nothing: one token compare per state
                     norm = child.norm
-                    states = [(at + 1, bound) for at, bound in states if at < n and tokens[at].norm == norm]
+                    states = [(at + 1, bound) for at, bound in states if at < n and norms[at] == norm]
                 else:
                     # only a variable looks ahead to its next sibling
                     after = kids[k + 1] if isinstance(child, pat.Variable) and k + 1 < len(kids) else None
                     nxt = []
                     for at, bound in states:
                         for end, more in self.matches_at(child, at, after):
-                            merged = _merge(bound, more)
+                            merged = self._merge(bound, more) if bound else more
                             if merged is not None:
                                 nxt.append((end, merged))
                         _bounded(len(nxt))
@@ -217,17 +238,17 @@ class _Engine:
             return self._and_matches(node).get(i, [])
         raise TypeError(f"not a pattern node: {node!r}")
 
-    def _binding(self, first: int, last: int) -> Binding:
-        """Tokens [first, last] as a binding, joined from per-document arrays."""
-        tokens = self.tokens
-        if first == last:
-            return Binding(tokens[first].surface, tokens[first].norm, first, last)
-        if self._norms is None:
-            self._norms = [t.norm for t in tokens]
-            # each token's surface after the space, if any, that precedes it
-            self._spaced = [""] + [" " * (a.end != b.start) + b.surface for a, b in zip(tokens, tokens[1:])]
-        surface = tokens[first].surface + "".join(self._spaced[first + 1 : last + 1])
-        return Binding(surface, " ".join(self._norms[first : last + 1]), first, last)
+    def _merge(self, base: dict, extra: dict) -> dict | None:
+        if not extra or not base:
+            return extra or base
+        merged = dict(base)
+        norms = self.norms
+        for name, span in extra.items():
+            held = merged.get(name)
+            if held is not None and norms[held[0] : held[1]] != norms[span[0] : span[1]]:
+                return None
+            merged[name] = span
+        return merged
 
     def _and_matches(self, node: pat.AndSet) -> dict[int, list]:
         cached = self._and_memo.get(id(node))
@@ -246,7 +267,7 @@ class _Engine:
         for combo in product(*per_child):
             bound: dict | None = {}
             for _s, _e, more in combo:
-                bound = _merge(bound, more)
+                bound = self._merge(bound, more)
                 if bound is None:
                     break
             if bound is None:
@@ -258,25 +279,11 @@ class _Engine:
         return by_start
 
 
-def _merge(base: dict, extra: dict) -> dict | None:
-    if not extra:
-        return base
-    merged = dict(base)
-    for name, binding in extra.items():
-        held = merged.get(name)
-        if held is not None and held.norm != binding.norm:
-            return None
-        merged[name] = binding
-    return merged
-
-
-def _match_key(first: int, last: int, bindings: Mapping[str, Binding]):
+def _match_key(match: Match):
     return (
-        first,
-        last,
-        tuple(
-            (name, b.norm, b.first, b.last) for name, b in sorted(bindings.items())
-        ),
+        match.first,
+        match.last,
+        tuple([(name, b.norm, b.first, b.last) for name, b in sorted(match.bindings.items())]),
     )
 
 
@@ -325,12 +332,14 @@ def _start_plan(pattern: pat.PatternNode, env: TypeEnv):
 
 class _PlannedEnv(dict):
     """A type environment that keeps the start plan of each pattern matched
-    under it, made at the pattern's first match."""
+    under it, made at the pattern's first match, and each of its variables'
+    (type, greatest width, typed flag), made at the variable's first search."""
 
     def __init__(self, types: TypeEnv):
         super().__init__(types)
-        # id(pattern) -> (pattern, plan); holding the pattern keeps its id unique
+        # id(pattern) -> (pattern, plan); holding the pattern keeps its nodes' ids unique
         self._plans: dict[int, tuple] = {}
+        self.variables: dict[int, tuple] = {}  # id(Variable) -> (type, most, typed)
 
     def plan(self, pattern: pat.PatternNode):
         held = self._plans.get(id(pattern))
@@ -338,15 +347,20 @@ class _PlannedEnv(dict):
             held = self._plans[id(pattern)] = (pattern, _start_plan(pattern, self))
         return held[1]
 
+    def variable(self, node: pat.Variable) -> tuple:
+        type_ref = self.get(node.name.lower(), node.type_ref)
+        self.variables[id(node)] = held = (type_ref, _width(node, self)[1], type_ref.kind != "untyped")
+        return held
 
-def _starts(plan, tokens: Sequence[Token], positions: Mapping[str, list[int]]):
+
+def _starts(plan, text: _Text):
     """Ascending candidate starts: each anchor position less every width
     the leading span can take; the least width counts every token, the
     greatest only the tokens that are not articles."""
     if plan is None:
-        return range(len(tokens))
-    norms, least, most = plan
-    anchors = sorted(k for norm in norms for k in positions.get(norm, ()))
+        return range(len(text))
+    firsts, least, most = plan
+    anchors = sorted(k for norm in firsts for k in text.positions.get(norm, ()))
     if not least:
         return anchors
     if most is None:
@@ -355,7 +369,7 @@ def _starts(plan, tokens: Sequence[Token], positions: Mapping[str, list[int]]):
     for anchor in anchors:
         words = 0
         for start in range(anchor - 1, -1, -1):
-            words += tokens[start].norm not in ARTICLES
+            words += text.norms[start] not in ARTICLES
             if words > most:
                 break
             if anchor - start >= least:
@@ -379,18 +393,22 @@ def match_pattern(
     """
     if not isinstance(env, _PlannedEnv):
         env = _PlannedEnv(env or {})
-    engine = _Engine(tokens, env)
-    positions = engine.positions
-    if not positions.keys() >= pattern.required_literals:
+    if not isinstance(tokens, _Text):
+        tokens = _Text(tokens)
+    if not tokens.positions.keys() >= pattern.required_literals:
         return []
-    found: dict = {}
-    for start in _starts(env.plan(pattern), tokens, positions):
+    engine = _Engine(tokens, env)
+    found: dict = {}  # (first, end, *sorted bound spans) -> bound spans
+    for start in _starts(env.plan(pattern), tokens):
         for end, bound in engine.matches_at(pattern, start):
-            key = _match_key(start, end - 1, bound)
-            if key not in found:
-                found[key] = Match(pattern, start, end - 1, dict(bound))
+            found.setdefault((start, end, *sorted(bound.items())), bound)
         _bounded(len(found))
-    return [found[key] for key in sorted(found)]
+    matches = [
+        _new(Match, (pattern, key[0], key[1] - 1, {name: tokens.binding(*span) for name, span in bound.items()}))
+        for key, bound in found.items()
+    ]
+    matches.sort(key=_match_key)
+    return matches
 
 
 # -- event extraction ---------------------------------------------------
@@ -432,8 +450,9 @@ def extract_events(
     binding's normalized value.  A mined layer is dropped first, so no
     extracted edge points into it.  Each definition's appearance and
     roles are found or created once, at its first document, a role's id
-    is looked up once per call, and each pattern's start plan and filled
-    text template (``patterns.filled_template``) are made once per call.
+    is looked up once per call, each pattern's start plan and filled text
+    template (``patterns.filled_template``) are made once per call, and
+    each document's tokens and norm index once for all its patterns.
     """
     store.drop_mined()
     plans = [
@@ -448,8 +467,8 @@ def extract_events(
     role_ids: dict[str, int] = {}
     created: list[int] = []
     for number, doc in enumerate(docs, 1):
-        tokens = tokenize(doc.text)
-        norms = {token.norm for token in tokens}
+        tokens = _Text(tokenize(doc.text))
+        norms = tokens.positions.keys()
         for k, (definition, env, patterns) in enumerate(plans):
             app_id = app_ids.get(k)
             if app_id is None:
@@ -459,7 +478,7 @@ def extract_events(
             # match_pattern already drops a pattern's own repeats
             seen_keys = set() if len(patterns) > 1 else None
             for pattern, template in patterns:
-                if not pattern.required_literals <= norms:
+                if not norms >= pattern.required_literals:
                     continue
                 try:
                     matches = match_pattern(pattern, tokens, env)
@@ -468,7 +487,7 @@ def extract_events(
                     raise MatchLimitError(f"{where}: {exc}") from None
                 for match in matches:
                     if seen_keys is not None:
-                        key = _match_key(match.first, match.last, match.bindings)
+                        key = _match_key(match)
                         if key in seen_keys:
                             continue
                         seen_keys.add(key)
@@ -487,7 +506,7 @@ def _add_event(
         properties={"sources": doc.source, "text": text},
         times=TimeSpec.point(doc.time),
     )
-    store.add_edge(Edge("is", event_id, app_id))
+    store.add_edge(("is", event_id, app_id, None, None, None))
     for name in sorted(match.bindings):
         binding = match.bindings[name]
         role = name.lower()
@@ -495,8 +514,8 @@ def _add_event(
         if role_id is None:
             role_id = role_ids[role] = store.find_or_create("role", role)
         actor_id = store.find_or_create("actor", binding.norm)
-        store.add_edge(Edge("has", event_id, actor_id, role=role))
-        store.add_edge(Edge("is", actor_id, role_id))
+        store.add_edge(("has", event_id, actor_id, role, None, None))
+        store.add_edge(("is", actor_id, role_id, None, None, None))
     return event_id
 
 
@@ -523,8 +542,6 @@ def time_to_tick(value, granularity: int = 1):
     """Convert a corpus time value to a tick: integers pass through,
     ISO-8601 strings map to epoch seconds divided by the granularity, an
     integer >= 1."""
-    from datetime import datetime, timezone
-
     check_granularity(granularity)
     if isinstance(value, bool):
         raise ValueError("time must be an integer tick or ISO-8601 string")

@@ -553,7 +553,9 @@ def unify_scenarios(
         node = root
         node.processes.append(pid)
         for _, sid in steps:
-            node = node.children.setdefault(sid, TreeNode())
+            if sid not in node.children:
+                node.children[sid] = TreeNode()
+            node = node.children[sid]
             node.processes.append(pid)
 
     scenarios: list[tuple[list[int], int]] = []

@@ -4,9 +4,11 @@ import bisect
 import functools
 import hashlib
 import importlib.util
+import inspect
 import pathlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from oracles import ARTICLES, brute_matches, library_match_set
 from scenamine.definitions import parse_definitions
 from scenamine.graph import GraphStore, TimeSpec
 from scenamine.matching import (
+    Binding,
     Document,
+    Match,
     check_type,
     extract_events,
     match_pattern,
@@ -663,12 +667,54 @@ def test_matches_past_the_bound_raise():
     assert len(match_pattern(parse_pattern("$a $b"), tokenize("p q r"))) == 4
 
 
+def test_memory_before_the_bound_trips_grows_with_spans_not_strings():
+    """``$a $b`` over 450 one-letter words passes the bound from the first
+    start.  The search holds each binding as its token span, so the traced
+    peak stays under 96 MiB, three quarters of the least peak measured
+    while every tried span got its own surface and norm strings (127-143
+    MiB on Python 3.10-3.13; 55-64 MiB with spans)."""
+    toks = tokenize(" ".join(chr(97 + k % 26) for k in range(450)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(matching.MatchLimitError) as caught:
+            match_pattern(parse_pattern("$a $b"), toks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == "more than 100,000 matches or partial matches (matching.MAX_MATCHES)"
+    assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_extraction_past_the_bound_names_definition_and_document():
     (definition,) = parse_definitions('There name pair patterns "($x $y $z)", has x, y, z.')
     docs = [Document("a b", "news://short", 1), Document(" ".join("abcdefghijklmn"), "news://long", 2)]
     with pytest.raises(matching.MatchLimitError) as caught:
         extract_events(GraphStore(), [definition], *docs)
     assert str(caught.value).startswith("definition 'pair', document 2 ('news://long'): more than 100,000")
+
+
+def test_binding_and_match_keep_their_fields():
+    """Fields in order, equality by value, no assignment, and a ``Match``
+    made without bindings gets an empty read-only mapping."""
+    assert list(inspect.signature(Binding).parameters) == ["surface", "norm", "first", "last"]
+    assert list(inspect.signature(Match).parameters) == ["pattern", "first", "last", "bindings"]
+    binding = Binding("The Court", "the court", 3, 4)
+    assert (binding.surface, binding.norm, binding.first, binding.last) == ("The Court", "the court", 3, 4)
+    assert binding == Binding(surface="The Court", norm="the court", first=3, last=4)
+    assert binding != Binding("The Court", "the court", 3, 5)
+    pattern = parse_pattern("$court ruled")
+    match = Match(pattern, 3, 5, {"court": binding})
+    assert (match.pattern, match.first, match.last, match.bindings) == (pattern, 3, 5, {"court": binding})
+    assert match == Match(pattern=pattern, first=3, last=5, bindings={"court": binding})
+    assert match != Match(pattern, 3, 5)
+    for record, name in ((binding, "first"), (match, "last"), (match, "bindings")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    bare = Match(Literal("ruled"), 0, 0)
+    assert bare.bindings == {}
+    with pytest.raises(TypeError):
+        bare.bindings["court"] = binding
+    assert Match(Literal("ruled"), 0, 0).bindings == {}  # the shared default stays empty
 
 
 def test_match_ordering_is_stable():
@@ -876,6 +922,31 @@ def test_one_call_ensures_each_definition_once_and_skips_absent_literals(monkeyp
         assert pattern.required_literals <= {t.norm for t in tokens}
     # every document holds the literals of exactly one crosswalk pattern
     assert len(matched) == len(docs)
+
+
+def test_a_document_passing_three_patterns_is_indexed_once(monkeypatch):
+    """A document holds the literals of three of four patterns.  Its tokens
+    are walked once, for the norm index that the literal skip and all three
+    searches read; an index per ``match_pattern`` call walked them once per
+    pattern more."""
+
+    class Walked(list):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(matching, "tokenize", lambda text: Walked(tokenize(text)))
+    matched = _counting(monkeypatch, "match_pattern")
+    definitions = parse_definitions(
+        CROSSWALK_DEFINITIONS + 'There name flood patterns "$person swims across $river", has person, river.'
+    )
+    doc = Document("ann approaches crosswalk bo waits at signal cy enters crosswalk on red", "cam", 1)
+    created = extract_events(GraphStore(), definitions, doc)
+    assert len(created) == len(matched) == 3
+    assert len({id(tokens) for _pattern, tokens, _env in matched}) == 1
+    assert Walked.walks == 1
 
 
 def test_extraction_looks_up_roles_and_match_keys_once(monkeypatch):

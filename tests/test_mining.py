@@ -781,6 +781,25 @@ def test_ten_identical_processes_one_scenario_path():
     assert set(got) == {path[:1], path[:2], path}
 
 
+def test_the_prefix_tree_constructs_only_the_nodes_it_keeps(monkeypatch):
+    """On the 200-run crosswalk each prefix-tree node is constructed once:
+    a step that reaches an existing child builds no throwaway node."""
+    built = []
+    init = mining.TreeNode.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mining.TreeNode, "__init__", counted)
+    report = run_pipeline(_crosswalk_store(), MiningConfig(min_support=CROSSWALK_MIN_SUPPORT))
+    nodes, stack = [], [report.model.root]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].children.values())
+    assert len(built) == len(nodes) == 5
+
+
 def test_single_process_below_support():
     store = GraphStore()
     _lay_processes(store, [("a", "b")])
