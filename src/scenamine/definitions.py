@@ -67,9 +67,10 @@ def _split_statements(source: str) -> list[tuple[list[_Tok], int]]:
         group = found.lastindex
         if group is None:
             continue
-        start = found.start()
-        line += text.count("\n", counted, start)
-        counted = start
+        if not current or group == 6:  # only a statement's start or a fault needs its line
+            start = found.start()
+            line += text.count("\n", counted, start)
+            counted = start
         if group == 6:
             char = found[6]
             fault = "unterminated quote" if char in "'\"" else f"unexpected character {char!r}"
@@ -141,9 +142,10 @@ def _parse_is(tokens: list[_Tok], line: int, defs: dict[str, ThingDefinition]) -
     kind, value = tokens[2]
     if kind == "str":
         pattern = _parse_pattern_string(value, line, role)
-        if pat.list_variables(pattern):
-            raise DefinitionError(f"type pattern for {role!r} may not contain variables", line)
-        type_ref = pat.TypeRef("composite", pattern)
+        try:
+            type_ref = pat.TypeRef("composite", pattern)
+        except ValueError:  # the pattern holds a variable
+            raise DefinitionError(f"type pattern for {role!r} may not contain variables", line) from None
     else:
         if value.lower() not in pat.ATOMIC_TYPES:
             raise DefinitionError(f"unknown type {value!r}", line)
@@ -159,7 +161,8 @@ def parse_definitions(source: str) -> list[ThingDefinition]:
     """Parse definitions text; statements about the same name accumulate
     into a single definition.  A definition left without patterns is
     matched by its name, so the name must then parse as a pattern, which
-    becomes its one pattern."""
+    becomes its one pattern.  Each pattern's variables carry their roles'
+    types (``patterns.with_types``)."""
     defs: dict[str, ThingDefinition] = {}
     there_lines: dict[str, int] = {}
     for tokens, line in _split_statements(source):
@@ -186,4 +189,5 @@ def parse_definitions(source: str) -> list[ThingDefinition]:
             definition.patterns.append(
                 _parse_pattern_string(definition.name, there_lines[definition.name], definition.name)
             )
+        definition.patterns[:] = [pat.with_types(p, definition.role_types) for p in definition.patterns]
     return list(defs.values())

@@ -8,8 +8,10 @@ covering one match of every child, in any order.  A variable consumes
 the shortest non-empty span that lets the rest of the pattern match,
 with every feasible span enumerated.  Past the articles a typed variable
 drops, a ``word`` or ``number`` spans 1 token, ``money`` 2, ``time`` 1
-to 5 and a composite without variables what its pattern spans; other
-variables and conjunctions have no greatest width.
+to 5 and a composite what its pattern spans; untyped variables and
+conjunctions have no greatest width.  A composite type is checked on the
+span left after those articles, so a type that starts with an article,
+such as ``"the bureau"``, never matches.
 
 From each start a variable tries only the ends within its width, and in
 a sequence only those where the next sibling can start, for a literal
@@ -23,18 +25,20 @@ only where a match can begin: at the positions of the pattern's first
 norms, or, for a sequence that starts with variables, back from each
 position of its anchor (the first child with first norms) by the widths
 its leading children can span, or, when those have no bound, at every
-start up to the last anchor position less their least width.  The start
-plan is made once per pattern and type environment.  ``MatchLimitError``
-stops more than ``MAX_MATCHES`` matches of a pattern in one document, or
-child combinations of a conjunction, or partial matches of a sequence.
+start up to the last anchor position less their least width.
+``MatchLimitError`` stops more than ``MAX_MATCHES`` matches of a pattern
+in one document, or child combinations of a conjunction, or partial
+matches of a sequence.
 
-One ``extract_events`` call makes each definition's type environment
-once, and in it each pattern's start plan and each variable's type, width
-and typed flag.  Each document's tokens, norms and norm -> positions index
-are built once for the literal skip and every pattern's search; a
-``match_pattern`` call makes only its memo.  Inside the search a binding
-is its (first, end) token span and a repeated name must span equal norms;
-``Binding`` strings are built only for the matches reported.
+A variable carries its own type and each node its widths and, once
+searched from the top, its start plan (see ``patterns``).
+``parse_definitions`` types each pattern by its definition's roles, and
+``extract_events`` types it again for a definition built by hand, which
+leaves a parsed pattern as it is.  Each document's tokens, norms and
+norm -> positions index are built once for the literal skip and every
+pattern's search; a ``match_pattern`` call makes only its memo.  Inside the search a binding is its (first, end)
+token span and a repeated name must span equal norms; ``Binding`` strings
+are built only for the matches reported.
 """
 
 from __future__ import annotations
@@ -55,8 +59,6 @@ from .tokens import NUMBER, PUNCT, WORD, Token, tokenize  # noqa: F401 (re-expor
 
 ARTICLES = {"a", "an", "the"}
 CURRENCY = {"$", "€", "£"}
-
-TypeEnv = Mapping[str, pat.TypeRef]
 
 # the most matches of a pattern, or partial matches of its parts, in one document
 MAX_MATCHES = 100_000
@@ -93,7 +95,7 @@ class Match(NamedTuple):
 _DATE_SHAPE = re.compile(r"^\d{4}-\d{2}-\d{2}$|^\d{1,2}:\d{2}$")
 
 
-def check_type(tokens: Sequence[Token], type_ref: pat.TypeRef, env: TypeEnv | None = None) -> bool:
+def check_type(tokens: Sequence[Token], type_ref: pat.TypeRef) -> bool:
     """Decide whether a token slice is admissible for a type."""
     if not tokens:
         return False
@@ -122,7 +124,7 @@ def check_type(tokens: Sequence[Token], type_ref: pat.TypeRef, env: TypeEnv | No
         return contiguous and bool(_DATE_SHAPE.match(joined))
     if kind == "composite":
         last = len(tokens) - 1
-        return any(m.first == 0 and m.last == last for m in match_pattern(type_ref.pattern, tokens, env))
+        return any(m.first == 0 and m.last == last for m in match_pattern(type_ref.pattern, tokens))
     raise ValueError(f"unknown type kind {kind!r}")
 
 
@@ -152,11 +154,9 @@ class _Text(list):
 
 
 class _Engine:
-    def __init__(self, tokens: _Text, env: _PlannedEnv):
+    def __init__(self, tokens: _Text):
         self.tokens = tokens
         self.norms = tokens.norms
-        self.env = env
-        self.variables = env.variables
         self.n = len(tokens)
         self._memo: dict[tuple[int, int, int], list] = {}
         self._and_memo: dict[int, dict[int, list]] = {}
@@ -185,7 +185,8 @@ class _Engine:
         if isinstance(node, pat.Variable):
             # spans from i, ending only where follow (the next sibling in a
             # sequence, if any) can start; most counts non-article tokens
-            type_ref, most, typed = self.variables.get(id(node)) or self.env.variable(node)
+            type_ref, most = node.type_ref, node.most_width
+            typed = type_ref.kind != "untyped"
             if isinstance(follow, pat.Literal):
                 # a literal can start exactly where its token occurs
                 positions = self.tokens.positions.get(follow.norm, [])
@@ -200,7 +201,7 @@ class _Engine:
                 first = lead if lead < end - 1 else end - 1
                 if most is not None and end - first > most:
                     break  # past the type's width, as is every later end
-                if typed and not check_type(self.tokens[first:end], type_ref, self.env):
+                if typed and not check_type(self.tokens[first:end], type_ref):
                     continue
                 if follow is not None and not self.matches_at(follow, end):
                     continue
@@ -287,72 +288,6 @@ def _match_key(match: Match):
     )
 
 
-# (least tokens, most non-article tokens) a variable of an atomic type spans;
-# an untyped one, or a composite with variables, has no greatest width
-_WIDTHS = {"word": (1, 1), "number": (1, 1), "money": (2, 2), "time": (1, 5)}
-
-
-def _width(node: pat.PatternNode, env: TypeEnv) -> tuple[int, int | None]:
-    """The least number of tokens a match of ``node`` spans and the most
-    non-article tokens it can span, ``None`` when that has no bound."""
-    if isinstance(node, pat.Literal):
-        return 1, 1
-    if isinstance(node, pat.Variable):
-        type_ref = env.get(node.name.lower(), node.type_ref)
-        if type_ref.kind == "composite" and not pat.list_variables(type_ref.pattern):
-            return _width(type_ref.pattern, env)  # its matches span what the pattern does
-        return _WIDTHS.get(type_ref.kind, (1, None))
-    if isinstance(node, pat.AndSet):
-        return 1, None
-    widths = [_width(child, env) for child in node.children]
-    greatest = [most for _least, most in widths]
-    if isinstance(node, pat.AnySet):
-        return min(least for least, _most in widths), None if None in greatest else max(greatest)
-    return sum(least for least, _most in widths), None if None in greatest else sum(greatest)
-
-
-def _start_plan(pattern: pat.PatternNode, env: TypeEnv):
-    """(anchor norms, least width, greatest width) of the span before the
-    anchor, or ``None`` when a match may start on any token.  The anchor is
-    the pattern itself when it has first norms (widths 0), else the first
-    child of a sequence that has them."""
-    if pattern.first_norms is not None:
-        return pattern.first_norms, 0, 0
-    if not isinstance(pattern, pat.SeqSet):
-        return None
-    least, most = 0, 0
-    for child in pattern.children:
-        if child.first_norms is not None:
-            return child.first_norms, least, most
-        child_least, child_most = _width(child, env)
-        least += child_least
-        most = None if most is None or child_most is None else most + child_most
-    return None
-
-
-class _PlannedEnv(dict):
-    """A type environment that keeps the start plan of each pattern matched
-    under it, made at the pattern's first match, and each of its variables'
-    (type, greatest width, typed flag), made at the variable's first search."""
-
-    def __init__(self, types: TypeEnv):
-        super().__init__(types)
-        # id(pattern) -> (pattern, plan); holding the pattern keeps its nodes' ids unique
-        self._plans: dict[int, tuple] = {}
-        self.variables: dict[int, tuple] = {}  # id(Variable) -> (type, most, typed)
-
-    def plan(self, pattern: pat.PatternNode):
-        held = self._plans.get(id(pattern))
-        if held is None:
-            held = self._plans[id(pattern)] = (pattern, _start_plan(pattern, self))
-        return held[1]
-
-    def variable(self, node: pat.Variable) -> tuple:
-        type_ref = self.get(node.name.lower(), node.type_ref)
-        self.variables[id(node)] = held = (type_ref, _width(node, self)[1], type_ref.kind != "untyped")
-        return held
-
-
 def _starts(plan, text: _Text):
     """Ascending candidate starts: each anchor position less every width
     the leading span can take; the least width counts every token, the
@@ -380,7 +315,7 @@ def _starts(plan, text: _Text):
 def match_pattern(
     pattern: pat.PatternNode,
     tokens: Sequence[Token],
-    env: TypeEnv | None = None,
+    env: Mapping[str, pat.TypeRef] | None = None,
 ) -> list[Match]:
     """All matches of a pattern over the tokens, at every start position,
     ordered by (start, end, bindings) with duplicates removed.
@@ -389,18 +324,18 @@ def match_pattern(
     literals; otherwise only the starts of the pattern's start plan are
     tried: the positions of its first norms or, when it starts with
     variables, the positions its anchor can be reached from (see the
-    module docstring).
+    module docstring).  With ``env``, each variable is first typed as
+    ``env`` holds its lower-cased name (``patterns.with_types``).
     """
-    if not isinstance(env, _PlannedEnv):
-        env = _PlannedEnv(env or {})
     if not isinstance(tokens, _Text):
         tokens = _Text(tokens)
     if not tokens.positions.keys() >= pattern.required_literals:
         return []
-    engine = _Engine(tokens, env)
+    typed = pat.with_types(pattern, env) if env else pattern
+    engine = _Engine(tokens)
     found: dict = {}  # (first, end, *sorted bound spans) -> bound spans
-    for start in _starts(env.plan(pattern), tokens):
-        for end, bound in engine.matches_at(pattern, start):
+    for start in _starts(typed.start_plan, tokens):
+        for end, bound in engine.matches_at(typed, start):
             found.setdefault((start, end, *sorted(bound.items())), bound)
         _bounded(len(found))
     matches = [
@@ -450,26 +385,24 @@ def extract_events(
     binding's normalized value.  A mined layer is dropped first, so no
     extracted edge points into it.  Each definition's appearance and
     roles are found or created once, at its first document, a role's id
-    is looked up once per call, each pattern's start plan and filled text
-    template (``patterns.filled_template``) are made once per call, and
-    each document's tokens and norm index once for all its patterns.
+    is looked up once per call, each pattern is typed by the definition's
+    roles (``patterns.with_types``) and its filled text template
+    (``patterns.filled_template``) made once per call, and each
+    document's tokens and norm index once for all its patterns.
     """
     store.drop_mined()
-    plans = [
-        (
-            definition,
-            _PlannedEnv({role.lower(): t for role, t in definition.role_types.items()}),
-            [(pattern, pat.filled_template(pattern)) for pattern in definition.patterns],
-        )
-        for definition in definitions
-    ]
+    plans = []
+    for definition in definitions:
+        types = {role.lower(): t for role, t in definition.role_types.items()}
+        typed = [pat.with_types(pattern, types) for pattern in definition.patterns]
+        plans.append((definition, [(pattern, pat.filled_template(pattern)) for pattern in typed]))
     app_ids: dict[int, int] = {}
     role_ids: dict[str, int] = {}
     created: list[int] = []
     for number, doc in enumerate(docs, 1):
         tokens = _Text(tokenize(doc.text))
         norms = tokens.positions.keys()
-        for k, (definition, env, patterns) in enumerate(plans):
+        for k, (definition, patterns) in enumerate(plans):
             app_id = app_ids.get(k)
             if app_id is None:
                 app_id, ensured = ensure_definition_things(store, definition)
@@ -481,7 +414,7 @@ def extract_events(
                 if not norms >= pattern.required_literals:
                     continue
                 try:
-                    matches = match_pattern(pattern, tokens, env)
+                    matches = match_pattern(pattern, tokens)
                 except MatchLimitError as exc:
                     where = f"definition {definition.name!r}, document {number} ({doc.source!r})"
                     raise MatchLimitError(f"{where}: {exc}") from None

@@ -10,12 +10,16 @@ renders a pattern as canonical text, which parses back to an equal
 pattern, or filled with bound values, as an event's text; ``filled_template``
 makes that walk once per pattern, leaving only the values to put in.
 
-Each node also carries what the matcher needs to rule it out early,
-derived from its children once when it is built: ``required_literals``,
-the token norms that every match contains, and ``first_norms``, the norms
-a match can start on (``None`` when it can start on any token); a literal
-also keeps its token's norm.  None of these takes part in equality,
-hashing or repr.
+A variable carries its type (``TypeRef``); ``with_types`` types a
+pattern's variables by name, and a composite type may hold no variable.
+Each node also carries what the matcher derives from it, once when it is
+built: ``required_literals``, the token norms that every match contains;
+``first_norms``, the norms a match can start on (``None`` when it can
+start on any token); ``least_width``, the fewest tokens a match spans; and
+``most_width``, the most non-article tokens it can span (``None`` when
+unbounded).  A literal also keeps its token's norm.  A node searched from
+the top also keeps its ``start_plan``, made from these at its first
+search.  None of these takes part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .tokens import take_token, tokenize
 
@@ -42,6 +47,11 @@ _VAR_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789
 MAX_NESTING = 100
 
 
+# sets a field of a frozen node; bound once, since looking up
+# ``object.__setattr__`` at each field doubles the time to set it
+_set = object.__setattr__
+
+
 class PatternSyntaxError(ValueError):
     """Malformed pattern text; carries the byte offset of the fault."""
 
@@ -58,10 +68,34 @@ class PatternNode:
 
     required_literals: frozenset[str] = field(init=False, repr=False, compare=False)
     first_norms: frozenset[str] | None = field(init=False, repr=False, compare=False)
+    least_width: int = field(init=False, repr=False, compare=False)
+    most_width: int | None = field(init=False, repr=False, compare=False)
 
-    def _analysed(self, required: frozenset[str], first: frozenset[str] | None) -> None:
-        object.__setattr__(self, "required_literals", required)
-        object.__setattr__(self, "first_norms", first)
+    def _analysed(
+        self, required: frozenset[str], first: frozenset[str] | None, widths: tuple[int, int | None]
+    ) -> None:
+        _set(self, "required_literals", required)
+        _set(self, "first_norms", first)
+        _set(self, "least_width", widths[0])
+        _set(self, "most_width", widths[1])
+
+    @functools.cached_property
+    def start_plan(self) -> tuple[frozenset[str], int, int | None] | None:
+        """(anchor norms, least width, greatest width) of the span before
+        the anchor, or ``None`` when a match may start on any token.  The
+        anchor is the node itself when it has first norms (widths 0), else
+        the first child of a sequence that has them."""
+        if self.first_norms is not None:
+            return self.first_norms, 0, 0
+        if not isinstance(self, SeqSet):
+            return None
+        least, most = 0, 0
+        for child in self.children:
+            if child.first_norms is not None:
+                return child.first_norms, least, most
+            least += child.least_width
+            most = None if most is None or child.most_width is None else most + child.most_width
+        return None
 
 
 @dataclass(frozen=True)
@@ -77,9 +111,14 @@ class TypeRef:
             raise ValueError(f"unknown type kind {self.kind!r}")
         if (self.kind == "composite") != (self.pattern is not None):
             raise ValueError("composite types carry a pattern, atomic types do not")
+        if self.pattern is not None and list_variables(self.pattern):
+            raise ValueError("type pattern may not contain variables")
 
 
 UNTYPED = TypeRef("untyped")
+# (least tokens, most non-article tokens) a variable of an atomic type spans;
+# an untyped one has no greatest width
+_WIDTHS = {"word": (1, 1), "number": (1, 1), "money": (2, 2), "time": (1, 5)}
 
 
 @dataclass(frozen=True)
@@ -88,11 +127,11 @@ class Literal(PatternNode):
     norm: str = field(init=False, repr=False, compare=False)  # the token's norm
 
     def __post_init__(self):
-        if not self.token or any(c.isspace() for c in self.token):
+        if self.token.split() != [self.token]:  # empty, or holding a space
             raise ValueError(f"bad literal token {self.token!r}")
-        object.__setattr__(self, "norm", self.token.lower())
+        _set(self, "norm", self.token.lower())
         norm = frozenset((self.norm,))
-        self._analysed(norm, norm)
+        self._analysed(norm, norm, (1, 1))
 
 
 @dataclass(frozen=True)
@@ -101,22 +140,27 @@ class Variable(PatternNode):
     type_ref: TypeRef = UNTYPED
 
     def __post_init__(self):
-        if not self.name or self.name.startswith("$") or any(c.isspace() for c in self.name):
+        if self.name.split() != [self.name] or self.name.startswith("$"):
             raise ValueError(f"bad variable name {self.name!r}")
-        # the type is looked up at match time, so it promises no literal
-        self._analysed(frozenset(), None)
+        # a variable promises no literal, whatever its type; a composite
+        # type spans what its pattern does
+        pattern = self.type_ref.pattern
+        if pattern is not None:
+            self._analysed(frozenset(), None, (pattern.least_width, pattern.most_width))
+        else:
+            self._analysed(frozenset(), None, _WIDTHS.get(self.type_ref.kind, (1, None)))
 
 
 def _coerce_children(node: PatternNode, children) -> tuple[PatternNode, ...]:
     children = tuple(children)
     if not children:
         raise ValueError(f"{type(node).__name__} requires at least one child")
-    object.__setattr__(node, "children", children)
+    _set(node, "children", children)
     return children
 
 
 def _union_required(children) -> frozenset[str]:
-    return frozenset().union(*(c.required_literals for c in children))
+    return frozenset().union(*[c.required_literals for c in children])
 
 
 def _union_first(children) -> frozenset[str] | None:
@@ -132,8 +176,10 @@ class AnySet(PatternNode):
 
     def __post_init__(self):
         kids = _coerce_children(self, self.children)
-        required = frozenset.intersection(*(c.required_literals for c in kids))
-        self._analysed(required, _union_first(kids))
+        required = frozenset.intersection(*[c.required_literals for c in kids])
+        most = [c.most_width for c in kids]  # a child without a greatest width leaves none
+        widths = min([c.least_width for c in kids]), None if None in most else max(most)
+        self._analysed(required, _union_first(kids), widths)
 
 
 @dataclass(frozen=True)
@@ -142,7 +188,7 @@ class AndSet(PatternNode):
 
     def __post_init__(self):
         kids = _coerce_children(self, self.children)
-        self._analysed(_union_required(kids), _union_first(kids))
+        self._analysed(_union_required(kids), _union_first(kids), (1, None))
 
 
 @dataclass(frozen=True)
@@ -151,7 +197,9 @@ class SeqSet(PatternNode):
 
     def __post_init__(self):
         kids = _coerce_children(self, self.children)
-        self._analysed(_union_required(kids), kids[0].first_norms)
+        most = [c.most_width for c in kids]
+        widths = sum([c.least_width for c in kids]), None if None in most else sum(most)
+        self._analysed(_union_required(kids), kids[0].first_norms, widths)
 
 
 _SET_TYPES = {"any": AnySet, "and": AndSet, "seq": SeqSet}
@@ -280,6 +328,19 @@ def filled_template(ast: PatternNode) -> tuple[str, tuple[str, ...]]:
     mark = next(c for c in map(chr, itertools.count()) if c not in plain)
     parts = _render(ast, {n: mark + n + mark for n in list_variables(ast)}).split(mark)
     return "{}".join(t.replace("{", "{{").replace("}", "}}") for t in parts[::2]), tuple(parts[1::2])
+
+
+def with_types(node: PatternNode, types: Mapping[str, TypeRef]) -> PatternNode:
+    """``node`` with each variable typed as ``types[name.lower()]`` where
+    ``types`` holds its name; the node itself when no type changes."""
+    if not types or isinstance(node, Literal):
+        return node
+    if isinstance(node, Variable):
+        type_ref = types.get(node.name.lower(), node.type_ref)
+        return node if type_ref == node.type_ref else Variable(node.name, type_ref)
+    children = tuple([with_types(child, types) for child in node.children])
+    # an unchanged child is the same object, a changed one differs in type
+    return node if children == node.children else type(node)(children)
 
 
 def list_variables(ast: PatternNode) -> list[str]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from scenamine.cli import main
 from scenamine.definitions import DefinitionError, parse_definitions
-from scenamine.patterns import AnySet, Literal, TypeRef, Variable, parse_pattern
+from scenamine.patterns import AnySet, Literal, SeqSet, TypeRef, Variable, parse_pattern
 
 
 def test_item_quantity_cost_statement():
@@ -95,6 +95,19 @@ def test_role_type_statement_is_case_insensitive():
     source = 'There name x patterns "$cost", has cost. Cost is money.'
     (definition,) = parse_definitions(source)
     assert definition.role_types["cost"] == TypeRef("money")
+
+
+def test_each_pattern_variable_carries_its_roles_type():
+    source = (
+        'There name sale patterns "$Item costs $cost", "$who sold $item", has item, cost, who. '
+        "Item is word. Cost is money."
+    )
+    (definition,) = parse_definitions(source)
+    word, money = TypeRef("word"), TypeRef("money")
+    assert definition.patterns == [
+        SeqSet((Variable("Item", word), Literal("costs"), Variable("cost", money))),
+        SeqSet((Variable("who"), Literal("sold"), Variable("item", word))),
+    ]
 
 
 def test_type_for_undeclared_role_errors_with_name():

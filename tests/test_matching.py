@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import scenamine.matching as matching
 from helpers import CROSSWALK_DEFINITIONS, add_event, crosswalk_corpus_text
 from oracles import ARTICLES, brute_matches, library_match_set
-from scenamine.definitions import parse_definitions
+from scenamine.definitions import ThingDefinition, parse_definitions
 from scenamine.graph import GraphStore, TimeSpec
 from scenamine.matching import (
     Binding,
@@ -39,6 +39,7 @@ from scenamine.patterns import (
     Variable,
     list_variables,
     parse_pattern,
+    with_types,
 )
 from scenamine.tokens import tokenize
 
@@ -417,6 +418,32 @@ def test_skip_and_first_token_starts(monkeypatch):
     assert [m.bindings["agency"].norm for m in matches] == ["state bureau"]
 
 
+def test_a_hand_built_definition_is_typed_by_its_roles():
+    definition = ThingDefinition(
+        "payment", [parse_pattern("paid $Amount euros")], ["amount"], {"Amount": TypeRef("number")}
+    )
+    docs = [Document("paid 40 euros", "bank", 1), Document("paid forty euros", "bank", 2)]
+    store = GraphStore()
+    (event,) = extract_events(store, [definition], *docs)
+    assert store.thing(event).properties["text"] == "paid 40 euros"
+    assert definition.patterns == [parse_pattern("paid $Amount euros")]
+
+
+def test_a_composite_type_is_checked_past_leading_articles():
+    """A variable's span drops its leading articles before its type is
+    checked, so a composite type that starts with an article never matches."""
+
+    def extracted(type_text, text):
+        definitions = parse_definitions(
+            f'There name inspection patterns "inspected by $agency", has agency. Agency is "{type_text}".'
+        )
+        return len(extract_events(GraphStore(), definitions, Document(text, "cam", 1)))
+
+    assert extracted("the bureau", "inspected by the bureau") == 0
+    assert extracted("state bureau", "inspected by state bureau") == 1
+    assert extracted("state bureau", "inspected by the state bureau") == 1
+
+
 # -- width-bounded starts ---------------------------------------------------
 
 _START_TYPES = ("word", "number", "money", "time", "untyped")
@@ -443,7 +470,7 @@ def typed_brute_matches(pattern, tokens, env) -> set:
         (first, last, bindings)
         for first, last, bindings in brute_matches(pattern, tokens)
         if all(
-            check_type(tokens[lo : hi + 1], env.get(name, TypeRef("untyped")), env)
+            check_type(tokens[lo : hi + 1], env.get(name, TypeRef("untyped")))
             for name, _norm, lo, hi in bindings
         )
     }
@@ -500,12 +527,14 @@ def test_width_bounded_starts_equal_typed_brute_force():
 
 
 def _top_level_starts(monkeypatch, patterns) -> list:
-    """Record the start of every top-level attempt at one of ``patterns``."""
+    """Record the start of every top-level attempt at a node equal to one
+    of ``patterns``; with a type environment the top node is the pattern
+    typed by it, a new object."""
     starts = []
-    tops = {id(p) for p in patterns}
+    tops = set(patterns)
 
     def recorded(engine, node, i, follow=None, real=matching._Engine.matches_at):
-        if id(node) in tops:
+        if node in tops:
             starts.append(i)
         return real(engine, node, i, follow)
 
@@ -523,7 +552,7 @@ def test_starts_are_tried_only_where_an_anchor_can_be_reached(monkeypatch):
 
     # untyped: no start after the last "ruled" less one token
     pattern = parse_pattern("$court ruled that")
-    starts = _top_level_starts(monkeypatch, [pattern])
+    starts = _top_level_starts(monkeypatch, [pattern, with_types(pattern, {"court": TypeRef("word")})])
     words = "the court ruled that the judge ruled the appeal said ruled news today".split()
     matches = match_pattern(pattern, tokenize(" ".join(words)))
     assert starts == list(range(10))
@@ -628,9 +657,9 @@ def _long_document(rng: random.Random, size: int) -> tuple[list[str], list[int],
 def test_typed_ends_bound_type_checks_on_a_long_document(monkeypatch):
     calls = []
 
-    def counted(tokens, type_ref, env=None, real=matching.check_type):
+    def counted(tokens, type_ref, real=matching.check_type):
         calls.append((tokens[0].start, type_ref.kind))
-        return real(tokens, type_ref, env)
+        return real(tokens, type_ref)
 
     monkeypatch.setattr(matching, "check_type", counted)
     words, articles, shipments = _long_document(random.Random(5), 5000)
@@ -918,10 +947,14 @@ def test_one_call_ensures_each_definition_once_and_skips_absent_literals(monkeyp
     assert len(created) == len(docs)
     assert [d.name for _store, d in ensured] == [d.name for d in definitions]
     assert matched
-    for pattern, tokens, _env in matched:
+    for pattern, tokens, *_ in matched:
         assert pattern.required_literals <= {t.norm for t in tokens}
     # every document holds the literals of exactly one crosswalk pattern
     assert len(matched) == len(docs)
+    # the parsed patterns are already typed, so each search gets the very
+    # object that parse_definitions returned
+    parsed = {id(p) for d in definitions for p in d.patterns}
+    assert all(id(pattern) in parsed for pattern, *_ in matched)
 
 
 def test_a_document_passing_three_patterns_is_indexed_once(monkeypatch):
@@ -945,7 +978,7 @@ def test_a_document_passing_three_patterns_is_indexed_once(monkeypatch):
     doc = Document("ann approaches crosswalk bo waits at signal cy enters crosswalk on red", "cam", 1)
     created = extract_events(GraphStore(), definitions, doc)
     assert len(created) == len(matched) == 3
-    assert len({id(tokens) for _pattern, tokens, _env in matched}) == 1
+    assert len({id(tokens) for _pattern, tokens, *_ in matched}) == 1
     assert Walked.walks == 1
 
 

@@ -20,6 +20,7 @@ from scenamine.patterns import (
     parse_pattern,
     render_filled,
     render_pattern,
+    with_types,
 )
 from scenamine.tokens import tokenize
 
@@ -357,3 +358,120 @@ def test_analysis_leaves_equality_hash_and_repr_alone():
     object.__setattr__(twin, "first_norms", frozenset())
     assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
     assert render_pattern(twin) == render_pattern(node) == "a $x"
+
+
+def _widths(node):
+    return node.least_width, node.most_width
+
+
+def test_leaf_widths():
+    assert _widths(Literal("a")) == (1, 1)
+    typed = {kind: Variable("x", TypeRef(kind)) for kind in ("word", "number", "money", "time")}
+    assert {kind: _widths(v) for kind, v in typed.items()} == {
+        "word": (1, 1),
+        "number": (1, 1),
+        "money": (2, 2),
+        "time": (1, 5),
+    }
+    assert _widths(Variable("x")) == (1, None)
+    agency = TypeRef("composite", parse_pattern("{federal state} {bureau office}"))
+    assert _widths(Variable("agency", agency)) == (2, 2)
+
+
+def test_set_widths():
+    a, b, x = Literal("a"), Literal("b"), Variable("x")
+    word, money = Variable("w", TypeRef("word")), Variable("m", TypeRef("money"))
+    assert _widths(AnySet((a, money))) == (1, 2)
+    assert _widths(AnySet((money, SeqSet((a, money, b))))) == (2, 4)
+    assert _widths(SeqSet((a, word, money))) == (4, 4)
+    # a child without a greatest width leaves its parent without one
+    assert _widths(AnySet((a, x))) == (1, None)
+    assert _widths(SeqSet((money, x, a))) == (4, None)
+    assert _widths(AndSet((a, b))) == (1, None)
+    assert _widths(AndSet((money, SeqSet((a, b))))) == (1, None)
+
+
+def test_start_plans():
+    a, b, x = Literal("a"), Literal("b"), Variable("x")
+    word, money = Variable("w", TypeRef("word")), Variable("m", TypeRef("money"))
+    # a node with first norms is its own anchor
+    assert Literal("A").start_plan == ({"a"}, 0, 0)
+    assert SeqSet((a, x)).start_plan == ({"a"}, 0, 0)
+    assert AnySet((a, b)).start_plan == AndSet((a, b)).start_plan == ({"a", "b"}, 0, 0)
+    # a sequence led by variables: its first anchored child, after their widths
+    assert SeqSet((word, money, AnySet((a, b)), x)).start_plan == ({"a", "b"}, 3, 3)
+    assert SeqSet((word, x, b)).start_plan == ({"b"}, 2, None)
+    # a nested sequence led by a variable counts by its widths, like a variable
+    assert SeqSet((SeqSet((money, a)), b)).start_plan == ({"b"}, 3, 3)
+    # no anchor, or one that is not a sequence's child: any start
+    assert Variable("x").start_plan is word.start_plan is None
+    assert SeqSet((word, x)).start_plan is None
+    assert AnySet((a, x)).start_plan is AndSet((a, x)).start_plan is None
+
+
+def test_a_start_plan_is_made_once_and_only_when_read():
+    node = SeqSet((Variable("x", TypeRef("word")), Literal("a")))
+    assert "start_plan" not in vars(node) and "start_plan" not in vars(node.children[1])
+    assert node.start_plan is node.start_plan
+    assert "start_plan" not in vars(node.children[1])
+
+
+def test_widths_and_plans_leave_equality_hash_and_repr_alone():
+    node = SeqSet((Variable("x", TypeRef("word")), Literal("a")))
+    twin = SeqSet((Variable("x", TypeRef("word")), Literal("a")))
+    assert node.start_plan == ({"a"}, 1, 1)
+    for name in ("least_width", "most_width", "start_plan"):
+        object.__setattr__(twin, name, None)
+        assert name not in repr(node)
+    assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+
+
+def test_a_composite_type_holds_no_variable():
+    with pytest.raises(ValueError, match="may not contain variables"):
+        TypeRef("composite", parse_pattern("a $x"))
+    with pytest.raises(ValueError, match="may not contain variables"):
+        TypeRef("composite", parse_pattern("{a [b (c $x)]}"))
+    assert TypeRef("composite", parse_pattern("{a [b (c d)]}")).pattern.most_width is None
+
+
+# -- typing a pattern's variables -------------------------------------------
+
+
+def test_with_types_types_every_occurrence_by_lower_cased_name():
+    ast = parse_pattern("$Who met {$who [at $place]} (a $WHO)")
+    typed = with_types(ast, {"who": TypeRef("word"), "place": TypeRef("time")})
+    variables = []
+    stack = [typed]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Variable):
+            variables.append((node.name, node.type_ref.kind))
+        elif not isinstance(node, Literal):
+            stack.extend(node.children)
+    assert sorted(variables) == [("WHO", "word"), ("Who", "word"), ("place", "time"), ("who", "word")]
+    assert render_pattern(typed) == render_pattern(ast) and typed != ast
+    # a type keyed by any other case than lower is not looked up
+    assert with_types(ast, {"Who": TypeRef("word")}) is ast
+
+
+def test_with_types_leaves_literals_and_untyped_names_alone():
+    ast = parse_pattern("a $x [b $y] {c}")
+    typed = with_types(ast, {"y": TypeRef("number")})
+    assert typed.children[0] is ast.children[0] and typed.children[3] is ast.children[3]
+    assert typed.children[1] is ast.children[1]
+    assert typed.children[2].children[0] is ast.children[2].children[0]
+    assert typed.children[2].children[1] == Variable("y", TypeRef("number"))
+    # a variable that already has a type keeps it when no type names it
+    assert with_types(typed, {"x": TypeRef("word")}).children[2] is typed.children[2]
+
+
+def test_with_types_returns_the_node_when_nothing_changes():
+    ast = parse_pattern("{obama trump} forced $org to (impose $what)")
+    assert with_types(ast, {}) is ast
+    assert with_types(ast, {"other": TypeRef("word")}) is ast
+    assert with_types(ast, {"org": TypeRef("untyped")}) is ast
+    typed = with_types(ast, {"org": TypeRef("word")})
+    assert typed is not ast
+    assert with_types(typed, {"org": TypeRef("word")}) is typed
+    literal = Literal("a")
+    assert with_types(literal, {"a": TypeRef("word")}) is literal

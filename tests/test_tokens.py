@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenamine.tokens import Token, take_token, tokenize
+from scenamine.tokens import Token, ascii_norms, take_token, tokenize
 
 
 def reference_take(text, i):
@@ -78,6 +78,22 @@ def test_numeric_characters_between_letters_and_digits():
         ("²", "punct"),
         ("2", "number"),
     ]
+
+
+def test_classes_follow_this_pythons_unicode_tables():
+    """Letters, digits and other numerics from outside ASCII under the
+    running Python's Unicode tables; ``\\x1c``, a space to ``str.isspace``,
+    separates tokens for ``tokenize`` and ``ascii_norms`` alike."""
+    got = [(t.norm, t.cls) for t in tokenize("Caf\u00e9 x\u00b2 costs \u0663.\u0665 \u20ac, 1.2.3")]
+    want = [
+        ("caf\u00e9", "word"), ("x", "word"), ("\u00b2", "punct"), ("costs", "word"),
+        ("\u0663.\u0665", "number"), ("\u20ac", "punct"), (",", "punct"),
+        ("1.2", "number"), (".", "punct"), ("3", "number"),
+    ]
+    assert got == want, ascii(got)
+    text = "Light TURNED Red\x1cat 12.5, 1.2.3"
+    norms = [t.norm for t in tokenize(text)]
+    assert ascii_norms(text) == norms == ["light", "turned", "red", "at", "12.5", ",", "1.2", ".", "3"], ascii(norms)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
