@@ -4,11 +4,16 @@ Nodes carry a kind, an optional name and scalar properties.  Edges are
 inheritance (``is``), possession (``has`` with a role name), association
 with time (``times``) and set membership (``member`` with a set kind of
 ``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
-The store holds each edge as the plain tuple (kind, src, dst, role,
-set_kind, order) of atomic values, which the cyclic collector stops
-tracking at its first pass.  ``Edge`` exists only at the API: a named
-tuple that equals and hashes like that plain tuple, which ``add_edge``
-takes as well and ``edges``, ``out_edges`` and ``in_edges`` hand out.
+The store holds each edge once, in its source's out-list, as the plain
+tuple (kind, src, dst, role, set_kind, order) of atomic values, which the
+cyclic collector stops tracking at its first pass.  A repeated edge is
+found where it lives and is a no-op: a seq member at its order in the
+source's member list, any other edge by a scan of the source's out-list,
+or, once that list holds ``_SCAN_LIMIT`` edges, in a set of it, so a
+long set still builds in linear time.  ``Edge`` exists only at the API:
+a named tuple that equals and hashes like that plain tuple, which
+``add_edge`` takes as well and ``edges``, ``out_edges`` and ``in_edges``
+hand out.
 Time spans are normalized interval sets over an integer tick axis.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role, set kind and seq
@@ -21,7 +26,7 @@ read through ``in_index``, so an ``is`` walk builds no ``has`` or
 ``has`` edges.  ``kind_ids`` reads the kind index, each kind's things by
 id, which ``things`` reads too: a kind test is one lookup.  The interval
 index is built on its first read too, the split ``is`` ends below a
-thing at a time; any new edge drops them all.
+thing at a time; a stored edge drops them all, a repeat none.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
 bisections bound the candidates, so a time-window query costs log n plus
@@ -37,7 +42,8 @@ ticks and kinds are checked ints and known words.
 One path checks both live construction and a load: ``_put_thing`` a
 thing, ``add_edge`` an edge's field types and fields (one table says
 which fields each kind carries: a ``has`` role, a ``member`` set kind, a
-``seq`` order) and ``TimeSpec`` each interval's integer ticks.  ``loads``
+``seq`` order) and ``TimeSpec`` each interval's integer ticks
+(``TimeSpec.point`` its one tick).  ``loads``
 checks only the JSON shape, so a store built live always loads again, a
 snapshot must list each node's seq members in order (as ``dumps`` writes
 them), a repeated edge is a no-op, and any fault raises ``SnapshotError``
@@ -57,6 +63,7 @@ import gc
 import json
 import sys
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -127,7 +134,12 @@ class TimeSpec:
 
     @classmethod
     def point(cls, tick: int) -> "TimeSpec":
-        return cls(((tick, tick),))
+        """The span of one tick, which is checked as the one int it is."""
+        if type(tick) is not int:
+            raise GraphError(f"{(tick, tick)!r} is not a pair of integers")
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "intervals", ((tick, tick),))
+        return spec
 
     def __bool__(self) -> bool:
         return bool(self.intervals)
@@ -270,14 +282,15 @@ class GraphStore:
     """Single-writer, multi-reader store of things, edges and time spans."""
 
     def __init__(self):
+        # the defaultdicts are read only with get, so a read adds no key
         self._things: dict[int, ThingNode] = {}
-        self._by_kind: dict[str, dict[int, ThingNode]] = {}  # the kind index: id -> thing, in id order
+        self._by_kind: defaultdict[str, dict[int, ThingNode]] = defaultdict(dict)  # the kind index: id -> thing, in id order
         self._times: dict[int, TimeSpec] = {}
         # each edge as the exact tuple (kind, src, dst, role, set_kind, order)
         self._out: dict[int, list[tuple]] = {}
-        self._edge_set: set[tuple] = set()
-        self._by_name: dict[tuple[str, str], list[int]] = {}
-        self._seq: dict[int, list[int]] = {}  # each node's seq members in order
+        self._out_sets: dict[int, set[tuple]] = {}  # each source's out-list as a set, once it holds _SCAN_LIMIT edges
+        self._by_name: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+        self._seq: defaultdict[int, list[int]] = defaultdict(list)  # each node's seq members in order
         self._mined: set[int] = set()  # things whose properties name an origin
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
@@ -323,25 +336,28 @@ class GraphStore:
                 raise GraphError(f"thing {thing_id} property {key!r} is not a scalar")
         node = ThingNode(thing_id, kind, name, properties)
         self._things[thing_id] = node
-        self._by_kind.setdefault(kind, {})[thing_id] = node
+        self._by_kind[kind][thing_id] = node
         self._out[thing_id] = []
         if name is not None:
-            self._by_name.setdefault((kind, name), []).append(thing_id)
+            self._by_name[kind, name].append(thing_id)
         if "origin" in properties:
             self._mined.add(thing_id)
 
     def add_edge(self, edge: Edge | tuple) -> None:
-        """Check one edge, an ``Edge`` or the plain tuple of its fields, and hold it as that tuple;
-        a repeat is a no-op, a seq member without an order gets the next."""
+        """Check one edge, an ``Edge`` or the plain tuple of its fields, and hold it as that tuple in its
+        source's out-list, dropping the indexes built on the edges; a seq member without an order gets
+        the next.  A repeat is a no-op, found where the edge lives: a seq member at its order in the
+        source's member list, any other edge in the out-list, scanned below ``_SCAN_LIMIT`` edges and
+        looked up in a set of it from there on."""
         kind, src, dst, role, set_kind, order = edge
         if not (type(kind) is str and type(src) is int and type(dst) is int
                 and (role is None or type(role) is str) and (set_kind is None or type(set_kind) is str)
                 and (order is None or type(order) is int)):
             raise _edge_type_error(Edge(kind, src, dst, role, set_kind, order))
-        self._intervals = self._is = self._into = None
         if kind not in EDGE_KINDS:
             raise GraphError(f"unknown edge kind {kind!r}")
-        if src not in self._things:
+        out = self._out.get(src)
+        if out is None:
             raise GraphError(f"dangling edge source {src}")
         if kind == "times":
             if dst not in self._times:
@@ -355,7 +371,7 @@ class GraphStore:
             if set_kind not in SET_KINDS:
                 raise GraphError(f"bad set kind {set_kind!r}")
             if set_kind == "seq":
-                seq = self._seq.setdefault(src, [])
+                seq = self._seq.get(src, ())
                 if order is None:
                     order = len(seq)
                     edge = (kind, src, dst, role, set_kind, order)
@@ -365,17 +381,27 @@ class GraphStore:
             raise GraphError(f"{Edge(kind, src, dst, role, set_kind, order)} carries a field its kind does not")
         if type(edge) is not tuple:  # an Edge: held as the exact tuple
             edge = (kind, src, dst, role, set_kind, order)
-        if edge in self._edge_set:
-            return
-        if seq is not None and order != len(seq):
-            raise GraphError(
-                f"seq order {order} breaks contiguity: orders of {src} "
-                f"are not contiguous from 0 (expected {len(seq)})"
-            )
-        self._edge_set.add(edge)
-        self._out[src].append(edge)
         if seq is not None:
-            seq.append(dst)
+            if order != len(seq):
+                if 0 <= order < len(seq) and seq[order] == dst:
+                    return
+                raise GraphError(
+                    f"seq order {order} breaks contiguity: orders of {src} "
+                    f"are not contiguous from 0 (expected {len(seq)})"
+                )
+            self._seq[src].append(dst)
+        elif len(out) < _SCAN_LIMIT:
+            if edge in out:
+                return
+        else:
+            seen = self._out_sets.get(src)
+            if seen is None:
+                seen = self._out_sets[src] = set(out)
+            if edge in seen:
+                return
+            seen.add(edge)
+        self._intervals = self._is = self._into = None
+        out.append(edge)
 
     def find_by_name(self, kind: str, name: str) -> list[int]:
         return list(self._by_name.get((kind, name), []))
@@ -549,7 +575,7 @@ class GraphStore:
 
     def in_index(self, kind: str) -> dict[int, list[tuple]]:
         """One edge kind's part of the in-edge index (see ``in_edges``), read only: thing -> the stored edges
-        of the kind into it, built in one pass over the out-edges on its first read since the last write."""
+        of the kind into it, built in one pass over the out-edges on its first read since the last stored edge."""
         into = self._into = self._into or {}
         if kind not in into and kind in _INTO_KINDS:
             into[kind] = index = {}
@@ -668,6 +694,9 @@ class GraphStore:
         store._next_id = store._first_free_id()
         return store
 
+
+# An out-list this long or longer is looked up in a set of it for a repeated edge, not scanned.
+_SCAN_LIMIT = 16
 
 # The optional fields each (kind, set kind) of edge carries, named alike
 # in ``Edge`` and in a snapshot; any other pair carries none.

@@ -385,7 +385,8 @@ def extract_events(
     binding's normalized value.  A mined layer is dropped first, so no
     extracted edge points into it.  Each definition's appearance and
     roles are found or created once, at its first document, a role's id
-    is looked up once per call, each pattern is typed by the definition's
+    is looked up and each actor's ``is`` edge to a role sent to the store
+    once per call, each pattern is typed by the definition's
     roles (``patterns.with_types``) and its filled text template
     (``patterns.filled_template``) made once per call, and each
     document's tokens and norm index once for all its patterns.
@@ -398,6 +399,7 @@ def extract_events(
         plans.append((definition, [(pattern, pat.filled_template(pattern)) for pattern in typed]))
     app_ids: dict[int, int] = {}
     role_ids: dict[str, int] = {}
+    linked: set[tuple[int, int]] = set()  # (actor, role) of each is edge sent to the store
     created: list[int] = []
     for number, doc in enumerate(docs, 1):
         tokens = _Text(tokenize(doc.text))
@@ -424,12 +426,13 @@ def extract_events(
                         if key in seen_keys:
                             continue
                         seen_keys.add(key)
-                    created.append(_add_event(store, app_id, doc, match, template, role_ids))
+                    created.append(_add_event(store, app_id, doc, match, template, role_ids, linked))
     return created
 
 
 def _add_event(
-    store: GraphStore, app_id: int, doc: Document, match: Match, template, role_ids: dict[str, int]
+    store: GraphStore, app_id: int, doc: Document, match: Match, template, role_ids: dict[str, int],
+    linked: set[tuple[int, int]],
 ) -> int:
     form, names = template
     values = {n: b.surface for n, b in match.bindings.items()}
@@ -448,7 +451,9 @@ def _add_event(
             role_id = role_ids[role] = store.find_or_create("role", role)
         actor_id = store.find_or_create("actor", binding.norm)
         store.add_edge(("has", event_id, actor_id, role, None, None))
-        store.add_edge(("is", actor_id, role_id, None, None, None))
+        if (actor_id, role_id) not in linked:
+            linked.add((actor_id, role_id))
+            store.add_edge(("is", actor_id, role_id, None, None, None))
     return event_id
 
 

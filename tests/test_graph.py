@@ -95,6 +95,55 @@ def test_long_sequence_appends_and_round_trips_in_linear_time():
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("kind, set_kind", [("member", "and"), ("member", "any"), ("is", None)])
+def test_long_out_lists_append_and_round_trip_in_linear_time(kind, set_kind):
+    """20,000 edges of one kind out of one thing, added out of id order with
+    a few repeats: past a short out-list a repeat is looked up in a set of
+    it, so building, dumping and loading take well under 2 s (a scan of the
+    out-list for each edge takes seconds), and both stores hold each edge
+    once, in the order added."""
+    started = time.perf_counter()
+    store = GraphStore()
+    source = store.add_thing("generic", "source")
+    ends = [store.add_thing("generic") for _ in range(20_000)]
+    random.Random(3).shuffle(ends)
+    for end in ends + ends[:5]:
+        store.add_edge(Edge(kind, source, end, set_kind=set_kind))
+    loaded = GraphStore.loads(store.dumps())
+    elapsed = time.perf_counter() - started
+    edges = store.edges()
+    assert edges == [Edge(kind, source, end, set_kind=set_kind) for end in ends]
+    assert loaded.edges() == edges
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("built", ["live", "loaded", "after drop_mined"])
+def test_an_explicit_seq_order_is_a_repeat_only_at_its_own_order(built):
+    """A seq member given an order is a repeat, a no-op, when the node's
+    member list holds it at that order, and the next order appends it; any
+    other order breaks contiguity, -1 for the last member too."""
+    store = GraphStore()
+    process = store.add_thing("process", "p")
+    members = [store.add_thing("coincidence") for _ in range(3)]
+    mined = store.add_thing("coincidence", properties={"origin": "cluster_events"})
+    for member in members[:1] + [mined] * (built == "after drop_mined") + members[1:]:
+        store.add_edge(Edge("member", process, member, set_kind="seq"))
+    if built == "loaded":
+        store = GraphStore.loads(store.dumps())
+    elif built == "after drop_mined":
+        store.drop_mined()  # the orders close up over the dropped member
+    edges = store.edges()
+    for order, member in enumerate(members):
+        store.add_edge(Edge("member", process, member, set_kind="seq", order=order))
+    assert store.edges() == edges
+    for order, member in ((-1, members[-1]), (len(members) + 1, members[0]), (0, members[1])):
+        with pytest.raises(GraphError, match=re.escape(f"seq order {order} breaks contiguity")):
+            store.add_edge(Edge("member", process, member, set_kind="seq", order=order))
+    assert store.edges() == edges
+    store.add_edge(Edge("member", process, members[0], set_kind="seq", order=len(members)))
+    assert store.member_children(process, "seq") == members + members[:1]
+
+
 def test_seq_member_rejects_gap_in_orders():
     store = GraphStore()
     parent = store.add_thing("process", "p")
@@ -683,11 +732,12 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
     store.in_edges(store.things()[0].id)  # builds the in-edge index
     gc.collect()
     into = [e for ends in store._into.values() for edges in ends.values() for e in edges]
-    assert sorted(into) == sorted(e for e in store._edge_set if e[0] != "times")
-    stored = [*store._edge_set, *(e for edges in store._out.values() for e in edges), *into]
+    out = [e for edges in store._out.values() for e in edges]
+    assert sorted(into) == sorted(e for e in out if e[0] != "times")
+    stored = [*out, *into]
     assert stored and all(type(e) is tuple and not gc.is_tracked(e) for e in stored)
     listed = store.edges()
-    assert sorted(listed) == sorted(store._edge_set)
+    assert listed == out and len(set(listed)) == len(listed)
     for thing in store.things():
         assert store.out_edges(thing.id) == store._out[thing.id]
         assert store.in_edges(thing.id) == [e for ends in store._into.values() for e in ends.get(thing.id, ())]
@@ -834,6 +884,25 @@ def test_a_new_edge_after_a_partial_build_drops_every_kind(built, kind):
     assert not store._into
     for thing in (role, actor, event):
         assert store.in_edges(thing) == _scanned_in_edges(store, thing)
+
+
+def test_a_repeated_edge_keeps_the_indexes_built_on_the_edges():
+    """A repeat stores nothing, so the in-edge, ``is`` and interval indexes
+    built before it are the ones read after it; a new edge drops them."""
+    store = GraphStore()
+    appearance, role = store.add_thing("appearance", "a"), store.add_thing("role", "subject")
+    event = store.add_thing("event", times=TimeSpec.point(3))
+    store.add_edge(Edge("has", appearance, role, role="subject"))
+    store.add_edge(Edge("is", event, appearance))
+    into, split = store.in_index("has"), store.is_split("out", "appearance")
+    assert store.alive(3, 3) == [event]
+    intervals = store._intervals
+    store.add_edge(Edge("has", appearance, role, role="subject"))
+    store.add_edge(("is", event, appearance, None, None, None))
+    assert store.in_index("has") is into and store.is_split("out", "appearance") is split
+    assert store._intervals is intervals
+    store.add_edge(Edge("is", appearance, role))
+    assert store._into is store._is is store._intervals is None
 
 
 def test_a_start_without_is_ends_reached_as_a_leaf_from_another_start_stays_out():
