@@ -12,8 +12,7 @@ source's member list, any other edge by a scan of the source's out-list,
 or, once that list holds ``_SCAN_LIMIT`` edges, in a set of it, so a
 long set still builds in linear time.  ``Edge`` exists only at the API:
 a named tuple that equals and hashes like that plain tuple, which
-``add_edge`` takes as well and ``edges``, ``out_edges`` and ``in_edges``
-hand out.
+``add_edge`` takes as well and ``edges`` and ``in_edges`` hand out.
 Time spans are normalized interval sets over an integer tick axis.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role, set kind and seq
@@ -195,33 +194,19 @@ class ThingNode:
 
 
 class WeightedSet:
-    """Distinct members with membership weight in [0, 1]; crisp facts use
-    weight 1.0.  Member order is whatever the producer chose."""
+    """Distinct members, each of weight 1.0: every answer is a crisp graph
+    fact.  Member order is whatever the producer chose."""
 
     __slots__ = ("_weights",)
 
-    def __init__(self, pairs: Iterable[tuple[int, float]] = ()):
-        weights: dict[int, float] = {}
-        for member, weight in pairs:
-            if not 0.0 <= weight <= 1.0:
-                raise GraphError(f"weight {weight} outside [0, 1]")
-            weights[member] = max(weights.get(member, weight), weight)
-        self._weights = weights
-
-    @classmethod
-    def crisp(cls, members: Iterable[int]) -> "WeightedSet":
-        result = cls.__new__(cls)
-        result._weights = dict.fromkeys(members, 1.0)
-        return result
+    def __init__(self, members: Iterable[int] = ()):
+        self._weights = dict.fromkeys(members, 1.0)
 
     def pairs(self) -> list[tuple[int, float]]:
         return list(self._weights.items())
 
     def ids(self) -> list[int]:
         return list(self._weights)
-
-    def weight(self, member: int) -> float | None:
-        return self._weights.get(member)
 
     def __contains__(self, member: int) -> bool:
         return member in self._weights
@@ -464,9 +449,6 @@ class GraphStore:
     def edges(self) -> list[Edge]:
         return [_as_edge(e) for edges in self._out.values() for e in edges]
 
-    def out_edges(self, thing_id: int) -> list[Edge]:
-        return list(map(_as_edge, self._out[self.thing(thing_id).id]))
-
     def in_edges(self, thing_id: int) -> list[Edge]:
         """The edges into a thing, from the in-edge index: ``is``, then ``has``, then
         ``member`` edges, each kind's by source in store order, then in edge order."""
@@ -524,7 +506,7 @@ class GraphStore:
                   set_kind: str | None = None, node_kind: str | None = None) -> WeightedSet:
         """``neighbor_ids`` as a crisp ``WeightedSet``, each weight 1.0."""
         ids = self.neighbor_ids(thing_id, kind, direction, role, set_kind, node_kind)
-        return WeightedSet.crisp(ids) if ids else _NOTHING
+        return WeightedSet(ids) if ids else _NOTHING
 
     def alive(self, lo: int, hi: int) -> list[int]:
         """Ids of the things alive in [lo, hi], in id order, from the index."""

@@ -3,8 +3,9 @@
 Matching is case-insensitive over token norms.  A literal consumes one
 equal token; a sequence consumes its children consecutively; an
 alternative set matches where any child matches, each alternative giving
-its own match; a conjunctive set matches the smallest token window
-covering one match of every child, in any order.  A variable consumes
+its own match; a conjunctive set matches each combination of one match
+per child, in any order, spanning from the earliest child start to the
+latest child end, and its children may overlap.  A variable consumes
 the shortest non-empty span that lets the rest of the pattern match,
 with every feasible span enumerated.  Past the articles a typed variable
 drops, a ``word`` or ``number`` spans 1 token, ``money`` 2, ``time`` 1

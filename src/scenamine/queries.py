@@ -1,7 +1,7 @@
 """Functional-set queries over the graph.
 
-Every function returns a WeightedSet; crisp graph facts come back with
-weight 1.0.  Fourteen of them are lookups made from one table of seven
+Every function returns a WeightedSet, and every answer is crisp, weight
+1.0.  Fourteen of them are lookups made from one table of seven
 inverse pairs: a row names the kinds at the two ends of a relation (an
 ``is`` walk, ``has`` edges or ``and`` member edges) and the docstrings of
 the lookup along it and the one back, so x is in f(y) exactly when y is
@@ -22,46 +22,31 @@ from __future__ import annotations
 from .graph import GraphError, GraphStore, TimeSpec, WeightedSet
 
 
-def _reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_weight: float = 1.0) -> WeightedSet:
+def _reach(store: GraphStore, starts: list[int], direction: str, kind: str) -> WeightedSet:
     """Things of a kind reachable over ``is`` edges from any of ``starts``, in id
     order, by one level-by-level walk over ``GraphStore.is_split``: it visits the
     inner ends it reaches, passing through those of other kinds, and takes each
-    visited thing's leaf ends of the kind whole; a start never enters the answer.
-    A thing first reached at level d weighs hop_weight ** d, its largest weight
-    since 0 <= hop_weight <= 1 (1.0 keeps everything crisp)."""
-    if not 0.0 <= hop_weight <= 1.0:
-        raise GraphError(f"hop weight {hop_weight} outside [0, 1]")
+    visited thing's leaf ends of the kind whole; a start never enters the answer."""
     entries, split = store.is_split(direction, kind)
     seen, level = set(starts), starts
-    found, groups = {}, []  # reached inner things of the kind: weight; {leaf end of the kind: weight} per visit
-    weight = 1.0
+    found, groups = set(), []  # reached inner things of the kind; the leaf ends of the kind of each visit
     while level:
-        weight *= hop_weight
         reached = []
         for node in level:
             inner, leaves = entries.get(node) or split(node)  # splitting checks it is a thing
             if leaves:
-                groups.append(leaves if hop_weight == 1.0 else dict.fromkeys(leaves, weight))
+                groups.append(leaves)
             for other in inner:
                 if other not in seen:
                     seen.add(other)
                     reached.append(other)
                     if inner[other]:
-                        found[other] = weight
+                        found.add(other)
         level = reached
-    if groups:
-        if hop_weight == 1.0 and len(groups) == 1 and not found and len(starts) == 1:
-            return WeightedSet.crisp(groups[0])  # the one group is the answer, in id order
-        leaves = {}
-        for group in reversed(groups):  # a leaf keeps the weight of the first level to reach it
-            leaves.update(group)
-        if not leaves.keys().isdisjoint(seen):  # no leaf is visited, so only starts are in both
-            for start in seen.intersection(leaves):
-                del leaves[start]
-        found.update(leaves)
-    if hop_weight == 1.0:
-        return WeightedSet.crisp(sorted(found))
-    return WeightedSet(sorted(found.items()))
+    if len(groups) == 1 and not found and len(starts) == 1:
+        return WeightedSet(groups[0])  # the one group is the answer, in id order
+    found.update(*groups)
+    return WeightedSet(sorted(found.difference(starts)))  # a start may be a leaf end, never a reached inner thing
 
 
 def _time_matches(store: GraphStore, thing_id: int, time) -> bool:
@@ -93,8 +78,8 @@ def _lookup(name: str, doc: str, edge: str, set_kind: str | None, direction: str
     """A lookup from one thing to the things of ``kind`` over ``edge`` edges
     in ``direction``: an ``is`` walk by ``_reach``, else the thing's own edges."""
     if edge == "is":
-        def lookup(store: GraphStore, thing_id: int, hop_weight: float = 1.0) -> WeightedSet:
-            return _reach(store, [thing_id], direction, kind, hop_weight)
+        def lookup(store: GraphStore, thing_id: int) -> WeightedSet:
+            return _reach(store, [thing_id], direction, kind)
     else:
         def lookup(store: GraphStore, thing_id: int) -> WeightedSet:
             return store.neighbors(thing_id, edge, direction, set_kind=set_kind, node_kind=kind)
@@ -144,7 +129,7 @@ scenarios_of_process, processes_of_scenario = _pair(
 
 def events_at(store: GraphStore, time) -> WeightedSet:
     """Events whose time span intersects the tick or interval."""
-    return WeightedSet.crisp(_alive(store, time, "event"))
+    return WeightedSet(_alive(store, time, "event"))
 
 
 def appearances_at(store: GraphStore, time) -> WeightedSet:
@@ -163,7 +148,7 @@ def actors_of_event(store: GraphStore, event_id: int, role: str | None = None, t
 
 def events_of_actor(store: GraphStore, actor_id: int, role: str | None = None, time=None) -> WeightedSet:
     """Events the actor participates in, optionally narrowed by role and time."""
-    return WeightedSet.crisp(
+    return WeightedSet(
         m
         for m in store.neighbor_ids(actor_id, "has", "in", role=role, node_kind="event")
         if _time_matches(store, m, time)
@@ -174,9 +159,9 @@ def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> Wei
     """Coincidences alive at the given time, optionally containing an event:
     then those holding it, read off its own ``member`` edges, that are live."""
     if event_id is None:
-        return WeightedSet.crisp(_alive(store, time, "coincidence"))
+        return WeightedSet(_alive(store, time, "coincidence"))
     holders = coincidences_of_event(store, event_id).ids() if event_id in store.kind_ids("event") else []
-    return WeightedSet.crisp(c for c in holders if _time_matches(store, c, time))
+    return WeightedSet(c for c in holders if _time_matches(store, c, time))
 
 
 # -- scenarios and processes -------------------------------------------------
@@ -184,7 +169,7 @@ def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> Wei
 
 def scenarios_of_situation(store: GraphStore, situation_id: int, order: int | None = None) -> WeightedSet:
     """Scenarios whose sequence includes the situation, optionally at an index."""
-    return WeightedSet.crisp(
+    return WeightedSet(
         store.neighbor_ids(situation_id, "member", "in", set_kind="seq", node_kind="scenario", order=order)
     )
 
@@ -196,17 +181,17 @@ def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | Non
     if order is not None:
         members = members[order : order + 1] if order >= 0 else []
     situations = store.kind_ids("situation")
-    return WeightedSet.crisp(m for m in members if m in situations)
+    return WeightedSet(m for m in members if m in situations)
 
 
 def processes_at(store: GraphStore, time) -> WeightedSet:
     """Processes whose overall time span intersects the tick or interval: those
     holding a live seq member, as that span only joins intervals that touch."""
     if time is None:
-        return WeightedSet.crisp(_alive(store, None, "process"))
+        return WeightedSet(_alive(store, None, "process"))
     into, processes = store.in_index("member"), store.kind_ids("process")
-    return WeightedSet.crisp(sorted({src for m in _alive(store, time) for _, src, _, _, set_kind, _ in into.get(m, ())
-                                     if set_kind == "seq" and src in processes}))
+    return WeightedSet(sorted({src for m in _alive(store, time) for _, src, _, _, set_kind, _ in into.get(m, ())
+                               if set_kind == "seq" and src in processes}))
 
 
 def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) -> WeightedSet:
@@ -220,7 +205,7 @@ def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) 
 def coincidences_of_process(store: GraphStore, process_id: int, time=None) -> WeightedSet:
     """The coincidences of a process in order, filtered by their own times."""
     coincidences = store.kind_ids("coincidence")
-    return WeightedSet.crisp(
+    return WeightedSet(
         c for c in store.member_children(process_id, "seq") if c in coincidences and _time_matches(store, c, time)
     )
 

@@ -69,7 +69,7 @@ def test_seq_member_orders_auto_assign():
     for kid in kids:
         store.add_edge(Edge("member", parent, kid, set_kind="seq"))
     orders = sorted(
-        e.order for e in store.out_edges(parent) if e.kind == "member"
+        e.order for e in store.edges() if e.src == parent and e.kind == "member"
     )
     assert orders == [0, 1, 2]
     assert store.member_children(parent, "seq") == kids
@@ -182,7 +182,7 @@ def test_duplicate_edge_is_noop():
     r = store.add_thing("role", "r")
     store.add_edge(Edge("is", a, r))
     store.add_edge(Edge("is", a, r))
-    assert len([e for e in store.out_edges(a) if e.kind == "is"]) == 1
+    assert len([e for e in store.edges() if e.src == a and e.kind == "is"]) == 1
 
 
 def test_neighbors_unknown_id():
@@ -313,10 +313,8 @@ def test_timespec_sorts_and_coalesces_or_names_a_reversed_pair(pairs):
 
 
 def test_weighted_set_bounds_and_dedup():
-    ws = WeightedSet([(1, 0.5), (1, 0.9), (2, 1.0)])
-    assert ws.pairs() == [(1, 0.9), (2, 1.0)]
-    with pytest.raises(GraphError):
-        WeightedSet([(1, 1.5)])
+    ws = WeightedSet([2, 1, 2, 3, 1])
+    assert ws.pairs() == [(2, 1.0), (1, 1.0), (3, 1.0)]
 
 
 # -- persistence -----------------------------------------------------------------
@@ -360,12 +358,13 @@ def test_large_store_round_trip_isomorphic():
     dumped = store.dumps()
     loaded = GraphStore.loads(dumped)
     assert loaded.dumps() == dumped
+    edges, loaded_edges = store.edges(), loaded.edges()
     for t in store.things():
         copy = loaded.thing(t.id)
         assert (copy.kind, copy.name, copy.properties) == (t.kind, t.name, t.properties)
         assert loaded.times_of(t.id) == store.times_of(t.id)
-        assert sorted(map(tuple_key, loaded.out_edges(t.id))) == sorted(
-            map(tuple_key, store.out_edges(t.id))
+        assert sorted(tuple_key(e) for e in loaded_edges if e.src == t.id) == sorted(
+            tuple_key(e) for e in edges if e.src == t.id
         )
     # new ids continue past everything loaded
     fresh = loaded.add_thing("generic")
@@ -611,7 +610,7 @@ def test_dumps_writes_what_json_dumps_writes_for_the_entry_tree(things, links):
             intervals = ((0, 0),)
         thing = store.add_thing(kind, name, properties, TimeSpec(intervals) if intervals else None)
         ids.append(thing)
-        for edge in store.out_edges(thing):  # its one times edge, if it has a span
+        for edge in [e for e in store.edges() if e.src == thing]:  # its one times edge, if it has a span
             spans[edge.dst] = store.times_of(thing).intervals
     for a, b, link, role in links:
         src, dst = ids[a % len(ids)], ids[b % len(ids)]
@@ -624,7 +623,7 @@ def test_dumps_writes_what_json_dumps_writes_for_the_entry_tree(things, links):
             store.add_edge(Edge("member", src, dst, set_kind=link))
     edges = []
     for t in store.things():
-        for e in store.out_edges(t.id):
+        for e in [edge for edge in store.edges() if edge.src == t.id]:
             extras = {"role": e.role, "set_kind": e.set_kind, "order": e.order}
             edges.append({"kind": e.kind, "from": e.src, "to": e.dst,
                           **{key: value for key, value in extras.items() if value is not None}})
@@ -739,9 +738,9 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
     listed = store.edges()
     assert listed == out and len(set(listed)) == len(listed)
     for thing in store.things():
-        assert store.out_edges(thing.id) == store._out[thing.id]
+        assert [e for e in store.edges() if e.src == thing.id] == store._out[thing.id]
         assert store.in_edges(thing.id) == [e for ends in store._into.values() for e in ends.get(thing.id, ())]
-        listed += store.out_edges(thing.id) + store.in_edges(thing.id)
+        listed += store.in_edges(thing.id)
     for edge in listed:
         assert type(edge) is Edge
         plain = tuple(edge)
@@ -754,7 +753,7 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
     assert store.dumps() == dumped and sorted(store.edges()) == sorted(set(listed))
 
 
-def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: str, hop_weight: float):
+def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: str):
     """``queries._reach`` as a walk over the ``is`` edges that ``edges()``
     lists, reading each reached thing's kind off its node, not from the kind
     index: the oracle of the walk."""
@@ -763,9 +762,8 @@ def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: 
         if e.kind == "is":
             src, dst = (e.src, e.dst) if direction == "out" else (e.dst, e.src)
             links.setdefault(src, []).append(dst)
-    seen, level, found, weight = set(starts), starts, {}, 1.0
+    seen, level, found = set(starts), starts, set()
     while level:
-        weight *= hop_weight
         reached = []
         for node in level:
             for other in links.get(node, ()):
@@ -773,9 +771,9 @@ def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: 
                     seen.add(other)
                     reached.append(other)
                     if store.thing(other).kind == kind:
-                        found[other] = weight
+                        found.add(other)
         level = reached
-    return sorted(found.items())
+    return [(n, 1.0) for n in sorted(found)]
 
 
 _STEP_KINDS = ["actor", "event", "generic", "process"]
@@ -838,9 +836,8 @@ def test_in_direction_reads_match_a_scan_of_the_edges_between_writes(steps):
             for direction in ("out", "in"):
                 for kind in _STEP_KINDS:
                     for starts in ([start], [node, start], nodes[: len(nodes) // 2]):
-                        for hop_weight in (0.0, 0.5, 0.9):
-                            got = _reach(store, starts, direction, kind, hop_weight).pairs()
-                            assert got == _per_node_reach(store, starts, direction, kind, hop_weight)
+                        got = _reach(store, starts, direction, kind).pairs()
+                        assert got == _per_node_reach(store, starts, direction, kind)
 
 
 def _loaded_random_store() -> GraphStore:
@@ -925,18 +922,18 @@ def test_a_leaf_reached_at_depth_one_and_two_keeps_the_weight_of_depth_one():
     store.add_edge(Edge("is", event, direct))
     store.add_edge(Edge("is", direct, general))
     store.add_edge(Edge("is", event, general))
-    expected = [(direct, 0.5), (general, 0.5)]
-    assert _reach(store, [event], "out", "appearance", 0.5).pairs() == expected
-    assert _per_node_reach(store, [event], "out", "appearance", 0.5) == expected
+    expected = [(direct, 1.0), (general, 1.0)]
+    assert _reach(store, [event], "out", "appearance").pairs() == expected
+    assert _per_node_reach(store, [event], "out", "appearance") == expected
     # and through a thing of another kind, which the walk passes through
     generic = store.add_thing("generic")
     deep = store.add_thing("appearance", "deep")
     store.add_edge(Edge("is", event, generic))
     store.add_edge(Edge("is", generic, deep))
     store.add_edge(Edge("is", generic, general))
-    expected = [(direct, 0.5), (general, 0.5), (deep, 0.25)]
-    assert _reach(store, [event], "out", "appearance", 0.5).pairs() == sorted(expected)
-    assert _reach(store, [event], "out", "appearance").pairs() == [(direct, 1.0), (general, 1.0), (deep, 1.0)]
+    expected = [(direct, 1.0), (general, 1.0), (deep, 1.0)]
+    assert _reach(store, [event], "out", "appearance").pairs() == expected
+    assert _per_node_reach(store, [event], "out", "appearance") == expected
 
 
 def test_a_cycle_through_inner_things_ends_and_keeps_each_member_once():
@@ -950,10 +947,9 @@ def test_a_cycle_through_inner_things_ends_and_keeps_each_member_once():
     store.add_edge(Edge("is", side, ring[0]))
     store.add_edge(Edge("is", ring[1], leaf))
     for start in ring:
-        for hop_weight in (1.0, 0.5):
-            got = _reach(store, [start], "out", "situation", hop_weight).pairs()
-            assert got == _per_node_reach(store, [start], "out", "situation", hop_weight)
-            assert [m for m, _ in got] == sorted(set(ring + [leaf]) - {start})
+        got = _reach(store, [start], "out", "situation").pairs()
+        assert got == _per_node_reach(store, [start], "out", "situation")
+        assert [m for m, _ in got] == sorted(set(ring + [leaf]) - {start})
     assert _reach(store, ring, "in", "situation").ids() == []
     assert _reach(store, [leaf], "in", "situation").ids() == ring
 
@@ -1006,8 +1002,8 @@ _IS_GRAPHS = st.lists(st.sampled_from(["actor", "role", "generic"]), min_size=2,
 @given(_IS_GRAPHS)
 def test_a_walk_from_many_starts_equals_the_per_node_walk(graph):
     """Multi-start walks on random ``is`` graphs, some starts with no ends at
-    all, equal the per-node walk in both directions, for every kind and
-    several hop weights, and again after an edge is added."""
+    all, equal the per-node walk in both directions, for every kind, and
+    again after an edge is added."""
     kinds, edges, picks = graph
     store = GraphStore()
     things = [store.add_thing(kind) for kind in kinds]
@@ -1017,9 +1013,8 @@ def test_a_walk_from_many_starts_equals_the_per_node_walk(graph):
     for _ in range(2):
         for direction in ("out", "in"):
             for kind in ("actor", "role", "generic", "event"):
-                for hop_weight in (1.0, 0.5, 0.0):
-                    got = _reach(store, starts, direction, kind, hop_weight).pairs()
-                    assert got == _per_node_reach(store, starts, direction, kind, hop_weight)
+                got = _reach(store, starts, direction, kind).pairs()
+                assert got == _per_node_reach(store, starts, direction, kind)
         store.add_edge(Edge("is", things[-1], things[0]))
 
 

@@ -166,6 +166,16 @@ def test_andset_window_is_smallest_cover():
     assert [(m.first, m.last) for m in matches] == [(0, 2)]
 
 
+def test_andset_spans_each_combination_of_child_matches_which_may_overlap():
+    """Today's conjunction: each combination of one match per child spans
+    from the earliest child start to the latest child end, wider windows
+    included, and the children may overlap."""
+    matches = match_pattern(parse_pattern("(a b)"), tokenize("a b a b"))
+    assert sorted((m.first, m.last) for m in matches) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    (match,) = match_pattern(parse_pattern("(a $x)"), tokenize("a"))
+    assert (match.first, match.last) == (0, 0) and match.bindings["x"].norm == "a"
+
+
 def test_anyset_alternatives_each_match():
     pattern = AnySet((Variable("x"), Literal("a")))
     matches = match_pattern(pattern, tokenize("a"))
@@ -779,7 +789,7 @@ def test_extract_sanctions_event():
     assert store.times_of(event) == TimeSpec(((100, 100),))
     actors = sorted(t.name for t in store.things("actor"))
     assert actors == ["eu", "russia"]
-    is_edges = [e for e in store.out_edges(event) if e.kind == "is"]
+    is_edges = [e for e in store.edges() if e.src == event and e.kind == "is"]
     assert len(is_edges) == 1
     assert store.thing(is_edges[0].dst).name == "sanctions"
 
@@ -788,7 +798,7 @@ def test_nullary_definition_creates_anonymous_event():
     store = GraphStore()
     defs = parse_definitions("There name \"{'trump' 'us president'}\".")
     (event,) = extract_events(store, defs, Document("US president spoke", "u", 5))
-    has_edges = [e for e in store.out_edges(event) if e.kind == "has"]
+    has_edges = [e for e in store.edges() if e.src == event and e.kind == "has"]
     assert has_edges == []
     assert store.things("actor") == []
 
@@ -823,7 +833,7 @@ def test_every_event_has_required_shape():
     for doc in docs:
         extract_events(store, _sanctions_defs(), doc)
     for t in store.things("event"):
-        assert len([e for e in store.out_edges(t.id) if e.kind == "is"]) == 1
+        assert len([e for e in store.edges() if e.src == t.id and e.kind == "is"]) == 1
         assert store.times_of(t.id)
         assert t.properties["sources"]
         assert t.properties["text"]
@@ -867,8 +877,8 @@ def test_crosswalk_extraction_is_pinned():
     (flood,) = store.find_by_name("appearance", "flood")
     roles = {
         (e.role, store.thing(e.dst).name)
-        for e in store.out_edges(flood)
-        if e.kind == "has"
+        for e in store.edges()
+        if e.src == flood and e.kind == "has"
     }
     assert roles == {("person", "person"), ("river", "river")}
     assert not store.neighbor_ids(flood, "is", direction="in")
@@ -1023,7 +1033,7 @@ def test_a_changed_definition_is_linked_to_its_new_role():
     extract_events(store, first, Document("light turned red", "cam", 1))
     extract_events(store, second, Document("light turned green", "cam", 2))
     (app,) = store.find_by_name("appearance", "stoplight")
-    roles = {e.role for e in store.out_edges(app) if e.kind == "has"}
+    roles = {e.role for e in store.edges() if e.src == app and e.kind == "has"}
     assert roles == {"color", "place"}
 
 

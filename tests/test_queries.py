@@ -94,20 +94,6 @@ def test_actor_role_scope_filters():
     assert held.ids() == [event]
 
 
-def test_is_chain_weights_attenuate_when_configured():
-    store = GraphStore()
-    event = store.add_thing("event", times=TimeSpec.point(1))
-    specific = store.add_thing("appearance", "specific")
-    abstract = store.add_thing("appearance", "abstract")
-    store.add_edge(Edge("is", event, specific))
-    store.add_edge(Edge("is", specific, abstract))
-    crisp = queries.appearances_of_event(store, event)
-    assert crisp.weight(abstract) == 1.0
-    damped = queries.appearances_of_event(store, event, hop_weight=0.5)
-    assert damped.weight(specific) == 0.5
-    assert damped.weight(abstract) == 0.25
-
-
 def test_coincidence_membership_queries():
     store = GraphStore()
     app = store.add_thing("appearance", "a")
@@ -297,6 +283,7 @@ REGISTRY_ROWS = {
 }
 
 IS_LOOKUPS = {fn.__name__ for _, fwd, _, back in PAIRS for fn in (fwd, back)}
+TABLE_LOOKUPS = IS_LOOKUPS | {fn.__name__ for *_, out, back in EDGE_PAIRS for fn in (out, back)}
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY_ROWS))
@@ -308,12 +295,16 @@ def test_registry_row_is_the_module_function_of_its_name(name):
     assert fn.__doc__.strip()
     params = list(inspect.signature(fn).parameters)
     assert params[0] == "store" and set(filters) <= set(params)
-    assert ("hop_weight" in params) == (name in IS_LOOKUPS)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_LOOKUPS))
+def test_every_table_lookup_takes_a_store_and_a_thing_id_only(name):
+    assert list(inspect.signature(queries.REGISTRY[name][0]).parameters) == ["store", "thing_id"]
 
 
 def test_registry_holds_exactly_the_pinned_rows():
     assert set(queries.REGISTRY) == set(REGISTRY_ROWS)
-    assert len(IS_LOOKUPS) == 8
+    assert len(IS_LOOKUPS) == 8 and len(TABLE_LOOKUPS) == 14
 
 
 def test_scoped_inverse_on_random_graphs():
@@ -647,20 +638,20 @@ def _is_store(rng: random.Random) -> GraphStore:
     return store
 
 
-def _closure(store: GraphStore, start: int, direction: str, kind: str, hop_weight: float):
-    """Best weight over all ``is`` paths from ``start``, relaxed over the whole
-    edge list until nothing changes; the reached things of a kind in id order."""
+def _closure(store: GraphStore, start: int, direction: str, kind: str):
+    """Every thing on an ``is`` path from ``start``, relaxed over the whole edge
+    list until nothing changes; the reached things of a kind in id order."""
     arcs = [(e.src, e.dst) if direction == "out" else (e.dst, e.src)
             for e in store.edges() if e.kind == "is"]
-    best = {start: 1.0}
+    reached = {start}
     changed = True
     while changed:
         changed = False
         for src, dst in arcs:
-            if src in best and (dst not in best or best[dst] < best[src] * hop_weight):
-                best[dst] = best[src] * hop_weight
+            if src in reached and dst not in reached:
+                reached.add(dst)
                 changed = True
-    return sorted((n, w) for n, w in best.items() if n != start and store.thing(n).kind == kind)
+    return [(n, 1.0) for n in sorted(reached) if n != start and store.thing(n).kind == kind]
 
 
 def test_is_walks_match_a_closure_on_random_graphs():
@@ -669,10 +660,8 @@ def test_is_walks_match_a_closure_on_random_graphs():
         store = _is_store(rng)
         for query, (direction, kind) in REACH_QUERIES.items():
             for thing in store.things():
-                for hop_weight in (0.0, 0.3, 0.5, 1.0):
-                    got = query(store, thing.id, hop_weight=hop_weight).pairs()
-                    expected = _closure(store, thing.id, direction, kind, hop_weight)
-                    assert got == expected, (query.__name__, thing.id, hop_weight)
+                got = query(store, thing.id).pairs()
+                assert got == _closure(store, thing.id, direction, kind), (query.__name__, thing.id)
 
 
 def test_is_walks_see_edges_added_after_a_walk():
@@ -689,25 +678,6 @@ def test_is_walks_see_edges_added_after_a_walk():
     store.add_edge(Edge("is", second, middle))
     assert queries.actors_of_role(store, role).ids() == [first, second]
     assert queries.roles_of_actor(store, second).ids() == [role]
-
-
-@pytest.mark.parametrize("hop_weight", [2.0, -0.5, 1.5, float("nan"), float("inf")])
-def test_bad_hop_weight_raises_before_walking(hop_weight):
-    store = GraphStore()
-    lone = store.add_thing("role", "lone")
-    chain = [store.add_thing("appearance", f"c{n}") for n in range(3)]
-    store.add_edge(Edge("is", chain[0], chain[1]))
-    store.add_edge(Edge("is", chain[1], chain[2]))
-    cycle = [store.add_thing("situation", f"s{n}") for n in range(3)]
-    for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
-        store.add_edge(Edge("is", src, dst))
-    for query, start in [
-        (queries.actors_of_role, lone),
-        (queries.appearances_of_event, chain[0]),
-        (queries.situations_of_coincidence, cycle[0]),
-    ]:
-        with pytest.raises(GraphError, match=r"hop weight .* outside \[0, 1\]"):
-            query(store, start, hop_weight=hop_weight)
 
 
 def test_is_walk_reads_no_edge_list_after_the_first(monkeypatch):
