@@ -26,7 +26,9 @@ only where a match can begin: at the positions of the pattern's first
 norms, or, for a sequence that starts with variables, back from each
 position of its anchor (the first child with first norms) by the widths
 its leading children can span, or, when those have no bound, at every
-start up to the last anchor position less their least width.
+start up to the last anchor position less their least width; one anchor
+norm's positions and each anchor's range of starts need no sort.  A lone
+match is neither keyed nor sorted.
 ``MatchLimitError`` stops more than ``MAX_MATCHES`` matches of a pattern
 in one document, or child combinations of a conjunction, or partial
 matches of a sequence.
@@ -36,8 +38,9 @@ searched from the top, its start plan (see ``patterns``).
 ``parse_definitions`` types each pattern by its definition's roles, and
 ``extract_events`` types it again for a definition built by hand, which
 leaves a parsed pattern as it is.  Each document's tokens, norms and
-norm -> positions index are built once for the literal skip and every
-pattern's search; a ``match_pattern`` call makes only its memo.  Inside the search a binding is its (first, end)
+norm -> positions index are built once, in one walk of its tokens, for
+the literal skip and every pattern's search; a ``match_pattern`` call
+makes only its memo.  Inside the search a binding is its (first, end)
 token span and a repeated name must span equal norms; ``Binding`` strings
 are built only for the matches reported.
 """
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product
 from math import prod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -60,10 +64,11 @@ from .tokens import NUMBER, PUNCT, WORD, Token, tokenize  # noqa: F401 (re-expor
 
 ARTICLES = {"a", "an", "the"}
 CURRENCY = {"$", "€", "£"}
+_FIELDS = frozenset({"time", "source", "text"})  # the fields every corpus line holds
 
 # the most matches of a pattern, or partial matches of its parts, in one document
 MAX_MATCHES = 100_000
-_new = tuple.__new__
+_new, _norm_of = tuple.__new__, itemgetter(1)  # a token's norm, through no Python-level call
 
 
 class MatchLimitError(ValueError):
@@ -135,9 +140,11 @@ class _Text(list):
     and, at the first multi-token binding, each token's surface after the
     space, if any, that precedes it."""
 
+    __slots__ = ("norms", "positions", "_spaced")
+
     def __init__(self, tokens: Sequence[Token]):
         super().__init__(tokens)
-        self.norms = norms = [token.norm for token in self]
+        self.norms = norms = list(map(_norm_of, self))
         self.positions = positions = {}
         for k, norm in enumerate(norms):
             positions.setdefault(norm, []).append(k)
@@ -215,8 +222,11 @@ class _Engine:
             for k, child in enumerate(kids):
                 if isinstance(child, pat.Literal):
                     # a literal step binds nothing: one token compare per state
-                    norm = child.norm
-                    states = [(at + 1, bound) for at, bound in states if at < n and norms[at] == norm]
+                    norm, stepped = child.norm, []
+                    for at, bound in states:
+                        if at < n and norms[at] == norm:
+                            stepped.append((at + 1, bound))
+                    states = stepped
                 else:
                     # only a variable looks ahead to its next sibling
                     after = kids[k + 1] if isinstance(child, pat.Variable) and k + 1 < len(kids) else None
@@ -292,25 +302,30 @@ def _match_key(match: Match):
 def _starts(plan, text: _Text):
     """Ascending candidate starts: each anchor position less every width
     the leading span can take; the least width counts every token, the
-    greatest only the tokens that are not articles."""
+    greatest only the tokens that are not articles.  An anchor's starts are
+    one range, and both its ends rise with the anchor: no sort is needed."""
     if plan is None:
         return range(len(text))
     firsts, least, most = plan
-    anchors = sorted(k for norm in firsts for k in text.positions.get(norm, ()))
+    if len(firsts) == 1:  # one norm's positions are already ascending
+        (norm,) = firsts
+        anchors = text.positions.get(norm, ())
+    else:
+        anchors = sorted(k for norm in firsts for k in text.positions.get(norm, ()))
     if not least:
         return anchors
     if most is None:
         return range(anchors[-1] - least + 1) if anchors else ()
-    starts = set()
+    norms, starts = text.norms, []
     for anchor in anchors:
-        words = 0
-        for start in range(anchor - 1, -1, -1):
-            words += text.norms[start] not in ARTICLES
+        lowest, words = anchor, 0
+        while lowest:
+            words += norms[lowest - 1] not in ARTICLES
             if words > most:
                 break
-            if anchor - start >= least:
-                starts.add(start)
-    return sorted(starts)
+            lowest -= 1
+        starts += range(max(lowest, starts[-1] + 1) if starts else lowest, anchor - least + 1)
+    return starts
 
 
 def match_pattern(
@@ -334,16 +349,17 @@ def match_pattern(
         return []
     typed = pat.with_types(pattern, env) if env else pattern
     engine = _Engine(tokens)
-    found: dict = {}  # (first, end, *sorted bound spans) -> bound spans
+    found = []  # (first, end, bound spans)
     for start in _starts(typed.start_plan, tokens):
-        for end, bound in engine.matches_at(typed, start):
-            found.setdefault((start, end, *sorted(bound.items())), bound)
+        here = engine.matches_at(typed, start)
+        if len(here) > 1:  # alternatives can give one match twice, only from one start
+            here = {(end, *sorted(bound.items())): (end, bound) for end, bound in here}.values()
+        found += [(start, end, bound) for end, bound in here]
         _bounded(len(found))
-    matches = [
-        _new(Match, (pattern, key[0], key[1] - 1, {name: tokens.binding(*span) for name, span in bound.items()}))
-        for key, bound in found.items()
-    ]
-    matches.sort(key=_match_key)
+    matches = [_new(Match, (pattern, start, end - 1, {name: tokens.binding(*span) for name, span in bound.items()}))
+               for start, end, bound in found]
+    if len(matches) > 1:
+        matches.sort(key=_match_key)
     return matches
 
 
@@ -436,16 +452,16 @@ def _add_event(
     linked: set[tuple[int, int]],
 ) -> int:
     form, names = template
-    values = {n: b.surface for n, b in match.bindings.items()}
-    text = form.format(*[values.get(n, "$" + n) for n in names])
+    bindings = match.bindings
+    text = form.format(*[bindings[n].surface if n in bindings else "$" + n for n in names])
     event_id = store.add_thing(
         "event",
         properties={"sources": doc.source, "text": text},
         times=TimeSpec.point(doc.time),
     )
     store.add_edge(("is", event_id, app_id, None, None, None))
-    for name in sorted(match.bindings):
-        binding = match.bindings[name]
+    for name in sorted(bindings) if len(bindings) > 1 else bindings:
+        binding = bindings[name]
         role = name.lower()
         role_id = role_ids.get(role)
         if role_id is None:
@@ -502,9 +518,8 @@ def parse_corpus_line(line: str, line_no: int, granularity: int = 1) -> Document
         raise CorpusError(str(exc), line_no) from exc
     if not isinstance(raw, dict):
         raise CorpusError("document must be a JSON object", line_no)
-    missing = {"time", "source", "text"} - set(raw)
-    if missing:
-        raise CorpusError(f"missing fields {sorted(missing)}", line_no)
+    if not raw.keys() >= _FIELDS:
+        raise CorpusError(f"missing fields {sorted(_FIELDS - raw.keys())}", line_no)
     try:
         tick = time_to_tick(raw["time"], granularity)
     except ValueError as exc:

@@ -7,7 +7,7 @@ interior dot flanked by digits) become ``number`` tokens, and every
 other non-space character is a single ``punct`` token.  So ``12.5`` is
 one token while ``example.com`` is three, and a numeric character that
 is neither a letter nor a digit, such as ``²``, is ``punct``.
-``ascii_norms`` gives an ASCII text's token norms from one scan.
+``ascii_norms`` gives an ASCII text's token norms from one ASCII-class scan.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ PUNCT = "punct"
 # run it finds is one word only when str.isalpha holds for it
 _WORD, _NUMBER = r"[^\W\d_]+", r"\d+(?:\.\d+)?"
 _SCANNER = re.compile(rf"({_WORD})|({_NUMBER})|\S")
-# the same grammar without groups, so that findall yields whole tokens
-_TOKEN_TEXT = re.compile(rf"{_WORD}|{_NUMBER}|\S")
+# the same grammar on lower-cased ASCII text, without groups, so that findall yields whole tokens
+_ASCII_TOKEN = re.compile(r"[a-z]+|[0-9]+(?:\.[0-9]+)?|\S")
 _CLASS = {1: WORD, 2: NUMBER, None: PUNCT}  # by Match.lastindex
 _new = tuple.__new__
 
@@ -77,4 +77,4 @@ def ascii_norms(text: str) -> list[str]:
     """``[t.norm for t in tokenize(text)]`` for an ASCII ``text``, from one
     scan: an ASCII letter run is all letters, so no run is split, and
     lower-casing maps ASCII letters to letters one for one."""
-    return _TOKEN_TEXT.findall(text.lower())
+    return _ASCII_TOKEN.findall(text.lower())

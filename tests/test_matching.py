@@ -767,6 +767,45 @@ def test_match_ordering_is_stable():
     assert keys == sorted(keys)
 
 
+def _ordering_pattern(rng: random.Random):
+    """A typed variable before one anchor norm, or a random pattern led by
+    variables; half the time inside an alternative with itself or with
+    another such pattern, so that one match can be found twice."""
+    if rng.random() < 0.4:
+        name = rng.choice("pq")
+        pattern = SeqSet((Variable(name), Literal(rng.choice("xy"))))
+        env = {name: TypeRef(rng.choice(_START_TYPES))}
+    else:
+        pattern, env = _leading_pattern(rng)
+    if rng.random() < 0.5:
+        other, more = (pattern, {}) if rng.random() < 0.5 else _leading_pattern(rng)
+        pattern, env = AnySet((pattern, other)), {**more, **env}
+    return pattern, env
+
+
+def test_matches_come_in_match_key_order_once_each_on_random_patterns():
+    """On random patterns over documents with no, one and several
+    matches: ``match_pattern`` returns its matches ordered by
+    ``_match_key``, no key twice, and exactly the typed brute-force set."""
+    rng = random.Random(3838)
+    seen = {"none": 0, "one": 0, "several": 0}
+    repeated = 0  # patterns whose alternatives find one match twice
+    for _ in range(1500):
+        pattern, env = _ordering_pattern(rng)
+        toks = tokenize(_start_document(rng))
+        matches = match_pattern(pattern, toks, env)
+        keys = [matching._match_key(m) for m in matches]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), (pattern, env, toks)
+        assert library_match_set(matches) == typed_brute_matches(pattern, toks, env), (pattern, env, toks)
+        seen["none" if not keys else "one" if len(keys) == 1 else "several"] += 1
+        if isinstance(pattern, AnySet) and len(keys) > 1:
+            typed = with_types(pattern, env)
+            engine = matching._Engine(matching._Text(toks))
+            found = [r for start in range(len(toks)) for r in engine.matches_at(typed, start)]
+            repeated += len(found) > len(keys)
+    assert min(seen.values()) > 150 and repeated > 50, (seen, repeated)
+
+
 # -- extract_events -------------------------------------------------------------
 
 
@@ -995,7 +1034,8 @@ def test_a_document_passing_three_patterns_is_indexed_once(monkeypatch):
 def test_extraction_looks_up_roles_and_match_keys_once(monkeypatch):
     """Over the crosswalk corpus (700 documents, one single-pattern
     definition per event) each appearance and role is found or created
-    once and each event's actor once; only ``match_pattern`` keys a match."""
+    once and each event's actor once.  Only ``match_pattern`` keys a
+    match, and only to order two or more: a lone match is not keyed."""
     keyed = _counting(monkeypatch, "_match_key")
     found = []
     original = GraphStore.find_or_create
@@ -1013,7 +1053,10 @@ def test_extraction_looks_up_roles_and_match_keys_once(monkeypatch):
     assert len(found) == 2 * len(definitions) + 700
     assert sum(kind == "actor" for kind, _name in found) == 700
     assert found.count(("role", "person")) == len(definitions)
-    assert len(keyed) == 700
+    assert keyed == []  # each crosswalk document has one match
+    two = Document("ann approaches crosswalk bo approaches crosswalk", "cam", 1)
+    assert len(extract_events(GraphStore(), definitions, two)) == 2
+    assert len(keyed) == 2
 
 
 def test_a_call_with_no_documents_creates_nothing(monkeypatch):

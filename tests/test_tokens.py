@@ -96,6 +96,19 @@ def test_classes_follow_this_pythons_unicode_tables():
     assert ascii_norms(text) == norms == ["light", "turned", "red", "at", "12.5", ",", "1.2", ".", "3"], ascii(norms)
 
 
+_ASCII = "".join(map(chr, range(128)))  # every ASCII code point, \x1c to \x1f (spaces to str.isspace) included
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet=_ASCII, max_size=5) | st.sampled_from(["12.5", "1.2.3", "7.", ".5", "aB", "Z9z"]),
+                max_size=10))
+def test_ascii_norms_equal_tokenize_over_every_ascii_code_point(pieces):
+    """The ASCII-class scan gives the norms ``tokenize`` gives, with its
+    Unicode classes, on any ASCII text."""
+    text = "".join(pieces)
+    assert ascii_norms(text) == [t.norm for t in tokenize(text)], ascii(text)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet="é²½Ⅻ٣三_$€. a1", max_size=30))
 def test_take_token_at_every_position(text):
