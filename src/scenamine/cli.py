@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import stat
@@ -333,12 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser every ``main`` call in this process shares: parsing reads it and changes nothing in it
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except CliError as exc:

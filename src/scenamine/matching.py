@@ -221,7 +221,8 @@ class _Engine:
             kids = node.children
             for k, child in enumerate(kids):
                 if isinstance(child, pat.Literal):
-                    # a literal step binds nothing: one token compare per state
+                    # a literal step binds nothing: one token compare per state, in a loop
+                    # because before Python 3.12 (PEP 709) a comprehension is a function call
                     norm, stepped = child.norm, []
                     for at, bound in states:
                         if at < n and norms[at] == norm:
@@ -460,7 +461,7 @@ def _add_event(
         times=TimeSpec.point(doc.time),
     )
     store.add_edge(("is", event_id, app_id, None, None, None))
-    for name in sorted(bindings) if len(bindings) > 1 else bindings:
+    for name in sorted(bindings):
         binding = bindings[name]
         role = name.lower()
         role_id = role_ids.get(role)

@@ -915,28 +915,6 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_main_builds_its_parser_once_and_a_failed_parse_leaves_it_as_it_was(tmp_path, capsys):
-    """Every ``main`` call in a process parses with one parser, built at the
-    first call; a rejected flag or ``--help`` in between changes nothing
-    that the next identical extract reads or writes."""
-    cli._parser.cache_clear()
-    defs = _write(tmp_path / "defs.txt", SANCTIONS_DEFS)
-    corpus = _write(tmp_path / "corpus.jsonl", SANCTIONS_DOC)
-    argv = ["extract", "--definitions", defs, "--corpus", corpus, "--snapshot", str(tmp_path / "snap.json")]
-    outputs = []
-    for between in (["extract", "--definitions", defs, "--window", "3"], ["extract", "--help"], None):
-        assert main(argv) == 0
-        outputs.append(((tmp_path / "snap.json").read_bytes(), capsys.readouterr().out))
-        if between is not None:
-            with pytest.raises(SystemExit) as exc:
-                main(between)
-            assert exc.value.code == (0 if "--help" in between else 2)
-            capsys.readouterr()
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert json.loads(outputs[0][1])["events"] == 1
-    assert cli._parser.cache_info().misses == 1  # build_parser ran once over five calls
-
-
 def test_mine_too_many_chains_exits_one_writing_nothing(tmp_path, capsys):
     store = GraphStore()
     actor = store.add_thing("actor", "a")
