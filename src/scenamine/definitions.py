@@ -38,12 +38,18 @@ class DefinitionError(ValueError):
 
 @dataclass
 class ThingDefinition:
-    """A named thing: its textual patterns, role slots and role types."""
+    """A named thing: its textual patterns, role slots and role types.  It
+    types its patterns once, when built, by their variables' roles
+    (``patterns.with_types``) into a new list, leaving the caller's as it was."""
 
     name: str
     patterns: list[pat.PatternNode] = field(default_factory=list)
     roles: list[str] = field(default_factory=list)
     role_types: dict[str, pat.TypeRef] = field(default_factory=dict)
+
+    def __post_init__(self):
+        types = {role.lower(): t for role, t in self.role_types.items()}
+        self.patterns = [pat.with_types(p, types) for p in self.patterns]
 
 
 # statement tokens: ("word", text) | ("str", content) | ("comma", ",")
@@ -111,19 +117,20 @@ _EMPTY_SECTION = {
 }
 
 
-def _parse_sections(tokens: list[_Tok], line: int, definition: ThingDefinition) -> None:
-    """Add the ``patterns`` and ``has`` sections of ``tokens`` to ``definition``."""
+def _parse_sections(tokens: list[_Tok], line: int, name: str, draft: tuple) -> None:
+    """Add the ``patterns`` and ``has`` sections of ``tokens`` to the draft of the thing ``name``."""
+    _there, patterns, roles, _types = draft
     section = empty = None  # the open section, and its keyword again while it holds no item
     for kind, value in tokens:
         if kind == "comma":
             continue
         word = value.lower() if kind == "word" else None
         if section == "patterns" and kind == "str":
-            definition.patterns.append(_parse_pattern_string(value, line, definition.name))
+            patterns.append(_parse_pattern_string(value, line, name))
             empty = None
         elif section == "has" and kind == "word" and word not in _EMPTY_SECTION:
-            if word not in definition.roles:
-                definition.roles.append(word)
+            if word not in roles:
+                roles.append(word)
             empty = None
         elif empty:
             raise DefinitionError(_EMPTY_SECTION[empty], line)
@@ -135,7 +142,7 @@ def _parse_sections(tokens: list[_Tok], line: int, definition: ThingDefinition) 
         raise DefinitionError(_EMPTY_SECTION[empty], line)
 
 
-def _parse_is(tokens: list[_Tok], line: int, defs: dict[str, ThingDefinition]) -> None:
+def _parse_is(tokens: list[_Tok], line: int, drafts: dict[str, tuple]) -> None:
     role = tokens[0][1].lower()
     if len(tokens) > 3:
         raise DefinitionError("trailing tokens after type statement", line)
@@ -150,44 +157,39 @@ def _parse_is(tokens: list[_Tok], line: int, defs: dict[str, ThingDefinition]) -
         if value.lower() not in pat.ATOMIC_TYPES:
             raise DefinitionError(f"unknown type {value!r}", line)
         type_ref = pat.TypeRef(value.lower())
-    owners = [d for d in defs.values() if role in d.roles]
+    owners = [types for _line, _patterns, roles, types in drafts.values() if role in roles]
     if not owners:
         raise DefinitionError(f"role {role!r} was never declared in a 'has' list", line)
-    for d in owners:
-        d.role_types[role] = type_ref
+    for types in owners:
+        types[role] = type_ref
 
 
 def parse_definitions(source: str) -> list[ThingDefinition]:
     """Parse definitions text; statements about the same name accumulate
-    into a single definition.  A definition left without patterns is
-    matched by its name, so the name must then parse as a pattern, which
-    becomes its one pattern.  Each pattern's variables carry their roles'
-    types (``patterns.with_types``)."""
-    defs: dict[str, ThingDefinition] = {}
-    there_lines: dict[str, int] = {}
+    into a single definition, built once after the last statement, which
+    types its patterns (see ``ThingDefinition``).  A definition left
+    without patterns is matched by its name, so the name must then parse
+    as a pattern, which becomes its one pattern."""
+    drafts: dict[str, tuple] = {}  # name -> (line of its first There, patterns, roles, role types)
     for tokens, line in _split_statements(source):
         words = [value.lower() if kind == "word" else None for kind, value in tokens[:3]]
         if words[0] == "there":
             if words[1:2] != ["name"]:
                 raise DefinitionError("expected 'name' after 'there'", line)
             name = _read_name(tokens, 2, line)
-            there_lines.setdefault(name, line)
-            _parse_sections(tokens[3:], line, defs.setdefault(name, ThingDefinition(name)))
+            _parse_sections(tokens[3:], line, name, drafts.setdefault(name, (line, [], [], {})))
         elif words[0] == "name":
             name = _read_name(tokens, 1, line)
-            if name not in defs:
+            if name not in drafts:
                 raise DefinitionError(f"unknown thing {name!r}", line)
             if words[2:] != ["patterns"]:
                 raise DefinitionError("expected 'patterns' in name statement", line)
-            _parse_sections(tokens[2:], line, defs[name])
+            _parse_sections(tokens[2:], line, name, drafts[name])
         elif len(words) == 3 and words[0] and words[1] == "is":
-            _parse_is(tokens, line, defs)
+            _parse_is(tokens, line, drafts)
         else:
             raise DefinitionError("unrecognized statement", line)
-    for definition in defs.values():
-        if not definition.patterns:
-            definition.patterns.append(
-                _parse_pattern_string(definition.name, there_lines[definition.name], definition.name)
-            )
-        definition.patterns[:] = [pat.with_types(p, definition.role_types) for p in definition.patterns]
-    return list(defs.values())
+    return [
+        ThingDefinition(name, patterns or [_parse_pattern_string(name, there, name)], roles, types)
+        for name, (there, patterns, roles, types) in drafts.items()
+    ]

@@ -528,8 +528,8 @@ class GraphStore:
 
     def is_split(self, direction: str, kind: str) -> tuple[dict, Callable[[int], tuple]]:
         """The ``is`` ends of a direction split for a kind: thing -> ({inner end, one with ``is``
-        ends of its own: whether it is of ``kind``}, {leaf end of ``kind``: 1.0} in id order)
-        for each thing split so far, and ``_split`` to add one."""
+        ends of its own: whether it is of ``kind``}, the leaf ends of ``kind`` in id order, as a tuple,
+        or from ``_SCAN_LIMIT`` on a dict's keys) for each thing split so far, and ``_split`` to add one."""
         if self._is is None:
             self._is = {}
         pair = self._is.get((direction, kind))
@@ -552,7 +552,7 @@ class GraphStore:
             ends = list(map(_src_of, into.get(self.thing(thing_id).id, ())))
             inner = {end: end in wanted for end in ends if end in into}
         leaves = sorted([end for end in ends if end in wanted and end not in inner])
-        entries[thing_id] = entry = (inner or _EMPTY, dict.fromkeys(leaves, 1.0) or _EMPTY)
+        entries[thing_id] = entry = (inner or _EMPTY, tuple(leaves) if len(leaves) < _SCAN_LIMIT else dict.fromkeys(leaves))
         return entry
 
     def in_index(self, kind: str) -> dict[int, list[tuple]]:
@@ -677,7 +677,8 @@ class GraphStore:
         return store
 
 
-# An out-list this long or longer is looked up in a set of it for a repeated edge, not scanned.
+# An out-list this long or longer is looked up in a set of it for a repeated edge, not scanned, and
+# a leaf group of a split is kept as a dict, which an answer copies presized, not as a tuple.
 _SCAN_LIMIT = 16
 
 # The optional fields each (kind, set kind) of edge carries, named alike

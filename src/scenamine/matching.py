@@ -34,11 +34,11 @@ in one document, or child combinations of a conjunction, or partial
 matches of a sequence.
 
 A variable carries its own type and each node its widths and, once
-searched from the top, its start plan (see ``patterns``).
-``parse_definitions`` types each pattern by its definition's roles, and
-``extract_events`` types it again for a definition built by hand, which
-leaves a parsed pattern as it is.  Each document's tokens, norms and
-norm -> positions index are built once, in one walk of its tokens, for
+searched from the top, its start plan (see ``patterns``).  A
+``ThingDefinition`` types its patterns by its roles when it is built,
+parsed or by hand, so ``extract_events`` searches its own pattern
+objects and prepares nothing per call.  Each document's tokens, norms
+and norm -> positions index are built once, in one walk of its tokens, for
 the literal skip and every pattern's search; a ``match_pattern`` call
 makes only its memo.  Inside the search a binding is its (first, end)
 token span and a repeated name must span equal norms; ``Binding`` strings
@@ -404,17 +404,13 @@ def extract_events(
     extracted edge points into it.  Each definition's appearance and
     roles are found or created once, at its first document, a role's id
     is looked up and each actor's ``is`` edge to a role sent to the store
-    once per call, each pattern is typed by the definition's
-    roles (``patterns.with_types``) and its filled text template
-    (``patterns.filled_template``) made once per call, and each
-    document's tokens and norm index once for all its patterns.
+    once per call, and each document's tokens and norm index once for
+    all its patterns.  The patterns are searched as the definition holds
+    them, typed when it was built; each keeps its filled text template
+    (``PatternNode.filled_template``) from its first event on, so a call
+    prepares nothing before it reads a document.
     """
     store.drop_mined()
-    plans = []
-    for definition in definitions:
-        types = {role.lower(): t for role, t in definition.role_types.items()}
-        typed = [pat.with_types(pattern, types) for pattern in definition.patterns]
-        plans.append((definition, [(pattern, pat.filled_template(pattern)) for pattern in typed]))
     app_ids: dict[int, int] = {}
     role_ids: dict[str, int] = {}
     linked: set[tuple[int, int]] = set()  # (actor, role) of each is edge sent to the store
@@ -422,15 +418,15 @@ def extract_events(
     for number, doc in enumerate(docs, 1):
         tokens = _Text(tokenize(doc.text))
         norms = tokens.positions.keys()
-        for k, (definition, patterns) in enumerate(plans):
+        for k, definition in enumerate(definitions):
             app_id = app_ids.get(k)
             if app_id is None:
                 app_id, ensured = ensure_definition_things(store, definition)
                 app_ids[k] = app_id
                 role_ids.update(ensured)
             # match_pattern already drops a pattern's own repeats
-            seen_keys = set() if len(patterns) > 1 else None
-            for pattern, template in patterns:
+            seen_keys = set() if len(definition.patterns) > 1 else None
+            for pattern in definition.patterns:
                 if not norms >= pattern.required_literals:
                     continue
                 try:
@@ -444,15 +440,15 @@ def extract_events(
                         if key in seen_keys:
                             continue
                         seen_keys.add(key)
-                    created.append(_add_event(store, app_id, doc, match, template, role_ids, linked))
+                    created.append(_add_event(store, app_id, doc, match, role_ids, linked))
     return created
 
 
 def _add_event(
-    store: GraphStore, app_id: int, doc: Document, match: Match, template, role_ids: dict[str, int],
+    store: GraphStore, app_id: int, doc: Document, match: Match, role_ids: dict[str, int],
     linked: set[tuple[int, int]],
 ) -> int:
-    form, names = template
+    form, names = match.pattern.filled_template
     bindings = match.bindings
     text = form.format(*[bindings[n].surface if n in bindings else "$" + n for n in names])
     event_id = store.add_thing(

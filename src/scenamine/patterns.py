@@ -7,8 +7,8 @@ sequences framed with brackets ``[a b]``.  ``$name`` marks a variable
 slot to be bound when the pattern is matched against text.  Top-level
 whitespace-separated elements form an implicit sequence.  One walk
 renders a pattern as canonical text, which parses back to an equal
-pattern, or filled with bound values, as an event's text; ``filled_template``
-makes that walk once per pattern, leaving only the values to put in.
+pattern, or filled with bound values, as an event's text; a node keeps
+that walk as its ``filled_template``, leaving only the values to put in.
 
 A variable carries its type (``TypeRef``); ``with_types`` types a
 pattern's variables by name, and a composite type may hold no variable.
@@ -96,6 +96,18 @@ class PatternNode:
             least += child.least_width
             most = None if most is None or child.most_width is None else most + child.most_width
         return None
+
+    @functools.cached_property
+    def filled_template(self) -> tuple[str, tuple[str, ...]]:
+        """``render_filled`` prepared once per node: a ``str.format`` text with
+        one ``{}`` per variable occurrence, and those variables' names in order,
+        so ``text.format(*(values.get(n, "$" + n) for n in names))`` equals
+        ``render_filled(self, values)``.  Each variable is rendered between two
+        marks, a character the pattern's own text does not hold."""
+        plain = _render(self, {})
+        mark = next(c for c in map(chr, itertools.count()) if c not in plain)
+        parts = _render(self, {n: mark + n + mark for n in list_variables(self)}).split(mark)
+        return "{}".join(t.replace("{", "{{").replace("}", "}}") for t in parts[::2]), tuple(parts[1::2])
 
 
 @dataclass(frozen=True)
@@ -316,18 +328,6 @@ def render_filled(ast: PatternNode, values: dict[str, str]) -> str:
     """Render like render_pattern but substitute each variable with its
     bound text; a sequence renders as its parts without brackets."""
     return _render(ast, values)
-
-
-def filled_template(ast: PatternNode) -> tuple[str, tuple[str, ...]]:
-    """``render_filled`` prepared once per pattern: a ``str.format`` text with
-    one ``{}`` per variable occurrence, and those variables' names in order,
-    so ``text.format(*(values.get(n, "$" + n) for n in names))`` equals
-    ``render_filled(ast, values)``.  Each variable is rendered between two
-    marks, a character the pattern's own text does not hold."""
-    plain = _render(ast, {})
-    mark = next(c for c in map(chr, itertools.count()) if c not in plain)
-    parts = _render(ast, {n: mark + n + mark for n in list_variables(ast)}).split(mark)
-    return "{}".join(t.replace("{", "{{").replace("}", "}}") for t in parts[::2]), tuple(parts[1::2])
 
 
 def with_types(node: PatternNode, types: Mapping[str, TypeRef]) -> PatternNode:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenamine.matching as matching
+import scenamine.patterns as pattern_module
 from helpers import CROSSWALK_DEFINITIONS, add_event, crosswalk_corpus_text
 from oracles import ARTICLES, brute_matches, library_match_set
 from scenamine.definitions import ThingDefinition, parse_definitions
@@ -429,14 +430,15 @@ def test_skip_and_first_token_starts(monkeypatch):
 
 
 def test_a_hand_built_definition_is_typed_by_its_roles():
-    definition = ThingDefinition(
-        "payment", [parse_pattern("paid $Amount euros")], ["amount"], {"Amount": TypeRef("number")}
-    )
+    given = [parse_pattern("paid $Amount euros")]
+    definition = ThingDefinition("payment", given, ["amount"], {"Amount": TypeRef("number")})
     docs = [Document("paid 40 euros", "bank", 1), Document("paid forty euros", "bank", 2)]
     store = GraphStore()
     (event,) = extract_events(store, [definition], *docs)
     assert store.thing(event).properties["text"] == "paid 40 euros"
-    assert definition.patterns == [parse_pattern("paid $Amount euros")]
+    # the definition holds the typed pattern; the caller's list is unchanged
+    assert definition.patterns == [with_types(given[0], {"amount": TypeRef("number")})]
+    assert given == [parse_pattern("paid $Amount euros")]
 
 
 def test_a_composite_type_is_checked_past_leading_articles():
@@ -973,16 +975,16 @@ def test_call_grouping_does_not_change_the_snapshot(name, data):
     assert _extracted_in_groups(name, groups) == expected
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """Record the arguments of every call to a matching function."""
+def _counting(monkeypatch, name: str, module=matching) -> list:
+    """Record the arguments of every call to a function of ``module``."""
     calls = []
-    original = getattr(matching, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(matching, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -1001,9 +1003,33 @@ def test_one_call_ensures_each_definition_once_and_skips_absent_literals(monkeyp
     # every document holds the literals of exactly one crosswalk pattern
     assert len(matched) == len(docs)
     # the parsed patterns are already typed, so each search gets the very
-    # object that parse_definitions returned
-    parsed = {id(p) for d in definitions for p in d.patterns}
-    assert all(id(pattern) in parsed for pattern, *_ in matched)
+    # object that parse_definitions returned; the news definitions type
+    # their variables as money, number, word, time and a composite, whose
+    # own pattern check_type searches
+    news_text, news_docs = _grouping_corpus("news")
+    news = parse_definitions(news_text)
+    for definitions, docs in [(definitions, docs), (news, news_docs)]:
+        matched.clear()
+        extract_events(GraphStore(), definitions, *docs)
+        parsed = {id(p) for d in definitions for p in d.patterns}
+        composites = {id(t.pattern) for d in definitions for t in d.role_types.values() if t.pattern}
+        assert parsed <= {id(pattern) for pattern, *_ in matched} <= parsed | composites
+
+
+@pytest.mark.parametrize("name", ["crosswalk", "news"])
+def test_a_second_call_prepares_nothing(monkeypatch, name):
+    """Each pattern is typed when its definition is built and keeps its
+    filled text template from its first event, so a second call with the
+    same definitions neither types nor renders a pattern."""
+    text, docs = _grouping_corpus(name)
+    definitions = parse_definitions(text)
+    store = GraphStore()
+    first = extract_events(store, definitions, *docs)
+    typed = _counting(monkeypatch, "with_types", pattern_module)
+    rendered = _counting(monkeypatch, "_render", pattern_module)
+    second = extract_events(store, definitions, *docs)
+    assert len(second) == len(first) > 0
+    assert typed == rendered == []
 
 
 def test_a_document_passing_three_patterns_is_indexed_once(monkeypatch):

@@ -15,7 +15,6 @@ from scenamine.patterns import (
     SeqSet,
     TypeRef,
     Variable,
-    filled_template,
     list_variables,
     parse_pattern,
     render_filled,
@@ -235,7 +234,7 @@ def _occurrences(ast) -> list[str]:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_template_asts, st.dictionaries(st.sampled_from(["x", "y", "9z"]), st.sampled_from(_TEMPLATE_TOKENS + ["a b"])))
 def test_filled_template_equals_render_filled(ast, values):
-    text, names = filled_template(ast)
+    text, names = ast.filled_template
     assert names == tuple(_occurrences(ast))
     assert text.format(*(values.get(n, "$" + n) for n in names)) == render_filled(ast, values)
 

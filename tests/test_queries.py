@@ -12,7 +12,7 @@ from helpers import add_coincidence, add_event, random_query_store
 from oracles import tickset_union
 from scenamine import queries
 from scenamine.definitions import parse_definitions
-from scenamine.graph import Edge, GraphError, GraphStore, TimeSpec
+from scenamine.graph import _SCAN_LIMIT, Edge, GraphError, GraphStore, TimeSpec
 from scenamine.matching import Document, extract_events
 
 
@@ -654,10 +654,24 @@ def _closure(store: GraphStore, start: int, direction: str, kind: str):
     return [(n, 1.0) for n in sorted(reached) if n != start and store.thing(n).kind == kind]
 
 
+def _wide_is_store(rng: random.Random) -> GraphStore:
+    """A random ``is`` store with, for each lookup pair, a fan of more than
+    ``_SCAN_LIMIT`` leaf ends into one thing and out of another, so a split
+    keeps leaf groups of both forms, a tuple and a dict's keys."""
+    store = _is_store(rng)
+    for kind, general in [("actor", "role"), ("event", "appearance"), ("coincidence", "situation"),
+                          ("process", "scenario")]:
+        times = TimeSpec.point(1) if kind == "event" else None
+        hub, wide = store.add_thing(general), store.add_thing(kind, times=times)
+        for _ in range(_SCAN_LIMIT + 4):
+            store.add_edge(Edge("is", store.add_thing(kind, times=times), hub))
+            store.add_edge(Edge("is", wide, store.add_thing(general)))
+    return store
+
+
 def test_is_walks_match_a_closure_on_random_graphs():
     rng = random.Random(29)
-    for _ in range(60):
-        store = _is_store(rng)
+    for store in [_is_store(rng) for _ in range(60)] + [_wide_is_store(rng) for _ in range(3)]:
         for query, (direction, kind) in REACH_QUERIES.items():
             for thing in store.things():
                 got = query(store, thing.id).pairs()
