@@ -7,7 +7,6 @@ from .graph import (
     GraphStore,
     SnapshotError,
     TimeSpec,
-    WeightedSet,
 )
 from .matching import (
     Binding,
@@ -43,6 +42,7 @@ from .patterns import (
     parse_pattern,
     render_pattern,
 )
+from .queries import WeightedSet
 from .tokens import Token, tokenize
 
 __version__ = "0.1.0"

@@ -170,7 +170,7 @@ def cmd_extract(args) -> int:
         _write_atomic(snapshot_path, store.dumps())
     summary = {
         "documents": documents,
-        "events": len(store.things("event")),
+        "events": len(store.kind_ids("event")),
         "per_definition": per_definition,
     }
     print(json.dumps(summary, sort_keys=True, indent=2))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import patterns as pat
 
@@ -36,20 +37,23 @@ class DefinitionError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThingDefinition:
     """A named thing: its textual patterns, role slots and role types.  It
     types its patterns once, when built, by their variables' roles
-    (``patterns.with_types``) into a new list, leaving the caller's as it was."""
+    (``patterns.with_types``), and is frozen so that they stay typed by its
+    roles: it holds tuples and a read-only copy of the caller's role types."""
 
     name: str
-    patterns: list[pat.PatternNode] = field(default_factory=list)
-    roles: list[str] = field(default_factory=list)
-    role_types: dict[str, pat.TypeRef] = field(default_factory=dict)
+    patterns: tuple[pat.PatternNode, ...] = ()
+    roles: tuple[str, ...] = ()
+    role_types: MappingProxyType[str, pat.TypeRef] = field(default_factory=dict)
 
     def __post_init__(self):
         types = {role.lower(): t for role, t in self.role_types.items()}
-        self.patterns = [pat.with_types(p, types) for p in self.patterns]
+        object.__setattr__(self, "patterns", tuple(pat.with_types(p, types) for p in self.patterns))
+        object.__setattr__(self, "roles", tuple(self.roles))
+        object.__setattr__(self, "role_types", MappingProxyType(dict(self.role_types)))
 
 
 # statement tokens: ("word", text) | ("str", content) | ("comma", ",")

@@ -5,53 +5,52 @@ inheritance (``is``), possession (``has`` with a role name), association
 with time (``times``) and set membership (``member`` with a set kind of
 ``and``, ``seq`` or ``any``; ``seq`` members carry a contiguous order).
 The store holds each edge once, in its source's out-list, as the plain
-tuple (kind, src, dst, role, set_kind, order) of atomic values, which the
-cyclic collector stops tracking at its first pass.  A repeated edge is
-found where it lives and is a no-op: a seq member at its order in the
+tuple (kind, src, dst, role, set_kind, order) of atomic values, which
+the cyclic collector stops tracking at its first pass.  A repeated edge
+is found where it lives and is a no-op: a seq member at its order in the
 source's member list, any other edge by a scan of the source's out-list,
 or, once that list holds ``_SCAN_LIMIT`` edges, in a set of it, so a
 long set still builds in linear time.  ``Edge`` exists only at the API:
 a named tuple that equals and hashes like that plain tuple, which
 ``add_edge`` takes as well and ``edges`` and ``in_edges`` hand out.
 Time spans are normalized interval sets over an integer tick axis.
+Reads answer in ids; ``queries`` makes answers of them.
 ``neighbor_ids`` answers "which things of kind K does this thing link to
 over edges of kind E": it selects edges by kind, role, set kind and seq
-order and keeps the endpoints whose node kind is ``node_kind``;
-``neighbors`` wraps those ids in a ``WeightedSet``.  Into a thing, it
-and ``in_edges`` read only the E edges, from the in-edge index, edge
-kind -> {thing: the edges into it}, built a kind at a time, on its first
-read through ``in_index``, so an ``is`` walk builds no ``has`` or
-``member`` part.  ``bindings`` gives the (role, end) pairs of a thing's
-``has`` edges.  ``kind_ids`` reads the kind index, each kind's things by
-id, which ``things`` reads too: a kind test is one lookup.  The interval
-index is built on its first read too, the split ``is`` ends below a
-thing at a time; a stored edge drops them all, a repeat none.
+order and keeps the endpoints whose node kind is ``node_kind``.  Into a
+thing, it and ``in_edges`` read only the E edges, from the in-edge
+index, edge kind -> {thing: the edges into it}, built a kind at a time,
+on its first read through ``in_index``, so an ``is`` walk builds no
+``has`` or ``member`` part.  ``bindings`` gives the (role, end) pairs of
+a thing's ``has`` edges.  ``kind_ids`` reads the kind index, each kind's
+things by id, which ``things`` reads too: a kind test is one lookup.
+The interval index is built on its first read too, the split ``is`` ends
+below a thing at a time; a stored edge drops them all, a repeat none.
 ``alive(lo, hi)`` reads one index of every ``times`` interval, (start,
 end, thing) sorted by start with a running maximum of the ends: two
 bisections bound the candidates, so a time-window query costs log n plus
-those, not a scan of every thing.  ``is_split`` splits a thing's ``is``
-ends by direction and kind on a walk's first visit, from its own edges or
-the in-edge index, so an inheritance walk visits only the things it
-reaches with ``is`` ends of their own.  The whole store round-trips
-through a JSON snapshot, which ``dumps`` writes as text in one pass: the
-ASCII bytes ``json.dumps`` with sorted keys gives, with no tree built
-for it.
-Only names, ``has`` roles and properties are free text and escaped; ids,
-ticks and kinds are checked ints and known words.
-One path checks both live construction and a load: ``_put_thing`` a
-thing, ``add_edge`` an edge's field types and fields (one table says
-which fields each kind carries: a ``has`` role, a ``member`` set kind, a
-``seq`` order) and ``TimeSpec`` each interval's integer ticks
-(``TimeSpec.point`` its one tick).  ``loads``
-checks only the JSON shape, so a store built live always loads again, a
-snapshot must list each node's seq members in order (as ``dumps`` writes
-them), a repeated edge is a no-op, and any fault raises ``SnapshotError``
-naming it.  A load checks each item once, so its cost is linear in
-things + edges + intervals.  It pauses the cyclic collector from parsing
-to return and then restores it as it was, also when the load fails: a
-load makes no reference cycles, which a test checks, so a collection
-could free nothing and would only scan every parsed entry and new node.
-A thing whose properties name an ``origin`` is mined; ``drop_mined``
+those, not a scan of every thing.  ``reach`` walks ``is`` edges level by
+level over the ends ``_split`` splits by direction and kind on a walk's
+first visit, from a thing's own edges or the in-edge index, so it visits
+only the things it reaches with ``is`` ends of their own.  The whole
+store round-trips through a JSON snapshot, which ``dumps`` writes as
+text in one pass: the ASCII bytes ``json.dumps`` with sorted keys gives,
+with no tree built for it.  Only names, ``has`` roles and properties are
+free text and escaped; ids, ticks and kinds are checked ints and known
+words.  One path checks both live construction and a load:
+``_put_thing`` a thing, ``add_edge`` an edge's field types and fields
+(one table says which fields each kind carries: a ``has`` role, a
+``member`` set kind, a ``seq`` order) and ``TimeSpec`` each interval's
+integer ticks (``TimeSpec.point`` its one tick).  ``loads`` checks only
+the JSON shape, so a store built live always loads again, a snapshot
+must list each node's seq members in order (as ``dumps`` writes them), a
+repeated edge is a no-op, and any fault raises ``SnapshotError`` naming
+it.  A load checks each item once, so its cost is linear in things +
+edges + intervals.  It pauses the cyclic collector from parsing to
+return and then restores it as it was, also when the load fails: a load
+makes no reference cycles, which a test checks, so a collection could
+free nothing and would only scan every parsed entry and new node.  A
+thing whose properties name an ``origin`` is mined; ``drop_mined``
 removes those with their edges and time spans and replays the rest, as a
 load does, so the next ids handed out are the ones mining took before.
 """
@@ -67,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, KeysView, NamedTuple
+from typing import Iterable, KeysView, NamedTuple
 
 KINDS = frozenset(
     {
@@ -151,26 +150,16 @@ class TimeSpec:
     def end(self) -> int | None:
         return self.intervals[-1][1] if self.intervals else None
 
-    def contains(self, tick: int) -> bool:
-        return any(s <= tick <= e for s, e in self.intervals)
-
     def to_json(self, store: "GraphStore") -> dict:
-        """A query's answer as JSON, like ``WeightedSet.to_json``."""
+        """A query's answer as JSON, like ``queries.WeightedSet.to_json``."""
         return {"intervals": [list(p) for p in self.intervals]}
 
     def union(self, other: "TimeSpec") -> "TimeSpec":
         return TimeSpec(self.intervals + other.intervals)
 
-    def intersects(self, other) -> bool:
-        if isinstance(other, int):
-            return self.contains(other)
-        if isinstance(other, tuple):
-            other = TimeSpec((other,))
-        return any(
-            s1 <= e2 and s2 <= e1
-            for s1, e1 in self.intervals
-            for s2, e2 in other.intervals
-        )
+    def overlaps(self, lo: int, hi: int) -> bool:
+        """Whether some interval meets the window [lo, hi]."""
+        return any(start <= hi and lo <= end for start, end in self.intervals)
 
 
 class Edge(NamedTuple):
@@ -191,48 +180,6 @@ class ThingNode:
     kind: str
     name: str | None = None
     properties: dict = field(default_factory=dict)
-
-
-class WeightedSet:
-    """Distinct members, each of weight 1.0: every answer is a crisp graph
-    fact.  Member order is whatever the producer chose."""
-
-    __slots__ = ("_weights",)
-
-    def __init__(self, members: Iterable[int] = ()):
-        self._weights = dict.fromkeys(members, 1.0)
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return list(self._weights.items())
-
-    def ids(self) -> list[int]:
-        return list(self._weights)
-
-    def __contains__(self, member: int) -> bool:
-        return member in self._weights
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        return iter(self._weights.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightedSet) and sorted(self.pairs()) == sorted(
-            other.pairs()
-        )
-
-    def __repr__(self) -> str:
-        return f"WeightedSet({self.pairs()!r})"
-
-    def to_json(self, store: "GraphStore") -> list[dict]:
-        out = []
-        for member, weight in self._weights.items():
-            node = store.thing(member)
-            out.append(
-                {"id": node.id, "name": node.name, "kind": node.kind, "weight": weight}
-            )
-        return out
 
 
 _SCALARS = (str, int, float, bool)
@@ -256,8 +203,8 @@ def _properties_encoder():
 
 _encode_properties = _properties_encoder()
 
-# the empty answer of ``neighbors`` and of an index lookup, shared: neither changes in place
-_NOTHING, _EMPTY = WeightedSet(), {}
+# the empty answer of an index lookup, shared: it never changes in place
+_EMPTY = {}
 
 # a stored edge tuple as an ``Edge``, and its kind and source, each through no Python-level call
 _as_edge, _kind_of, _src_of = partial(tuple.__new__, Edge), itemgetter(0), itemgetter(1)
@@ -279,7 +226,7 @@ class GraphStore:
         self._mined: set[int] = set()  # things whose properties name an origin
         self._next_id = 1
         self._intervals: tuple | None = None  # starts, running max of ends, entries
-        self._is: dict | None = None  # (direction, kind) -> the is ends split for it (see is_split)
+        self._is: dict | None = None  # (direction, kind) -> {thing: its is ends split for them} (see _split)
         self._into: dict | None = None  # edge kind -> {thing: the edges into it}, for each kind built so far
 
     # -- construction -------------------------------------------------
@@ -502,12 +449,6 @@ class GraphStore:
                     ends.append(other)
         return sorted(set(ends)) if len(ends) > 1 else ends
 
-    def neighbors(self, thing_id: int, kind: str | None = None, direction: str = "out", role: str | None = None,
-                  set_kind: str | None = None, node_kind: str | None = None) -> WeightedSet:
-        """``neighbor_ids`` as a crisp ``WeightedSet``, each weight 1.0."""
-        ids = self.neighbor_ids(thing_id, kind, direction, role, set_kind, node_kind)
-        return WeightedSet(ids) if ids else _NOTHING
-
     def alive(self, lo: int, hi: int) -> list[int]:
         """Ids of the things alive in [lo, hi], in id order, from the index."""
         if lo > hi:
@@ -526,23 +467,42 @@ class GraphStore:
         hits = entries[bisect_left(reach, lo) : bisect_right(starts, hi)]
         return sorted({thing for _, end, thing in hits if end >= lo})
 
-    def is_split(self, direction: str, kind: str) -> tuple[dict, Callable[[int], tuple]]:
-        """The ``is`` ends of a direction split for a kind: thing -> ({inner end, one with ``is``
-        ends of its own: whether it is of ``kind``}, the leaf ends of ``kind`` in id order, as a tuple,
-        or from ``_SCAN_LIMIT`` on a dict's keys) for each thing split so far, and ``_split`` to add one."""
-        if self._is is None:
-            self._is = {}
-        pair = self._is.get((direction, kind))
-        if pair is None:
+    def reach(self, starts: list[int], direction: str, kind: str) -> Iterable[int]:
+        """Ids of the things of ``kind`` reachable over ``is`` edges from any of ``starts``, in id order, read
+        only like ``in_index``.  One walk, level by level over the ends ``_split`` keeps, visits the inner ends of
+        any kind and takes each visited thing's leaf ends of the kind whole; a start never enters the answer.
+        One start whose walk meets one leaf group and no inner thing of the kind gets that group itself."""
+        index = self._is = self._is or {}
+        entries = index.get((direction, kind))
+        if entries is None:
             if direction not in ("out", "in"):
                 raise GraphError(f"bad direction {direction!r}")
-            entries: dict[int, tuple] = {}
-            self._is[direction, kind] = pair = entries, partial(self._split, direction, kind, entries)
-        return pair
+            entries = index[direction, kind] = {}
+        seen, level = set(starts), starts
+        found, groups = set(), []  # reached inner things of the kind; the leaf ends of the kind of each visit
+        while level:
+            reached = []
+            for node in level:
+                inner, leaves = entries.get(node) or self._split(direction, kind, entries, node)
+                if leaves:
+                    groups.append(leaves)
+                for other in inner:
+                    if other not in seen:
+                        seen.add(other)
+                        reached.append(other)
+                        if inner[other]:
+                            found.add(other)
+            level = reached
+        if len(groups) == 1 and not found and len(starts) == 1:
+            return groups[0]
+        found.update(*groups)
+        return sorted(found.difference(starts))  # a start may be a leaf end, never a reached inner thing
 
     def _split(self, direction: str, kind: str, entries: dict, thing_id: int) -> tuple:
-        """Check a thing exists, split its ``is`` ends for ``kind``, keep its entry and return it.  An end
-        is inner when it has ``is`` ends too: out, among its own edges; in, as a key of the in-edge index."""
+        """Check a thing exists, then keep and return its ``is`` ends in ``direction`` split for ``kind``:
+        ({inner end, one with ``is`` ends of its own: whether it is of ``kind``}, its leaf ends of ``kind`` in id
+        order, as a tuple, or from ``_SCAN_LIMIT`` on a dict's keys).  Out, an end's own edges tell if it is inner;
+        in, the keys of the in-edge index do."""
         wanted, out = self._by_kind.get(kind, _EMPTY), self._out
         if direction == "out":
             ends = [e[2] for e in out[self.thing(thing_id).id] if e[0] == "is"]

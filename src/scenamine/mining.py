@@ -388,7 +388,7 @@ def cluster_events(store: GraphStore, window: int, facts: FactTable | None = Non
         for event_id in component:
             store.add_edge(("member", cid, event_id, None, "and", None))
         coincidences[cid] = (span, component)
-    return {"coincidences": len(store.things("coincidence"))}
+    return {"coincidences": len(store.kind_ids("coincidence"))}
 
 
 # -- stage 5: situation unification ---------------------------------------------
@@ -451,7 +451,7 @@ def unify_situations(store: GraphStore, min_support: int, facts: FactTable | Non
         for cid in situations[sid][1]:
             store.add_edge(("is", cid, sid, None, None, None))
             situations_of.setdefault(cid, []).append(sid)
-    return {"situations": len(store.things("situation"))}
+    return {"situations": len(store.kind_ids("situation"))}
 
 
 # -- stage 6: coincidence chaining -----------------------------------------------
@@ -517,7 +517,7 @@ def chain_coincidences(store: GraphStore, config: MiningConfig, facts: FactTable
         for cid in path:
             store.add_edge(("member", pid, cid, None, "seq", None))
         processes[pid] = list(path)
-    return {"processes": len(store.things("process"))}
+    return {"processes": len(store.kind_ids("process"))}
 
 
 # -- stage 7: scenario unification -------------------------------------------------
@@ -570,7 +570,7 @@ def unify_scenarios(
         for pid in node.processes:
             store.add_edge(("is", pid, scenario_id, None, None, None))
     model = ScenarioModel(root, lifted, scenarios)
-    return model, {"scenarios": len(store.things("scenario"))}
+    return model, {"scenarios": len(store.kind_ids("scenario"))}
 
 
 # -- stage 8: fork detection ----------------------------------------------------

@@ -1,68 +1,93 @@
 """Functional-set queries over the graph.
 
-Every function returns a WeightedSet, and every answer is crisp, weight
-1.0.  Fourteen of them are lookups made from one table of seven
-inverse pairs: a row names the kinds at the two ends of a relation (an
-``is`` walk, ``has`` edges or ``and`` member edges) and the docstrings of
-the lookup along it and the one back, so x is in f(y) exactly when y is
-in g(x) by construction.  Lookups across inheritance follow ``is`` chains;
-one walk serves them all: ``_reach`` goes level by level over the ``is``
-ends ``GraphStore.is_split`` splits by kind, from a sequence of starts, one
-for a lookup and every live event for ``appearances_at``, so a window pays
-for each shared generalization once.  The filtered and time-window queries
-are written out.  They read ``GraphStore.alive``; ``processes_at`` reads
-the processes holding each live thing off its ``seq`` edges in
-``GraphStore.in_index``, and ``coincidences_at`` with an event tests only
-the coincidences holding it.  Every other test of a thing's kind is one
-lookup in ``GraphStore.kind_ids``.
+The store answers in ids; this module makes every answer of them, a
+crisp ``WeightedSet`` (each weight 1.0).  Fourteen of the functions are
+lookups made from one table of seven inverse pairs: a row names the kinds
+at the two ends of a relation (an ``is`` walk, ``has`` edges or ``and``
+member edges) and the docstrings of the lookup along it and the one back,
+so x is in f(y) exactly when y is in g(x) by construction.  Lookups
+across inheritance follow ``is`` chains by one walk, ``GraphStore.reach``,
+from a sequence of starts: one for a lookup and every live event for
+``appearances_at``, so a window pays for each shared generalization once.
+The filtered and time-window queries are written out.  Each reads its
+time filter once into a window by one rule (``_window``).  They read
+``GraphStore.alive``; ``processes_at`` reads the processes holding each
+live thing off its ``seq`` edges in ``GraphStore.in_index``, and
+``coincidences_at`` with an event tests only the coincidences holding it.
+Every other test of a thing's kind is one lookup in ``GraphStore.kind_ids``.
 """
 
 from __future__ import annotations
 
-from .graph import GraphError, GraphStore, TimeSpec, WeightedSet
+from typing import Iterable, Iterator
+
+from .graph import GraphError, GraphStore, TimeSpec
 
 
-def _reach(store: GraphStore, starts: list[int], direction: str, kind: str) -> WeightedSet:
-    """Things of a kind reachable over ``is`` edges from any of ``starts``, in id
-    order, by one level-by-level walk over ``GraphStore.is_split``: it visits the
-    inner ends it reaches, passing through those of other kinds, and takes each
-    visited thing's leaf ends of the kind whole; a start never enters the answer."""
-    entries, split = store.is_split(direction, kind)
-    seen, level = set(starts), starts
-    found, groups = set(), []  # reached inner things of the kind; the leaf ends of the kind of each visit
-    while level:
-        reached = []
-        for node in level:
-            inner, leaves = entries.get(node) or split(node)  # splitting checks it is a thing
-            if leaves:
-                groups.append(leaves)
-            for other in inner:
-                if other not in seen:
-                    seen.add(other)
-                    reached.append(other)
-                    if inner[other]:
-                        found.add(other)
-        level = reached
-    if len(groups) == 1 and not found and len(starts) == 1:
-        return WeightedSet(groups[0])  # the one group is the answer, in id order
-    found.update(*groups)
-    return WeightedSet(sorted(found.difference(starts)))  # a start may be a leaf end, never a reached inner thing
+class WeightedSet:
+    """Distinct members, each of weight 1.0: every answer is a crisp graph
+    fact.  Member order is whatever the producer chose."""
+
+    __slots__ = ("_weights",)
+
+    def __init__(self, members: Iterable[int] = ()):
+        self._weights = dict.fromkeys(members, 1.0)
+
+    def pairs(self) -> list[tuple[int, float]]:
+        return list(self._weights.items())
+
+    def ids(self) -> list[int]:
+        return list(self._weights)
+
+    def __contains__(self, member: int) -> bool:
+        return member in self._weights
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return iter(self._weights.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeightedSet) and sorted(self.pairs()) == sorted(other.pairs())
+
+    def __repr__(self) -> str:
+        return f"WeightedSet({self.pairs()!r})"
+
+    def to_json(self, store: GraphStore) -> list[dict]:
+        nodes = map(store.thing, self._weights)
+        return [{"id": n.id, "name": n.name, "kind": n.kind, "weight": 1.0} for n in nodes]
 
 
-def _time_matches(store: GraphStore, thing_id: int, time) -> bool:
-    if time is None:
+# the empty answer of a lookup over edges, shared: a WeightedSet never changes in place
+_NOTHING = WeightedSet()
+
+
+def _window(time) -> tuple[int, int] | None:
+    """A time filter as the window (lo, hi) it names, None for none: an ``int`` tick, or a tuple or list
+    of two with lo <= hi; ``type(...) is`` keeps bools and floats such as 1.0 out."""
+    if time is None or type(time) is int:
+        return None if time is None else (time, time)
+    if type(time) in (tuple, list) and len(time) == 2 and type(time[0]) is int and type(time[1]) is int:
+        if time[0] > time[1]:
+            raise GraphError(f"bad interval [{time[0]}, {time[1]}]")
+        return tuple(time)
+    raise GraphError(f"time filter {time!r} is not a tick or a pair of ticks")
+
+
+def _time_matches(store: GraphStore, thing_id: int, window: tuple[int, int] | None) -> bool:
+    if window is None:
         return True
     spec = store.times_of(thing_id)
-    return spec is not None and spec.intersects(time)
+    return spec is not None and spec.overlaps(*window)
 
 
-def _alive(store: GraphStore, time, kind: str | None = None) -> list[int]:
-    """Ids of the things of a kind (None: any) alive at a tick or window."""
-    if time is None:
-        return [t.id for t in store.things(kind)]
-    lo, hi = (time, time) if isinstance(time, int) else time
+def _alive(store: GraphStore, window: tuple[int, int] | None, kind: str | None = None) -> list[int]:
+    """Ids of the things alive in a window, of a kind or any; with no window, every thing of the kind."""
+    if window is None:
+        return list(store.kind_ids(kind))
     wanted = store.kind_ids(kind) if kind else None
-    return [i for i in store.alive(lo, hi) if wanted is None or i in wanted]
+    return [i for i in store.alive(*window) if wanted is None or i in wanted]
 
 
 # -- the inverse pairs --------------------------------------------------------
@@ -76,13 +101,14 @@ REGISTRY: dict[str, tuple] = {}
 
 def _lookup(name: str, doc: str, edge: str, set_kind: str | None, direction: str, kind: str):
     """A lookup from one thing to the things of ``kind`` over ``edge`` edges
-    in ``direction``: an ``is`` walk by ``_reach``, else the thing's own edges."""
+    in ``direction``: an ``is`` walk by ``GraphStore.reach``, else the thing's own edges."""
     if edge == "is":
         def lookup(store: GraphStore, thing_id: int) -> WeightedSet:
-            return _reach(store, [thing_id], direction, kind)
+            return WeightedSet(store.reach([thing_id], direction, kind))
     else:
         def lookup(store: GraphStore, thing_id: int) -> WeightedSet:
-            return store.neighbors(thing_id, edge, direction, set_kind=set_kind, node_kind=kind)
+            ids = store.neighbor_ids(thing_id, edge, direction, set_kind=set_kind, node_kind=kind)
+            return WeightedSet(ids) if ids else _NOTHING
     lookup.__name__ = lookup.__qualname__ = name
     lookup.__doc__ = doc
     return lookup
@@ -129,39 +155,38 @@ scenarios_of_process, processes_of_scenario = _pair(
 
 def events_at(store: GraphStore, time) -> WeightedSet:
     """Events whose time span intersects the tick or interval."""
-    return WeightedSet(_alive(store, time, "event"))
+    return WeightedSet(_alive(store, _window(time), "event"))
 
 
 def appearances_at(store: GraphStore, time) -> WeightedSet:
     """Appearances of the events alive at the given time, by one ``is`` walk
     from all of them."""
-    return _reach(store, _alive(store, time, "event"), "out", "appearance")
+    return WeightedSet(store.reach(_alive(store, _window(time), "event"), "out", "appearance"))
 
 
 def actors_of_event(store: GraphStore, event_id: int, role: str | None = None, time=None) -> WeightedSet:
     """Actors filling the event's roles, optionally narrowed by role and time
     (a tick or a (start, end) window); an absent filter is universal."""
-    if not _time_matches(store, event_id, time):
-        return WeightedSet()
-    return store.neighbors(event_id, "has", "out", role=role, node_kind="actor")
+    if not _time_matches(store, event_id, _window(time)):
+        return _NOTHING
+    ids = store.neighbor_ids(event_id, "has", "out", role=role, node_kind="actor")
+    return WeightedSet(ids) if ids else _NOTHING
 
 
 def events_of_actor(store: GraphStore, actor_id: int, role: str | None = None, time=None) -> WeightedSet:
     """Events the actor participates in, optionally narrowed by role and time."""
-    return WeightedSet(
-        m
-        for m in store.neighbor_ids(actor_id, "has", "in", role=role, node_kind="event")
-        if _time_matches(store, m, time)
-    )
+    window, events = _window(time), store.neighbor_ids(actor_id, "has", "in", role=role, node_kind="event")
+    return WeightedSet(m for m in events if _time_matches(store, m, window))
 
 
 def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> WeightedSet:
     """Coincidences alive at the given time, optionally containing an event:
     then those holding it, read off its own ``member`` edges, that are live."""
+    window = _window(time)
     if event_id is None:
-        return WeightedSet(_alive(store, time, "coincidence"))
+        return WeightedSet(_alive(store, window, "coincidence"))
     holders = coincidences_of_event(store, event_id).ids() if event_id in store.kind_ids("event") else []
-    return WeightedSet(c for c in holders if _time_matches(store, c, time))
+    return WeightedSet(c for c in holders if _time_matches(store, c, window))
 
 
 # -- scenarios and processes -------------------------------------------------
@@ -169,9 +194,8 @@ def coincidences_at(store: GraphStore, time, event_id: int | None = None) -> Wei
 
 def scenarios_of_situation(store: GraphStore, situation_id: int, order: int | None = None) -> WeightedSet:
     """Scenarios whose sequence includes the situation, optionally at an index."""
-    return WeightedSet(
-        store.neighbor_ids(situation_id, "member", "in", set_kind="seq", node_kind="scenario", order=order)
-    )
+    ids = store.neighbor_ids(situation_id, "member", "in", set_kind="seq", node_kind="scenario", order=order)
+    return WeightedSet(ids)
 
 
 def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | None = None) -> WeightedSet:
@@ -187,27 +211,28 @@ def situations_of_scenario(store: GraphStore, scenario_id: int, order: int | Non
 def processes_at(store: GraphStore, time) -> WeightedSet:
     """Processes whose overall time span intersects the tick or interval: those
     holding a live seq member, as that span only joins intervals that touch."""
-    if time is None:
+    window = _window(time)
+    if window is None:
         return WeightedSet(_alive(store, None, "process"))
     into, processes = store.in_index("member"), store.kind_ids("process")
-    return WeightedSet(sorted({src for m in _alive(store, time) for _, src, _, _, set_kind, _ in into.get(m, ())
+    return WeightedSet(sorted({src for m in _alive(store, window) for _, src, _, _, set_kind, _ in into.get(m, ())
                                if set_kind == "seq" and src in processes}))
 
 
 def processes_of_coincidence(store: GraphStore, coincidence_id: int, time=None) -> WeightedSet:
     """Processes that include the coincidence, empty when the coincidence
     lies outside the time filter."""
-    if not _time_matches(store, coincidence_id, time):
-        return WeightedSet()
-    return store.neighbors(coincidence_id, "member", "in", set_kind="seq", node_kind="process")
+    if not _time_matches(store, coincidence_id, _window(time)):
+        return _NOTHING
+    ids = store.neighbor_ids(coincidence_id, "member", "in", set_kind="seq", node_kind="process")
+    return WeightedSet(ids) if ids else _NOTHING
 
 
 def coincidences_of_process(store: GraphStore, process_id: int, time=None) -> WeightedSet:
     """The coincidences of a process in order, filtered by their own times."""
-    coincidences = store.kind_ids("coincidence")
-    return WeightedSet(
-        c for c in store.member_children(process_id, "seq") if c in coincidences and _time_matches(store, c, time)
-    )
+    window, coincidences = _window(time), store.kind_ids("coincidence")
+    members = store.member_children(process_id, "seq")
+    return WeightedSet(c for c in members if c in coincidences and _time_matches(store, c, window))
 
 
 # -- temporal extent -----------------------------------------------------

@@ -24,7 +24,7 @@ def test_item_quantity_cost_statement():
     (definition,) = parse_definitions(source)
     assert definition.name == "item_quantity_cost"
     assert len(definition.patterns) == 1
-    assert definition.roles == ["item", "amount", "cost"]
+    assert definition.roles == ("item", "amount", "cost")
     assert definition.role_types == {
         "item": TypeRef("word"),
         "amount": TypeRef("number"),
@@ -35,14 +35,14 @@ def test_item_quantity_cost_statement():
 def test_has_list_mixes_separators():
     source = 'There name x patterns "$a $b $c", has a b, c.'
     (definition,) = parse_definitions(source)
-    assert definition.roles == ["a", "b", "c"]
+    assert definition.roles == ("a", "b", "c")
 
 
 def test_bare_definition():
     (definition,) = parse_definitions("There name person.")
     assert definition.name == "person"
-    assert definition.patterns == [parse_pattern("person")]
-    assert definition.roles == []
+    assert definition.patterns == (parse_pattern("person"),)
+    assert definition.roles == ()
 
 
 def test_quoted_name_definition():
@@ -59,7 +59,7 @@ def test_quoted_name_definition():
 def test_patterns_accumulate_across_statements():
     defs = parse_definitions('There name x patterns "a". Name x patterns "b".')
     assert len(defs) == 1
-    assert defs[0].patterns == [Literal("a"), Literal("b")]
+    assert defs[0].patterns == (Literal("a"), Literal("b"))
 
 
 def test_multiple_pattern_strings_in_one_statement():
@@ -104,10 +104,10 @@ def test_each_pattern_variable_carries_its_roles_type():
     )
     (definition,) = parse_definitions(source)
     word, money = TypeRef("word"), TypeRef("money")
-    assert definition.patterns == [
+    assert definition.patterns == (
         SeqSet((Variable("Item", word), Literal("costs"), Variable("cost", money))),
         SeqSet((Variable("who"), Literal("sold"), Variable("item", word))),
-    ]
+    )
 
 
 def test_type_for_undeclared_role_errors_with_name():
@@ -178,7 +178,7 @@ def test_name_only_definition_must_parse_as_a_pattern():
     with pytest.raises(DefinitionError, match=r"line 2: bad pattern for '\(a'"):
         parse_definitions('There name ok.\nThere name "(a".\nThere name "(a".')
     (definition,) = parse_definitions('There name "(a".\nName "(a" patterns "x".')
-    assert definition.patterns == [parse_pattern("x")]
+    assert definition.patterns == (parse_pattern("x"),)
 
 
 # the example of README's pattern language section, and one document per definition
@@ -308,5 +308,5 @@ def test_statement_tokens_and_their_lines():
         parse_definitions(source)
     assert str(caught.value).startswith(r"line 5: bad pattern for 'two\nlines': ")
     first, second = parse_definitions(source.rsplit("Name", 1)[0])
-    assert (first.name, first.patterns, first.roles) == ("a-1_B", [Literal("x"), Literal("y")], ["r", "s"])
+    assert (first.name, first.patterns, first.roles) == ("a-1_B", (Literal("x"), Literal("y")), ("r", "s"))
     assert second.name == "two\nlines"

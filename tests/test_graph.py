@@ -22,9 +22,8 @@ from scenamine.graph import (
     GraphStore,
     SnapshotError,
     TimeSpec,
-    WeightedSet,
 )
-from scenamine.queries import _reach, actors_of_role, events_of_actor
+from scenamine.queries import WeightedSet, actors_of_role, events_of_actor
 
 
 def test_add_thing_returns_fresh_ids():
@@ -58,8 +57,8 @@ def test_is_edge_read_back():
     appearance = store.add_thing("appearance", "cleaning")
     event = store.add_thing("event", times=TimeSpec.point(1))
     store.add_edge(Edge("is", event, appearance))
-    assert store.neighbors(event, "is", "out").ids() == [appearance]
-    assert store.neighbors(appearance, "is", "in").ids() == [event]
+    assert store.neighbor_ids(event, "is", "out") == [appearance]
+    assert store.neighbor_ids(appearance, "is", "in") == [event]
 
 
 def test_seq_member_orders_auto_assign():
@@ -157,8 +156,8 @@ def test_has_edge_retrievable_by_role():
     appearance = store.add_thing("appearance", "a")
     role = store.add_thing("role", "subject")
     store.add_edge(Edge("has", appearance, role, role="subject"))
-    assert store.neighbors(appearance, "has", "out", role="subject").ids() == [role]
-    assert store.neighbors(appearance, "has", "out", role="object").ids() == []
+    assert store.neighbor_ids(appearance, "has", "out", role="subject") == [role]
+    assert store.neighbor_ids(appearance, "has", "out", role="object") == []
 
 
 def test_has_edge_requires_role():
@@ -188,7 +187,7 @@ def test_duplicate_edge_is_noop():
 def test_neighbors_unknown_id():
     store = GraphStore()
     with pytest.raises(GraphError):
-        store.neighbors(42)
+        store.neighbor_ids(42)
 
 
 def test_neighbors_inverse_on_random_graphs():
@@ -210,11 +209,11 @@ def test_neighbors_inverse_on_random_graphs():
             expected_out[a].add(b)
             expected_in[b].add(a)
         for n in nodes:
-            assert set(store.neighbors(n, "is", "out").ids()) == expected_out[n]
-            assert set(store.neighbors(n, "is", "in").ids()) == expected_in[n]
+            assert set(store.neighbor_ids(n, "is", "out")) == expected_out[n]
+            assert set(store.neighbor_ids(n, "is", "in")) == expected_in[n]
         for x in nodes:
-            for y in store.neighbors(x, "is", "out").ids():
-                assert x in store.neighbors(y, "is", "in")
+            for y in store.neighbor_ids(x, "is", "out"):
+                assert x in store.neighbor_ids(y, "is", "in")
         edges = store.edges()
         for edge_kind, role in (("is", None), ("has", "x"), (None, None)):
             picked = [
@@ -231,8 +230,8 @@ def test_neighbors_inverse_on_random_graphs():
                 }
                 for direction, found in ends.items():
                     for kind in kinds + [None]:
-                        got = store.neighbors(n, edge_kind, direction, role=role, node_kind=kind)
-                        assert got.ids() == sorted(
+                        got = store.neighbor_ids(n, edge_kind, direction, role=role, node_kind=kind)
+                        assert got == sorted(
                             m for m in found if kind is None or store.thing(m).kind == kind
                         )
 
@@ -270,7 +269,7 @@ def test_timespec_rejects_reversed_interval():
 )
 def test_timespec_membership_matches_naive_scan(raw, tick):
     spec = TimeSpec(tuple(raw))
-    assert spec.contains(tick) == naive_membership(raw, tick)
+    assert spec.overlaps(tick, tick) == naive_membership(raw, tick)
     # normalized form covers exactly the same ticks
     assert tickset_union([raw]) == tickset_union([spec.intervals])
     starts = [s for s, _ in spec.intervals]
@@ -754,7 +753,7 @@ def test_stored_edges_are_plain_tuples_the_collector_leaves_and_the_api_hands_ou
 
 
 def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: str):
-    """``queries._reach`` as a walk over the ``is`` edges that ``edges()``
+    """``GraphStore.reach`` as a walk over the ``is`` edges that ``edges()``
     lists, reading each reached thing's kind off its node, not from the kind
     index: the oracle of the walk."""
     links = {}
@@ -773,7 +772,7 @@ def _per_node_reach(store: GraphStore, starts: list[int], direction: str, kind: 
                     if store.thing(other).kind == kind:
                         found.add(other)
         level = reached
-    return [(n, 1.0) for n in sorted(found)]
+    return sorted(found)
 
 
 _STEP_KINDS = ["actor", "event", "generic", "process"]
@@ -829,14 +828,12 @@ def test_in_direction_reads_match_a_scan_of_the_edges_between_writes(steps):
                                 })
                                 got = store.neighbor_ids(node, kind, "in", role, set_kind, node_kind, order)
                                 assert got == expected, (node, kind, role, set_kind, node_kind, order)
-                            got = store.neighbors(node, kind, "in", role, set_kind, node_kind)
-                            assert got.ids() == store.neighbor_ids(node, kind, "in", role, set_kind, node_kind)
             for kind in _STEP_KINDS:
                 assert store.kind_ids(kind) == {t.id for t in store.things(kind)}
             for direction in ("out", "in"):
                 for kind in _STEP_KINDS:
                     for starts in ([start], [node, start], nodes[: len(nodes) // 2]):
-                        got = _reach(store, starts, direction, kind).pairs()
+                        got = list(store.reach(starts, direction, kind))
                         assert got == _per_node_reach(store, starts, direction, kind)
 
 
@@ -891,12 +888,14 @@ def test_a_repeated_edge_keeps_the_indexes_built_on_the_edges():
     event = store.add_thing("event", times=TimeSpec.point(3))
     store.add_edge(Edge("has", appearance, role, role="subject"))
     store.add_edge(Edge("is", event, appearance))
-    into, split = store.in_index("has"), store.is_split("out", "appearance")
+    into = store.in_index("has")
+    assert list(store.reach([event], "out", "appearance")) == [appearance]
+    split = store._is
     assert store.alive(3, 3) == [event]
     intervals = store._intervals
     store.add_edge(Edge("has", appearance, role, role="subject"))
     store.add_edge(("is", event, appearance, None, None, None))
-    assert store.in_index("has") is into and store.is_split("out", "appearance") is split
+    assert store.in_index("has") is into and store._is is split
     assert store._intervals is intervals
     store.add_edge(Edge("is", appearance, role))
     assert store._into is store._is is store._intervals is None
@@ -909,10 +908,10 @@ def test_a_start_without_is_ends_reached_as_a_leaf_from_another_start_stays_out(
     for dst in (role, other):
         store.add_edge(Edge("is", actor, dst))
     assert store.neighbor_ids(role, "is") == []  # a leaf end of the actor
-    assert _reach(store, [actor, role], "out", "role").pairs() == [(other, 1.0)]
-    assert _reach(store, [role, actor], "out", "role").pairs() == [(other, 1.0)]
-    assert _reach(store, [actor], "out", "role").ids() == [role, other]
-    assert _reach(store, [role], "out", "role").pairs() == []
+    assert list(store.reach([actor, role], "out", "role")) == [other]
+    assert list(store.reach([role, actor], "out", "role")) == [other]
+    assert list(store.reach([actor], "out", "role")) == [role, other]
+    assert list(store.reach([role], "out", "role")) == []
 
 
 def test_a_leaf_reached_at_depth_one_and_two_keeps_the_weight_of_depth_one():
@@ -922,8 +921,8 @@ def test_a_leaf_reached_at_depth_one_and_two_keeps_the_weight_of_depth_one():
     store.add_edge(Edge("is", event, direct))
     store.add_edge(Edge("is", direct, general))
     store.add_edge(Edge("is", event, general))
-    expected = [(direct, 1.0), (general, 1.0)]
-    assert _reach(store, [event], "out", "appearance").pairs() == expected
+    expected = [direct, general]
+    assert list(store.reach([event], "out", "appearance")) == expected
     assert _per_node_reach(store, [event], "out", "appearance") == expected
     # and through a thing of another kind, which the walk passes through
     generic = store.add_thing("generic")
@@ -931,8 +930,8 @@ def test_a_leaf_reached_at_depth_one_and_two_keeps_the_weight_of_depth_one():
     store.add_edge(Edge("is", event, generic))
     store.add_edge(Edge("is", generic, deep))
     store.add_edge(Edge("is", generic, general))
-    expected = [(direct, 1.0), (general, 1.0), (deep, 1.0)]
-    assert _reach(store, [event], "out", "appearance").pairs() == expected
+    expected = [direct, general, deep]
+    assert list(store.reach([event], "out", "appearance")) == expected
     assert _per_node_reach(store, [event], "out", "appearance") == expected
 
 
@@ -947,11 +946,11 @@ def test_a_cycle_through_inner_things_ends_and_keeps_each_member_once():
     store.add_edge(Edge("is", side, ring[0]))
     store.add_edge(Edge("is", ring[1], leaf))
     for start in ring:
-        got = _reach(store, [start], "out", "situation").pairs()
+        got = list(store.reach([start], "out", "situation"))
         assert got == _per_node_reach(store, [start], "out", "situation")
-        assert [m for m, _ in got] == sorted(set(ring + [leaf]) - {start})
-    assert _reach(store, ring, "in", "situation").ids() == []
-    assert _reach(store, [leaf], "in", "situation").ids() == ring
+        assert got == sorted(set(ring + [leaf]) - {start})
+    assert list(store.reach(ring, "in", "situation")) == []
+    assert list(store.reach([leaf], "in", "situation")) == ring
 
 
 def test_a_lookup_sees_a_new_is_edge_and_a_drop_of_the_mined_things():
@@ -960,18 +959,18 @@ def test_a_lookup_sees_a_new_is_edge_and_a_drop_of_the_mined_things():
     actors = [store.add_thing("actor", f"a{n}") for n in range(3)]
     for actor in actors[:2]:
         store.add_edge(Edge("is", actor, role))
-    assert _reach(store, [role], "in", "actor").ids() == actors[:2]
-    assert _reach(store, [actors[2]], "out", "role").ids() == []
+    assert list(store.reach([role], "in", "actor")) == actors[:2]
+    assert list(store.reach([actors[2]], "out", "role")) == []
     store.add_edge(Edge("is", actors[2], role))
-    assert _reach(store, [role], "in", "actor").ids() == actors
-    assert _reach(store, [actors[2]], "out", "role").ids() == [role]
+    assert list(store.reach([role], "in", "actor")) == actors
+    assert list(store.reach([actors[2]], "out", "role")) == [role]
     mined = store.add_thing("actor", "m", properties={"origin": "test"})
     store.add_edge(Edge("is", mined, role))
-    assert _reach(store, [role], "in", "actor").ids() == actors + [mined]
+    assert list(store.reach([role], "in", "actor")) == actors + [mined]
     store.drop_mined()
-    assert _reach(store, [role], "in", "actor").ids() == actors
+    assert list(store.reach([role], "in", "actor")) == actors
     with pytest.raises(GraphError, match=f"unknown thing {mined}"):
-        _reach(store, [mined], "out", "role")
+        store.reach([mined], "out", "role")
 
 
 def test_a_bad_direction_is_refused_before_and_after_a_walk():
@@ -980,11 +979,11 @@ def test_a_bad_direction_is_refused_before_and_after_a_walk():
     actor = store.add_thing("actor")
     store.add_edge(Edge("is", actor, role))
     for _ in range(2):
-        for read in (lambda: store.is_split("up", "role"), lambda: _reach(store, [actor], "up", "role"),
+        for read in (lambda: store.reach([], "up", "role"), lambda: store.reach([actor], "up", "role"),
                      lambda: store.neighbor_ids(actor, direction="up")):
             with pytest.raises(GraphError, match=re.escape("bad direction 'up'")):
                 read()
-        assert _reach(store, [actor], "out", "role").ids() == [role]  # a split index exists from here on
+        assert list(store.reach([actor], "out", "role")) == [role]  # a split index exists from here on
 
 
 # a random store: (thing kinds, then is edges as index pairs into them);
@@ -1013,7 +1012,7 @@ def test_a_walk_from_many_starts_equals_the_per_node_walk(graph):
     for _ in range(2):
         for direction in ("out", "in"):
             for kind in ("actor", "role", "generic", "event"):
-                got = _reach(store, starts, direction, kind).pairs()
+                got = list(store.reach(starts, direction, kind))
                 assert got == _per_node_reach(store, starts, direction, kind)
         store.add_edge(Edge("is", things[-1], things[0]))
 

@@ -1,6 +1,7 @@
 """Matcher: tokenization, typing, pattern matching, event extraction."""
 
 import bisect
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -437,8 +438,32 @@ def test_a_hand_built_definition_is_typed_by_its_roles():
     (event,) = extract_events(store, [definition], *docs)
     assert store.thing(event).properties["text"] == "paid 40 euros"
     # the definition holds the typed pattern; the caller's list is unchanged
-    assert definition.patterns == [with_types(given[0], {"amount": TypeRef("number")})]
+    assert definition.patterns == (with_types(given[0], {"amount": TypeRef("number")}),)
     assert given == [parse_pattern("paid $Amount euros")]
+
+
+def test_a_definition_is_frozen_so_its_patterns_keep_the_types_of_its_roles():
+    """Typing happens once, when a definition is built, so nothing may change
+    its role types, roles or patterns afterwards: each attempt raises, and the
+    pattern stays as its roles typed it."""
+    (definition,) = parse_definitions('There name pay patterns "paid $amount euros", has amount.')
+    with pytest.raises(TypeError):
+        definition.role_types["amount"] = TypeRef("number")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        definition.role_types = {"amount": TypeRef("number")}
+    with pytest.raises(AttributeError):
+        definition.roles.append("cost")
+    with pytest.raises(AttributeError):
+        definition.patterns.append(parse_pattern("x"))
+    assert definition.role_types == {} and definition.roles == ("amount",)
+    store = GraphStore()
+    assert len(extract_events(store, [definition], Document("paid forty euros", "bank", 1))) == 1
+    # a hand-built definition keeps a copy of its role types: the caller's dict is the caller's
+    types = {"amount": TypeRef("number")}
+    built = ThingDefinition("payment", [parse_pattern("paid $amount euros")], ["amount"], types)
+    types["amount"] = TypeRef("word")
+    assert built.role_types == {"amount": TypeRef("number")}
+    assert extract_events(GraphStore(), [built], Document("paid forty euros", "bank", 1)) == []
 
 
 def test_a_composite_type_is_checked_past_leading_articles():

@@ -542,7 +542,7 @@ def test_situations_match_powerset_oracle():
         for s in store.things("situation"):
             items = frozenset(store.member_children(s.id, "and"))
             holders = [c for c, row in zip(coincidences, itemsets) if row >= items]
-            assert store.neighbors(s.id, "is", "in").ids() == holders
+            assert store.neighbor_ids(s.id, "is", "in") == holders
 
 
 def test_wide_identical_coincidences_make_one_situation_fast():

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -355,8 +356,7 @@ def test_events_at_equals_scan():
         got = set(queries.events_at(store, time).ids())
         expected = set()
         for t in store.things("event"):
-            spec = store.times_of(t.id)
-            if spec and spec.intersects(time):
+            if _meets(store.times_of(t.id), time):
                 expected.add(t.id)
         assert got == expected
 
@@ -495,6 +495,49 @@ def test_reversed_window_raises_on_every_store():
         for name in WINDOW_QUERIES:
             with pytest.raises(GraphError, match=r"bad interval \[5, 3\]"):
                 getattr(queries, name)(store, (5, 3))
+
+
+# the nine calls that take a time filter: name -> (the kind of thing it also takes or None, the call)
+_TIMED_CALLS = {
+    "events_at": (None, lambda store, thing, time: queries.events_at(store, time)),
+    "appearances_at": (None, lambda store, thing, time: queries.appearances_at(store, time)),
+    "coincidences_at": (None, lambda store, thing, time: queries.coincidences_at(store, time)),
+    "processes_at": (None, lambda store, thing, time: queries.processes_at(store, time)),
+    "actors_of_event": ("event", lambda store, thing, time: queries.actors_of_event(store, thing, time=time)),
+    "events_of_actor": ("actor", lambda store, thing, time: queries.events_of_actor(store, thing, time=time)),
+    "processes_of_coincidence": (
+        "coincidence", lambda store, thing, time: queries.processes_of_coincidence(store, thing, time=time)),
+    "coincidences_of_process": (
+        "process", lambda store, thing, time: queries.coincidences_of_process(store, thing, time=time)),
+    "coincidences_at_an_event": (
+        "event", lambda store, thing, time: queries.coincidences_at(store, time, event_id=thing)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TIMED_CALLS))
+def test_a_time_filter_is_a_tick_or_a_window_as_a_tuple_or_a_list(name):
+    """Every timed call reads a tick t as the window (t, t) and a window alike
+    as a tuple or a list, and refuses any other filter by name, before it
+    reads the graph."""
+    store = random_query_store(random.Random(41))
+    kind, call = _TIMED_CALLS[name]
+    things = [t.id for t in store.things(kind)[:25]] if kind else [None]
+    answered = 0
+    for thing in things:
+        for lo, hi in [(0, 0), (57, 57), (120, 120), (40, 80), (150, 152), (-5, 300)]:
+            window = call(store, thing, (lo, hi)).pairs()
+            assert call(store, thing, [lo, hi]).pairs() == window, (thing, lo, hi)
+            if lo == hi:
+                assert call(store, thing, lo).pairs() == window, (thing, lo)
+            answered += bool(window)
+        for bad, fault in [(1.5, "time filter 1.5 is not a tick or a pair of ticks"),
+                           (True, "time filter True is not a tick or a pair of ticks"),
+                           ((5, 3), "bad interval [5, 3]"), ([5, 3], "bad interval [5, 3]"),
+                           ([1, 2, 3], "time filter [1, 2, 3] is not a tick or a pair of ticks"),
+                           ((0, 2.0), "time filter (0, 2.0) is not a tick or a pair of ticks")]:
+            with pytest.raises(GraphError, match=re.escape(fault)):
+                call(store, thing, bad)
+    assert answered
 
 
 def test_window_query_reads_no_time_span_after_the_first(monkeypatch):
